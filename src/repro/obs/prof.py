@@ -227,9 +227,7 @@ class Profiler:
     def sample_engine(self, sim) -> None:
         """Engine-health sample; the dispatch loop calls this on the
         gauge cadence (reads only, never mutates).  Queue internals come
-        from the backend-agnostic ``Simulator.queue_stats()`` surface,
-        so heap and calendar backends report through the same gauges
-        (calendar adds ``engine.buckets``/``engine.bucket_width``)."""
+        from ``Simulator.queue_stats()``."""
         stats = sim.queue_stats()
         depth = stats["depth"]
         ghosts = stats["ghost_keys"]
@@ -243,9 +241,6 @@ class Profiler:
             "engine.tombstone_ratio",
             (tombstones + ghosts) / total if total else 0.0,
         )
-        if "buckets" in stats:
-            self.gauge("engine.buckets", stats["buckets"])
-            self.gauge("engine.bucket_width", stats["bucket_width"])
         if self.trace_memory:
             self._sample_memory()
 

@@ -6,52 +6,31 @@ transfers, scheduler epochs, SLA probes, VM migrations) is driven by
 callbacks scheduled on a single simulator instance, which makes runs
 fully deterministic for a given seed.
 
-Queue backends
---------------
-The queue lives behind a small backend seam so the engine can scale to
-datacenter-size scenarios (10k hosts / 1M tasks) without giving up the
-executable reference implementation:
+Event queue
+-----------
+The queue is a binary heap with lazy deletion.  Entries are plain
+``(time, priority, seq, event)`` tuples so ordering happens in C tuple
+comparisons; ``seq`` is unique, so the pop order is total.  Cancelled
+entries stay in place as tombstones, and an in-place compaction swaps
+their Event objects for bare ``(time, priority, seq, None)`` ghost keys
+when tombstones outnumber live events -- heavy cancel traffic (flow
+completion events, speculative-kill races) would otherwise leave the
+queue mostly dead weight.
 
-``heap``
-    The original binary heap with lazy deletion.  Entries are plain
-    ``(time, priority, seq, event)`` tuples so ordering happens in C
-    tuple comparisons; cancelled entries stay in place as tombstones
-    and an in-place compaction swaps their Event objects for bare
-    ``(time, priority, seq, None)`` ghost keys when tombstones
-    outnumber live events.
-``calendar``
-    A calendar queue (Brown '88): events hash into time buckets of a
-    dynamically tuned width, each bucket a small sorted list.  Push and
-    pop are O(1) amortized instead of O(log n), which is what keeps a
-    million-event queue flat.  Bucket count doubles/halves with
-    occupancy and the bucket width is re-estimated from the live
-    event-time distribution at each resize.
-
-Both backends pop in identical ``(time, priority, seq)`` order (``seq``
-is unique, so the order is total) -- property tests drive them in
-lockstep to prove it.  The backend is chosen per simulator via the
-``queue=`` constructor argument or the ``REPRO_QUEUE`` environment
-variable; the calendar queue is the default.
-
-Every backend keeps O(1) bookkeeping: a live-event counter (so
-:attr:`Simulator.pending` never scans) and a tombstone counter that
-triggers compaction -- heavy cancel traffic (flow completion events,
-speculative-kill races) would otherwise leave the queue mostly dead
-weight.  Compaction reclaims the Event objects and their callback
-closures but keeps bare ghost keys in place: the run loop's ``until``
-bound is checked against the *raw* queue head including cancelled
-entries (see :meth:`Simulator.run`), so forgetting a ghost's position
-would change observable behaviour.
+Bookkeeping is O(1): a live-event counter (so :attr:`Simulator.pending`
+never scans) and a tombstone counter that triggers compaction.
+Compaction reclaims the Event objects and their callback closures but
+keeps the ghost keys in place: the run loop's ``until`` bound is checked
+against the *raw* queue head including cancelled entries (see
+:meth:`Simulator.run`), so forgetting a ghost's position would change
+observable behaviour.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-import math
-import os
 import random
-from bisect import insort
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.obs import Observability
@@ -61,13 +40,20 @@ from repro.obs import Observability
 #: is unique, so tuple comparison never reaches the payload slot.
 _Entry = Tuple[float, int, int, Optional["Event"]]
 
+#: minimum tombstone count before cancel-triggered compaction kicks in;
+#: below this the sweep costs more than the tombstones
+COMPACT_MIN = 64
+
 
 def _callback_names(callback: Callable[[], None]) -> tuple:
     """``(module, qualname)`` of an event callback, for attribution.
 
-    Falls back through ``functools.partial``-style wrappers; never
-    raises -- odd callables attribute to ``("unknown", <typename>)``.
+    A :meth:`Simulator.call_every` recurrence resolves to the callback
+    it runs, so periodic work is billed to its own module, not the
+    engine.  Falls back through ``functools.partial``-style wrappers;
+    never raises -- odd callables attribute to ``("unknown", <typename>)``.
     """
+    callback = getattr(callback, "__wrapped__", callback)
     module = getattr(callback, "__module__", None)
     qualname = getattr(callback, "__qualname__", None)
     if module is None or qualname is None:
@@ -152,311 +138,6 @@ class Event:
             owner._note_cancelled()
 
 
-class _HeapBackend:
-    """Binary heap with lazy deletion -- the executable reference.
-
-    A single ``heapq`` heap of :data:`_Entry` tuples holds live events,
-    tombstones (cancelled, Event still attached) and ghost keys
-    (cancelled, Event reclaimed by :meth:`compact`) together, so the
-    merged pop order and the raw head peek fall out of one total order.
-    Compaction rewrites entries *in place* -- the ghost key carries the
-    exact same sort key, so the heap invariant is untouched and no
-    re-heapify is needed.
-    """
-
-    name = "heap"
-    #: minimum tombstone count before cancel-triggered compaction kicks
-    #: in; below this the sweep costs more than the tombstones
-    COMPACT_MIN = 64
-
-    __slots__ = ("_sim", "_heap", "live", "tombstones", "ghosts")
-
-    def __init__(self, sim: "Simulator") -> None:
-        self._sim = sim
-        self._heap: List[_Entry] = []
-        self.live = 0
-        self.tombstones = 0
-        self.ghosts = 0
-
-    def push(self, entry: _Entry) -> None:
-        heapq.heappush(self._heap, entry)
-        self.live += 1
-
-    def head_key(self) -> Optional[_Entry]:
-        """Raw head entry -- tombstones and ghosts included."""
-        heap = self._heap
-        return heap[0] if heap else None
-
-    def pop_live(self) -> Optional[Event]:
-        """Pop dead entries in key order, then the first live event."""
-        heap = self._heap
-        while heap:
-            entry = heapq.heappop(heap)
-            event = entry[3]
-            if event is None:
-                self.ghosts -= 1
-                continue
-            if event.cancelled:
-                self.tombstones -= 1
-                event.owner = None
-                continue
-            self.live -= 1
-            event.owner = None
-            return event
-        return None
-
-    def note_cancelled(self) -> None:
-        self.live -= 1
-        self.tombstones += 1
-        if self.tombstones > self.live and self.tombstones >= self.COMPACT_MIN:
-            self.compact()
-
-    def compact(self) -> None:
-        """Swap cancelled entries for ghost keys, in place."""
-        prof = self._sim.prof
-        if prof is not None:
-            prof.push("engine.compact", subsystem="repro.sim.engine")
-        heap = self._heap
-        evicted = 0
-        for i, entry in enumerate(heap):
-            event = entry[3]
-            if event is not None and event.cancelled:
-                heap[i] = (entry[0], entry[1], entry[2], None)
-                event.owner = None
-                evicted += 1
-        self.ghosts += evicted
-        self.tombstones -= evicted
-        if prof is not None:
-            prof.note_compaction(evicted, prof.pop())
-
-    def stats(self) -> Dict[str, Any]:
-        return {
-            "backend": self.name,
-            "depth": self.live + self.tombstones,
-            "live": self.live,
-            "tombstones": self.tombstones,
-            "ghost_keys": self.ghosts,
-        }
-
-
-class _CalendarBackend:
-    """Calendar queue: hashed time buckets with a roving search pointer.
-
-    Entries hash to ``int(time / width) % nbuckets``; each bucket is a
-    small sorted list maintained with C-speed ``bisect.insort``.  The
-    pop path scans forward from the current virtual bucket ``_vcur``
-    (one "year" = ``nbuckets`` buckets), skipping buckets whose head
-    belongs to a later year; when a whole year is empty it falls back
-    to a direct min over bucket heads (the sparse regime that resizing
-    works to avoid).  The head entry is cached between peeks so
-    ``run(until)``'s peek-then-pop costs one search, not two.
-
-    Resize doubles the bucket count when occupancy exceeds two entries
-    per bucket (halves below a quarter) and re-estimates the bucket
-    width from the head of the sorted event-time distribution -- all
-    derived from queue content only, so runs stay deterministic.
-    """
-
-    name = "calendar"
-    COMPACT_MIN = 64
-    MIN_BUCKETS = 8
-    MAX_BUCKETS = 1 << 20
-    #: virtual bucket indexes are clamped here so an event at
-    #: ``t=math.inf`` (or absurdly far future vs. the bucket width)
-    #: still lands in *a* bucket instead of overflowing int()
-    VI_CAP = 1 << 53
-
-    __slots__ = (
-        "_sim",
-        "_buckets",
-        "_nbuckets",
-        "_mask",
-        "_width",
-        "_count",
-        "_vcur",
-        "_head",
-        "live",
-        "tombstones",
-        "ghosts",
-    )
-
-    def __init__(self, sim: "Simulator") -> None:
-        self._sim = sim
-        self._nbuckets = self.MIN_BUCKETS
-        self._mask = self._nbuckets - 1
-        self._width = 1.0
-        self._buckets: List[List[_Entry]] = [[] for _ in range(self._nbuckets)]
-        self._count = 0  # all entries: live + tombstones + ghosts
-        self._vcur = 0  # virtual (unwrapped) bucket index of the head
-        self._head: Optional[_Entry] = None  # cached min entry
-        self.live = 0
-        self.tombstones = 0
-        self.ghosts = 0
-
-    def _vi(self, time: float) -> int:
-        """Virtual (unwrapped) bucket index for a timestamp."""
-        v = time / self._width
-        return int(v) if v < self.VI_CAP else self.VI_CAP
-
-    def push(self, entry: _Entry) -> None:
-        vi = self._vi(entry[0])
-        insort(self._buckets[vi & self._mask], entry)
-        self._count += 1
-        self.live += 1
-        if vi < self._vcur:
-            # earlier than the search pointer (run(until) advanced the
-            # clock past empty buckets) -- rewind so the scan can't
-            # skip it
-            self._vcur = vi
-        head = self._head
-        if head is not None and entry < head:
-            self._head = entry
-        if self._count > (self._nbuckets << 1) and self._nbuckets < self.MAX_BUCKETS:
-            self._resize(self._nbuckets << 1)
-
-    def head_key(self) -> Optional[_Entry]:
-        if not self._count:
-            return None
-        return self._advance_to_head()
-
-    def _advance_to_head(self) -> _Entry:
-        """Find (and cache) the minimum entry; position ``_vcur`` on it."""
-        head = self._head
-        if head is not None:
-            return head
-        buckets = self._buckets
-        mask = self._mask
-        width = self._width
-        vcur = self._vcur
-        for step in range(self._nbuckets):
-            vi = vcur + step
-            bucket = buckets[vi & mask]
-            if bucket:
-                entry = bucket[0]
-                # only entries belonging to this pass's year count; a
-                # head from a later wrap means the bucket is empty for
-                # now (sorted order ⇒ nothing earlier hides behind it)
-                if entry[0] < (vi + 1) * width:
-                    self._vcur = vi
-                    self._head = entry
-                    return entry
-        # sparse regime: nothing due within a year -- take the min over
-        # bucket heads directly (each bucket is sorted, so the global
-        # min is some bucket's head)
-        best: Optional[_Entry] = None
-        for bucket in buckets:
-            if bucket:
-                entry = bucket[0]
-                if best is None or entry < best:
-                    best = entry
-        assert best is not None  # _count > 0
-        self._vcur = self._vi(best[0])
-        self._head = best
-        return best
-
-    def pop_live(self) -> Optional[Event]:
-        while self._count:
-            self._advance_to_head()
-            entry = self._buckets[self._vcur & self._mask].pop(0)
-            self._count -= 1
-            self._head = None
-            if (
-                self._count < (self._nbuckets >> 2)
-                and self._nbuckets > self.MIN_BUCKETS
-            ):
-                self._resize(self._nbuckets >> 1)
-            event = entry[3]
-            if event is None:
-                self.ghosts -= 1
-                continue
-            if event.cancelled:
-                self.tombstones -= 1
-                event.owner = None
-                continue
-            self.live -= 1
-            event.owner = None
-            return event
-        return None
-
-    def note_cancelled(self) -> None:
-        self.live -= 1
-        self.tombstones += 1
-        if self.tombstones > self.live and self.tombstones >= self.COMPACT_MIN:
-            self.compact()
-
-    def compact(self) -> None:
-        """Swap cancelled entries for ghost keys, in place.
-
-        Same sort keys, same bucket positions -- only the Event objects
-        and their closures are reclaimed, so pop order and the raw head
-        peek are untouched.
-        """
-        prof = self._sim.prof
-        if prof is not None:
-            prof.push("engine.compact", subsystem="repro.sim.engine")
-        evicted = 0
-        for bucket in self._buckets:
-            for i, entry in enumerate(bucket):
-                event = entry[3]
-                if event is not None and event.cancelled:
-                    bucket[i] = (entry[0], entry[1], entry[2], None)
-                    event.owner = None
-                    evicted += 1
-        self.ghosts += evicted
-        self.tombstones -= evicted
-        self._head = None  # may reference a replaced tuple
-        if prof is not None:
-            prof.note_compaction(evicted, prof.pop())
-
-    def _resize(self, nbuckets: int) -> None:
-        entries: List[_Entry] = []
-        for bucket in self._buckets:
-            entries.extend(bucket)
-        entries.sort()
-        width = self._width
-        n = len(entries)
-        if n >= 2:
-            # estimate from the head of the distribution: aim for ~2
-            # entries per bucket over the imminent event horizon
-            k = min(n, 256)
-            span = entries[k - 1][0] - entries[0][0]
-            if span > 0.0 and math.isfinite(span):
-                width = max((span / (k - 1)) * 2.0, 1e-9)
-        self._nbuckets = nbuckets
-        self._mask = nbuckets - 1
-        self._width = width
-        buckets: List[List[_Entry]] = [[] for _ in range(nbuckets)]
-        mask = self._mask
-        for entry in entries:
-            # globally sorted append keeps each bucket sorted
-            buckets[self._vi(entry[0]) & mask].append(entry)
-        self._buckets = buckets
-        if entries:
-            self._vcur = self._vi(entries[0][0])
-            self._head = entries[0]
-        else:
-            self._vcur = 0
-            self._head = None
-
-    def stats(self) -> Dict[str, Any]:
-        return {
-            "backend": self.name,
-            "depth": self.live + self.tombstones,
-            "live": self.live,
-            "tombstones": self.tombstones,
-            "ghost_keys": self.ghosts,
-            "buckets": self._nbuckets,
-            "bucket_width": self._width,
-        }
-
-
-_BACKENDS = {"heap": _HeapBackend, "calendar": _CalendarBackend}
-
-#: default queue backend when neither the constructor argument nor the
-#: ``REPRO_QUEUE`` environment variable says otherwise
-DEFAULT_QUEUE = "calendar"
-
-
 class Simulator:
     """Event loop with a virtual clock.
 
@@ -467,31 +148,20 @@ class Simulator:
         stochastic models in the reproduction draw from ``sim.rng`` (or
         children created via :meth:`fork_rng`), never from the global
         ``random`` module, so identical seeds give identical runs.
-    queue:
-        Queue backend name: ``"calendar"`` (default) or ``"heap"`` (the
-        reference implementation).  Falls back to the ``REPRO_QUEUE``
-        environment variable when omitted.  Both backends pop in
-        identical ``(time, priority, seq)`` order, so the choice can
-        never change simulation results -- only speed.
     """
 
-    #: kept for backwards compatibility with callers tuning compaction
-    _COMPACT_MIN = _HeapBackend.COMPACT_MIN
-
-    def __init__(self, seed: int = 0, queue: Optional[str] = None) -> None:
+    def __init__(self, seed: int = 0) -> None:
         self.now: float = 0.0
         self.rng = random.Random(seed)
         self._seed = seed
-        name = queue or os.environ.get("REPRO_QUEUE") or DEFAULT_QUEUE
-        try:
-            backend_cls = _BACKENDS[name]
-        except KeyError:
-            raise ValueError(
-                f"unknown queue backend {name!r} (choose from "
-                f"{sorted(_BACKENDS)})"
-            ) from None
-        self.queue_backend = name
-        self._backend = backend_cls(self)
+        #: one heap holds live events, tombstones (cancelled, Event
+        #: still attached) and ghost keys (cancelled, Event reclaimed
+        #: by :meth:`_compact`), so the pop order and the raw head peek
+        #: fall out of one total order
+        self._heap: List[_Entry] = []
+        self._live = 0
+        self._tombstones = 0
+        self._ghosts = 0
         self._seq = itertools.count()
         self._stopped = False
         self.events_processed = 0
@@ -526,7 +196,8 @@ class Simulator:
         time = self.now + delay
         seq = next(self._seq)
         event = Event(time, priority, seq, callback, owner=self)
-        self._backend.push((time, priority, seq, event))
+        heapq.heappush(self._heap, (time, priority, seq, event))
+        self._live += 1
         return event
 
     def schedule_at(
@@ -555,7 +226,8 @@ class Simulator:
             raise ValueError(f"cannot schedule in the past (time={time})")
         seq = next(self._seq)
         event = Event(time, priority, seq, callback, owner=self)
-        self._backend.push((time, priority, seq, event))
+        heapq.heappush(self._heap, (time, priority, seq, event))
+        self._live += 1
         return event
 
     def call_every(
@@ -591,6 +263,10 @@ class Simulator:
             if until is None or nxt <= until:
                 state["event"] = self._schedule_abs(max(nxt, self.now), fire)
 
+        # attribution (accounting, profiling) bills the firing to the
+        # callback's module, not to this closure's
+        fire.__wrapped__ = callback  # type: ignore[attr-defined]
+
         first_delay = interval if start is None else max(0.0, start - self.now)
         state["event"] = self.schedule(first_delay, fire)
 
@@ -606,7 +282,49 @@ class Simulator:
     # ------------------------------------------------------------------
     def _note_cancelled(self) -> None:
         """Counter upkeep for an in-queue cancellation (Event.cancel)."""
-        self._backend.note_cancelled()
+        self._live -= 1
+        self._tombstones += 1
+        if self._tombstones > self._live and self._tombstones >= COMPACT_MIN:
+            self._compact()
+
+    def _compact(self) -> None:
+        """Swap cancelled entries for ghost keys, in place.
+
+        A ghost key carries the exact sort key of the entry it replaces,
+        so the heap invariant holds without a re-heapify, and pop order
+        and the raw head peek are untouched.
+        """
+        prof = self.prof
+        if prof is not None:
+            prof.push("engine.compact", subsystem="repro.sim.engine")
+        heap = self._heap
+        evicted = 0
+        for i, entry in enumerate(heap):
+            event = entry[3]
+            if event is not None and event.cancelled:
+                heap[i] = (entry[0], entry[1], entry[2], None)
+                event.owner = None
+                evicted += 1
+        self._ghosts += evicted
+        self._tombstones -= evicted
+        if prof is not None:
+            prof.note_compaction(evicted, prof.pop())
+
+    def _pop_live(self) -> Optional[Event]:
+        """Pop dead entries in key order, then the first live event."""
+        heap = self._heap
+        while heap:
+            event = heapq.heappop(heap)[3]
+            if event is None:
+                self._ghosts -= 1
+                continue
+            event.owner = None
+            if event.cancelled:
+                self._tombstones -= 1
+                continue
+            self._live -= 1
+            return event
+        return None
 
     def step(self) -> bool:
         """Process the next event.  Returns False when queue is empty.
@@ -617,7 +335,7 @@ class Simulator:
         same ``callback()`` call the plain path uses, so an instrumented
         run can never drift from a bare one.
         """
-        event = self._backend.pop_live()
+        event = self._pop_live()
         if event is None:
             return False
         time = event.time
@@ -654,7 +372,7 @@ class Simulator:
         keep it, or same-seed runs change.
         """
         self._stopped = False
-        backend = self._backend
+        heap = self._heap
         if self._event_counts is not None or self.prof is not None:
             # accounting/profiling pass (bench/prof runs): per-event
             # bookkeeping lives in step(), no need to be lean here
@@ -664,12 +382,11 @@ class Simulator:
                     raise RuntimeError(
                         f"exceeded max_events={max_events}; runaway simulation?"
                     )
-                head = backend.head_key()
-                if head is None:
+                if not heap:
                     if until is not None:
                         self.now = max(self.now, until)
                     return
-                if until is not None and head[0] > until:
+                if until is not None and heap[0][0] > until:
                     self.now = until
                     return
                 if not self.step():
@@ -677,10 +394,9 @@ class Simulator:
                 processed += 1
             return
         # fast path: accounting branch hoisted out of the loop; the pop
-        # itself (tombstone/ghost skipping included) lives in the
-        # backend, shared with step(), so the two paths cannot diverge
-        head_key = backend.head_key
-        pop_live = backend.pop_live
+        # itself (tombstone/ghost skipping included) is _pop_live,
+        # shared with step(), so the two paths cannot diverge
+        pop_live = self._pop_live
         processed = 0
         try:
             while not self._stopped:
@@ -689,11 +405,10 @@ class Simulator:
                         f"exceeded max_events={max_events}; runaway simulation?"
                     )
                 if until is not None:
-                    head = head_key()
-                    if head is None:
+                    if not heap:
                         self.now = max(self.now, until)
                         return
-                    if head[0] > until:
+                    if heap[0][0] > until:
                         self.now = until
                         return
                 # committed: the first live event runs unconditionally
@@ -718,14 +433,16 @@ class Simulator:
     # utilities
     # ------------------------------------------------------------------
     def queue_stats(self) -> Dict[str, Any]:
-        """Backend-reported queue health (depth, tombstones, ghosts...).
-
-        Always contains ``backend``, ``depth`` (entries still carrying
-        Event objects: live + tombstones), ``live``, ``tombstones`` and
-        ``ghost_keys``; backends may add their own fields (the calendar
-        queue reports ``buckets`` and ``bucket_width``).
-        """
-        return self._backend.stats()
+        """Queue health: ``backend`` (always ``"heap"``), ``depth``
+        (entries still carrying Event objects: live + tombstones),
+        ``live``, ``tombstones`` and ``ghost_keys``."""
+        return {
+            "backend": "heap",
+            "depth": self._live + self._tombstones,
+            "live": self._live,
+            "tombstones": self._tombstones,
+            "ghost_keys": self._ghosts,
+        }
 
     def enable_event_accounting(self) -> None:
         """Start counting processed events per callback module.
@@ -777,7 +494,7 @@ class Simulator:
     @property
     def pending(self) -> int:
         """Number of non-cancelled events waiting in the queue.  O(1)."""
-        return self._backend.live
+        return self._live
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Simulator(now={self.now:.3f}, pending={self.pending})"

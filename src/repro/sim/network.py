@@ -21,7 +21,7 @@ scan the global flow list.  A flow start/finish re-runs progressive
 filling only over the *connected component* of links actually touched
 by the changed flow -- flows on disjoint links keep their rates, which
 is exact because max-min allocations of disjoint components are
-independent.  The component fill itself (:func:`maxmin_flow_rates_fast`)
+independent.  The component fill itself (:func:`maxmin_fill`)
 maintains per-link unfixed-flow counters instead of rescanning every
 link's user list each round, dropping a fill from O(F·L) per round to
 O(F + L·rounds) total.  Progress advancement and the next-completion
@@ -34,18 +34,10 @@ must stay byte-identical (see docs/networking.md); stalled flows
 from __future__ import annotations
 
 import math
-import os
 from operator import attrgetter
 from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from repro.sim.engine import Event, Simulator
-
-try:  # optional extra: vectorized max-min fill (see maxmin_flow_rates_vec)
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy-less environments
-    _np = None
-if os.environ.get("REPRO_PURE_PYTHON"):  # force the scalar fill (CI exercises it)
-    _np = None
 
 _EPS = 1e-9
 
@@ -135,126 +127,26 @@ class _HostLinks:
         self.loop_in: Dict[Flow, None] = {}
 
 
-def maxmin_flow_rates(
-    flows: List[Flow], links: Dict[str, _HostLinks]
-) -> List[float]:
+def maxmin_fill(flows: List[Flow], links: Dict[str, _HostLinks]) -> List[float]:
     """Progressive-filling max-min fair rates for cross-host flows.
 
-    Each flow crosses ``links[src].up`` and ``links[dst].down``.  Pure
-    function kept as the executable specification: the fabric's indexed
-    fill (:func:`maxmin_flow_rates_fast`) must match it bit-for-bit,
-    which tests/test_properties assert on randomized inputs.
+    Each flow crosses ``links[src].up`` and ``links[dst].down``.  Every
+    round fixes the flows of the most-constrained link (lowest fair
+    share, first wins within ``_EPS``) and charges their rate to their
+    other link.  Links get integer ids in first-occurrence order over
+    the flow list (src uplink before dst downlink per flow), and
+    per-link *unfixed counts* are maintained incrementally, so each
+    round costs O(links) instead of O(flows · links) and fixing flows
+    amortizes to O(flows) over the whole fill.
+
+    The fill feeds completion-event timestamps, so it must stay
+    bit-identical to the plain per-link oracle in ``tests/maxmin_oracle.py``;
+    the property tests fuzz that on randomized topologies.
     """
     n = len(flows)
     rates = [0.0] * n
     if n == 0:
         return rates
-    # remaining capacity per (host, direction) link
-    cap: Dict[tuple, float] = {}
-    users: Dict[tuple, List[int]] = {}
-    for i, flow in enumerate(flows):
-        src_links, dst_links = links[flow.src], links[flow.dst]
-        src_scale = getattr(src_links, "nic_scale", 1.0)
-        dst_scale = getattr(dst_links, "nic_scale", 1.0)
-        for key, capacity in (
-            ((flow.src, "up"), src_links.up * src_scale),
-            ((flow.dst, "down"), dst_links.down * dst_scale),
-        ):
-            cap.setdefault(key, capacity)
-            users.setdefault(key, []).append(i)
-    unfixed = set(range(n))
-    while unfixed:
-        # find the most constrained link
-        best_key = None
-        best_share = math.inf
-        for key, flow_ids in users.items():
-            active = [i for i in flow_ids if i in unfixed]
-            if not active:
-                continue
-            share = cap[key] / len(active)
-            if share < best_share - _EPS:
-                best_share = share
-                best_key = key
-        if best_key is None:
-            break
-        for i in [i for i in users[best_key] if i in unfixed]:
-            rates[i] = best_share
-            unfixed.discard(i)
-            # charge this flow's rate to its other link
-            for key in ((flows[i].src, "up"), (flows[i].dst, "down")):
-                if key != best_key:
-                    cap[key] = max(0.0, cap[key] - best_share)
-        cap[best_key] = 0.0
-    return rates
-
-
-def maxmin_flow_rates_fast(
-    flows: List[Flow], links: Dict[str, _HostLinks]
-) -> List[float]:
-    """Indexed progressive filling, bit-identical to the reference.
-
-    Same round structure and float operations as
-    :func:`maxmin_flow_rates` -- the most-constrained link is found with
-    the identical ``share < best - EPS`` first-wins comparison over the
-    same link insertion order -- but per-link *unfixed counts* are
-    maintained incrementally, so each round costs O(links) instead of
-    O(flows · links), and fixing a link's flows amortizes to O(flows)
-    over the whole fill.
-    """
-    n = len(flows)
-    rates = [0.0] * n
-    if n == 0:
-        return rates
-    cap, active_n, users, src_ids, dst_ids = _fill_arrays(flows, links)
-    fixed = bytearray(n)
-    remaining = n
-    n_links = len(cap)
-    link_range = range(n_links)
-    while remaining:
-        best = -1
-        best_share = math.inf
-        for k in link_range:
-            count = active_n[k]
-            if count == 0:
-                continue
-            share = cap[k] / count
-            if share < best_share - _EPS:
-                best_share = share
-                best = k
-        if best < 0:
-            break
-        for i in users[best]:
-            if fixed[i]:
-                continue
-            fixed[i] = 1
-            remaining -= 1
-            rates[i] = best_share
-            # charge this flow's rate to its other link
-            k = src_ids[i]
-            if k != best:
-                residual = cap[k] - best_share
-                cap[k] = residual if residual > 0.0 else 0.0
-            active_n[k] -= 1
-            k = dst_ids[i]
-            if k != best:
-                residual = cap[k] - best_share
-                cap[k] = residual if residual > 0.0 else 0.0
-            active_n[k] -= 1
-        cap[best] = 0.0
-    return rates
-
-
-def _fill_arrays(
-    flows: List[Flow], links: Dict[str, _HostLinks]
-) -> Tuple[List[float], List[int], List[List[int]], List[int], List[int]]:
-    """Integer-indexed link arrays for a progressive fill.
-
-    Link ids are assigned in first-occurrence order over the flow list
-    (src uplink before dst downlink per flow) -- exactly the dict
-    insertion order the reference iterates -- so an index-order scan of
-    these arrays visits links in the reference's tie-break order.
-    """
-    n = len(flows)
     # per-direction string-keyed id maps: str hashes are cached by the
     # interpreter, so this avoids a tuple allocation + combined hash per
     # flow per fill (the setup is the hot half of small fills)
@@ -292,105 +184,46 @@ def _fill_arrays(
             active_n[k] += 1
             users[k].append(i)
         dst_ids[i] = k
-    return cap, active_n, users, src_ids, dst_ids
-
-
-def maxmin_flow_rates_vec(
-    flows: List[Flow], links: Dict[str, _HostLinks]
-) -> List[float]:
-    """Numpy-vectorized progressive filling, bit-identical to the fast
-    fill (and hence to the reference).
-
-    Per round, the most-constrained link is found with vectorized
-    share computation; the reference's sequential ``share < best - EPS``
-    first-wins scan is replayed exactly: when everything within the
-    epsilon band of the round minimum *is* the minimum bitwise (unique
-    minima and exact capacity ties -- the overwhelmingly common cases),
-    the scan provably selects the band's first index, and any genuine
-    sub-epsilon near-tie falls back to the literal scalar scan.  Fixing
-    a round's flows uses unbuffered ``np.subtract.at``, which applies
-    the same subtractions in the same per-link order as the reference;
-    deferring the clamp-at-zero to the end of the round is exact because
-    within a round no capacity is read after it is charged.
-
-    Falls back to :func:`maxmin_flow_rates_fast` when numpy is absent.
-    Worth its per-round constant only on big components -- callers gate
-    on :data:`VECTOR_MIN_FLOWS`.
-    """
-    if _np is None:  # pragma: no cover - exercised via REPRO_NO_NUMPY runs
-        return maxmin_flow_rates_fast(flows, links)
-    n = len(flows)
-    if n == 0:
-        return []
-    cap_l, active_l, users, src_l, dst_l = _fill_arrays(flows, links)
-    cap = _np.array(cap_l, dtype=_np.float64)
-    active = _np.array(active_l, dtype=_np.int64)
-    src_ids = _np.array(src_l, dtype=_np.int64)
-    dst_ids = _np.array(dst_l, dtype=_np.int64)
-    users_np: List[Optional[object]] = [None] * len(cap_l)
-    rates = _np.zeros(n, dtype=_np.float64)
-    fixed = _np.zeros(n, dtype=bool)
+    fixed = bytearray(n)
     remaining = n
-    shares = _np.empty(len(cap_l), dtype=_np.float64)
+    link_range = range(len(cap))
     while remaining:
-        shares.fill(_np.inf)
-        mask = active > 0
-        _np.divide(cap, active, out=shares, where=mask)
-        m = shares.min()
-        if not math.isfinite(m):
+        best = -1
+        best_share = math.inf
+        for k in link_range:
+            count = active_n[k]
+            if count == 0:
+                continue
+            share = cap[k] / count
+            if share < best_share - _EPS:
+                best_share = share
+                best = k
+        if best < 0:
             break
-        # the 2*EPS margin keeps float rounding in `best - EPS` from
-        # ever flipping the fast path's equivalence argument
-        band = _np.flatnonzero(shares <= m + 2.0 * _EPS)
-        if band.shape[0] == 1 or bool((shares[band] == m).all()):
-            best = int(band[0])
-            best_share = float(m)
-        else:
-            # sub-epsilon near-ties: replay the reference scan literally
-            best = -1
-            best_share = math.inf
-            shares_l = shares.tolist()
-            active_scan = active.tolist()
-            for k in range(len(shares_l)):
-                if active_scan[k] == 0:
-                    continue
-                share = shares_l[k]
-                if share < best_share - _EPS:
-                    best_share = share
-                    best = k
-            if best < 0:  # pragma: no cover - unreachable while flows remain
-                break
-        u = users_np[best]
-        if u is None:
-            u = users_np[best] = _np.array(users[best], dtype=_np.int64)
-        sel = u[~fixed[u]]
-        if sel.shape[0]:
-            rates[sel] = best_share
-            fixed[sel] = True
-            remaining -= int(sel.shape[0])
-            # each selected flow charges its *other* link (the one of
-            # its two links that is not the selected link)
-            others = src_ids[sel] + dst_ids[sel] - best
-            _np.subtract.at(cap, others, best_share)
-            _np.maximum(cap, 0.0, out=cap)
-            _np.subtract.at(active, others, 1)
-            active[best] -= sel.shape[0]
+        for i in users[best]:
+            if fixed[i]:
+                continue
+            fixed[i] = 1
+            remaining -= 1
+            rates[i] = best_share
+            # charge this flow's rate to its other link
+            k = src_ids[i]
+            if k != best:
+                residual = cap[k] - best_share
+                cap[k] = residual if residual > 0.0 else 0.0
+            active_n[k] -= 1
+            k = dst_ids[i]
+            if k != best:
+                residual = cap[k] - best_share
+                cap[k] = residual if residual > 0.0 else 0.0
+            active_n[k] -= 1
         cap[best] = 0.0
-    return rates.tolist()
+    return rates
 
 
-#: components smaller than this use the scalar fill -- numpy's per-round
-#: constant only pays for itself on big components (LARGE scenarios)
-VECTOR_MIN_FLOWS = 192
-
-
-def maxmin_fill(flows: List[Flow], links: Dict[str, _HostLinks]) -> List[float]:
-    """Size-dispatched fill: vectorized for big components, scalar
-    otherwise.  Both paths are bit-identical, so the dispatch threshold
-    can never change results."""
-    if _np is not None and len(flows) >= VECTOR_MIN_FLOWS:
-        return maxmin_flow_rates_vec(flows, links)
-    return maxmin_flow_rates_fast(flows, links)
+#: placeholder, not a fill: ``perfbench/layers.py`` patches this name and
+#: raises ``KeyError`` without it -- remove the two together
+maxmin_flow_rates_vec = None
 
 
 class NetworkFabric:

@@ -32,8 +32,10 @@ from typing import Optional
 import repro
 
 #: bump to invalidate every cached cell regardless of repro version
-#: (2: cell documents grew the ``events`` telemetry field)
-CACHE_SCHEMA = 2
+#: (2: cell documents grew the ``events`` telemetry field; 3: the
+#: interference fits dropped numpy, which changes ``fig06`` results in
+#: environments that had it)
+CACHE_SCHEMA = 3
 
 DEFAULT_CACHE_DIR = ".repro-sweep-cache"
 

@@ -1,44 +1,44 @@
-"""Datacenter-scale event core: equivalence proofs.
+"""Event core: equivalence proofs for the engine's and fabric's hot paths.
 
-Three families of evidence that the fast paths cannot drift from the
-reference implementations:
+Three families of evidence that the fast paths cannot drift:
 
-- the calendar queue pops in exactly the reference heap's
-  ``(time, priority, seq)`` order under adversarial schedules
-  (cancellations, recurrences, ghost keys, mid-run compaction);
-- the vectorized max-min fill is *bitwise* identical to both the
-  indexed fast path and the original per-link reference;
+- compaction is invisible: a randomized schedule (cancellations,
+  recurrences, ghost keys, ``run(until)`` splits) fires the identical
+  trace with and without forced mid-run compactions;
+- the indexed max-min fill is *bitwise* identical to the per-link
+  oracle in ``tests/maxmin_oracle.py``, both called directly and as
+  the fabric dispatches it during a run;
 - ``Simulator.step``'s single dispatch tail means accounting and
-  profiling runs replay the bare run event-for-event.
+  profiling runs replay the bare run event-for-event, and both bill a
+  ``call_every`` recurrence to the callback it runs.
 """
 
 import random
+from unittest import mock
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.obs.prof import Profiler
+from repro.sim import network
 from repro.sim.engine import Simulator
-from repro.sim.network import (
-    _HostLinks,
-    maxmin_fill,
-    maxmin_flow_rates,
-    maxmin_flow_rates_fast,
-)
+from repro.sim.network import NetworkFabric, _HostLinks, maxmin_fill
+from tests.maxmin_oracle import maxmin_flow_rates
 
 
 # ----------------------------------------------------------------------
-# calendar queue vs reference heap: identical pop order
+# compaction never changes pop order
 # ----------------------------------------------------------------------
-def _run_scenario(queue: str, seed: int):
-    """Drive one randomized schedule on the given backend.
+def _run_scenario(seed: int, compact: bool):
+    """Drive one randomized schedule; ``compact`` forces extra
+    compactions at random points.
 
-    The RNG is consumed *inside callbacks*, so draws align across
-    backends only if pop order is identical -- any divergence cascades
-    into a loudly different trace rather than a near miss.
+    The RNG is consumed *inside callbacks*, so draws align across the
+    two variants only if pop order is identical -- any divergence
+    cascades into a loudly different trace rather than a near miss.
     """
     rng = random.Random(seed)
-    sim = Simulator(queue=queue)
+    sim = Simulator()
     trace = []
     live_events = []
 
@@ -59,9 +59,8 @@ def _run_scenario(queue: str, seed: int):
             elif roll < 0.55 and live_events:
                 # cancel a random pending event (tombstone/ghost source)
                 live_events.pop(rng.randrange(len(live_events))).cancel()
-            elif roll < 0.60:
-                # mid-run compaction must be invisible to pop order
-                sim._backend.compact()
+            elif roll < 0.60 and compact:
+                sim._compact()
 
         return cb
 
@@ -86,33 +85,34 @@ def _run_scenario(queue: str, seed: int):
 
     # split the run so run(until)'s raw-head-peek semantics are hit too
     sim.run(until=rng.uniform(2.0, 8.0))
-    sim._backend.compact()
+    if compact:
+        sim._compact()
     sim.run(until=40.0)
     return trace, sim.now, sim.events_processed, sim.queue_stats()
 
 
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=10_000))
-def test_calendar_queue_matches_reference_heap(seed):
-    heap = _run_scenario("heap", seed)
-    calendar = _run_scenario("calendar", seed)
-    assert calendar[0] == heap[0], "pop order diverged"
-    assert calendar[1] == heap[1], "final clock diverged"
-    assert calendar[2] == heap[2], "events_processed diverged"
-    # both backends must agree the queue fully drained
-    assert heap[3]["live"] == 0
-    assert calendar[3]["live"] == 0
+def test_compaction_is_invisible_to_pop_order(seed):
+    plain = _run_scenario(seed, compact=False)
+    compacted = _run_scenario(seed, compact=True)
+    assert compacted[0] == plain[0], "pop order diverged"
+    assert compacted[1] == plain[1], "final clock diverged"
+    assert compacted[2] == plain[2], "events_processed diverged"
+    # both runs must agree the queue fully drained
+    assert plain[3]["live"] == 0
+    assert compacted[3]["live"] == 0
 
 
 def test_queue_stats_reports_backend():
-    assert Simulator(queue="heap").queue_stats()["backend"] == "heap"
-    stats = Simulator(queue="calendar").queue_stats()
-    assert stats["backend"] == "calendar"
-    assert "buckets" in stats and "bucket_width" in stats
+    stats = Simulator().queue_stats()
+    assert stats == {
+        "backend": "heap", "depth": 0, "live": 0, "tombstones": 0, "ghost_keys": 0,
+    }
 
 
 # ----------------------------------------------------------------------
-# vectorized max-min fill: bitwise identical to both references
+# indexed max-min fill: bitwise identical to the oracle
 # ----------------------------------------------------------------------
 class _F:
     __slots__ = ("src", "dst")
@@ -145,61 +145,70 @@ def _random_topology(rng: random.Random):
 @settings(max_examples=150, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=100_000))
 def test_vectorized_fill_bit_identical(seed):
-    from repro.sim import network
-
-    if network._np is None:
-        pytest.skip("numpy not installed; scalar fallback is the only path")
+    """The indexed fill -- the only fill since the numpy one that gave
+    this test its name was deleted -- matches the oracle on tie-heavy
+    topologies."""
     flows, links = _random_topology(random.Random(seed))
-    reference = maxmin_flow_rates(flows, links)
-    fast = maxmin_flow_rates_fast(flows, links)
-    vec = network.maxmin_flow_rates_vec(flows, links)
     # bitwise: the fill feeds completion-event timestamps, so even 1-ulp
-    # drift would change digests between the scalar and numpy paths
-    assert fast == reference
-    assert vec == reference
+    # drift would change digests
+    assert maxmin_fill(flows, links) == maxmin_flow_rates(flows, links)
+
+
+def _fabric_scenario(rng: random.Random) -> None:
+    """Random flow arrivals and NIC degradations on a tie-heavy fabric,
+    so the run hits both the incremental and the full rebalance."""
+    sim = Simulator(seed=rng.randrange(1_000))
+    fabric = NetworkFabric(sim)
+    hosts = [f"h{i}" for i in range(rng.randrange(2, 9))]
+    tie_pool = [rng.uniform(20.0, 2000.0) for _ in range(3)]
+    for h in hosts:
+        fabric.register_host(
+            h, up_mbps=rng.choice(tie_pool), down_mbps=rng.choice(tie_pool)
+        )
+    for _ in range(rng.randrange(1, 60)):
+        src, dst = rng.sample(hosts, 2)
+        mb = rng.uniform(1.0, 500.0)
+        sim.schedule(
+            rng.uniform(0.0, 5.0),
+            lambda src=src, dst=dst, mb=mb: fabric.start_flow(src, dst, mb),
+        )
+    for _ in range(rng.randrange(0, 3)):
+        host, scale = rng.choice(hosts), rng.choice([0.25, 0.5, 1.0])
+        sim.schedule(
+            rng.uniform(0.0, 5.0),
+            lambda host=host, scale=scale: fabric.set_nic_scale(host, scale),
+        )
+    sim.run()
 
 
 @settings(max_examples=50, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=100_000))
 def test_maxmin_fill_dispatcher_matches_reference(seed):
-    flows, links = _random_topology(random.Random(seed))
-    assert maxmin_fill(flows, links) == maxmin_flow_rates(flows, links)
+    """The fabric dispatches every fill through the module global
+    ``network.maxmin_fill`` (the name a profiler patch wraps), and each
+    dispatched fill returns the oracle's rates for its component."""
+    fill = network.maxmin_fill
+    checked = []
 
+    def spy(flows, links):
+        rates = fill(flows, links)
+        checked.append(rates == maxmin_flow_rates(flows, links))
+        return rates
 
-def test_maxmin_fill_scalar_fallback(monkeypatch):
-    """With numpy absent the dispatcher must stay on the indexed path."""
-    from repro.sim import network
-
-    monkeypatch.setattr(network, "_np", None)
-    flows, links = _random_topology(random.Random(7))
-    assert network.maxmin_fill(flows, links) == maxmin_flow_rates(flows, links)
-
-
-def test_vector_threshold_routes_large_fills():
-    from repro.sim import network
-
-    if network._np is None:
-        pytest.skip("numpy not installed")
-    rng = random.Random(11)
-    hosts = [f"h{i}" for i in range(40)]
-    links = {h: _HostLinks(100.0, 100.0, 2000.0, h) for h in hosts}
-    flows = []
-    while len(flows) < network.VECTOR_MIN_FLOWS + 8:
-        src, dst = rng.sample(hosts, 2)
-        flows.append(_F(src, dst))
-    assert network.maxmin_fill(flows, links) == maxmin_flow_rates(flows, links)
+    with mock.patch.object(network, "maxmin_fill", spy):
+        _fabric_scenario(random.Random(seed))
+    assert checked, "the fabric never reached network.maxmin_fill"
+    assert all(checked)
 
 
 # ----------------------------------------------------------------------
 # step(): one dispatch tail, instrumented runs replay the bare run
 # ----------------------------------------------------------------------
 def _instrumented_run(accounting: bool, profiling: bool, stepwise: bool):
-    sim = Simulator(queue="calendar")
+    sim = Simulator()
     if accounting:
         sim.enable_event_accounting()
     if profiling:
-        from repro.obs.prof import Profiler
-
         sim.enable_profiling(Profiler(gauge_sample_every=16))
     rng = random.Random(42)
     trace = []
@@ -235,3 +244,22 @@ def test_step_dispatch_tail_identical_across_instrumentation():
                     f"dispatch drift with accounting={accounting} "
                     f"profiling={profiling} stepwise={stepwise}"
                 )
+
+
+def _tick() -> None:
+    pass
+
+
+def test_call_every_is_attributed_to_its_callback():
+    """A recurrence is billed to the callback it runs, not to the
+    engine's closure around it, by accounting and profiler alike."""
+    sim = Simulator()
+    sim.enable_event_accounting()
+    prof = Profiler()
+    sim.enable_profiling(prof)
+    sim.call_every(1.0, _tick, until=5.0)
+    sim.run()
+    assert sim.event_counts == {__name__: 5}
+    snapshot = prof.snapshot()
+    assert {k: v["events"] for k, v in snapshot["subsystems"].items()} == {__name__: 5}
+    assert [c["name"] for c in snapshot["callbacks"]] == [f"{__name__}:_tick"]

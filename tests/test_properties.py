@@ -8,9 +8,10 @@ from hypothesis import strategies as st
 from repro.interference.models import ExponentialModel, LinearModel, PiecewiseLinearModel
 from repro.interference.regression import fit_line, r_squared
 from repro.sim.engine import Simulator
-from repro.sim.network import _HostLinks, maxmin_flow_rates
+from repro.sim.network import _HostLinks, maxmin_fill
 from repro.sim.pool import ResourcePool, waterfill
 from repro.sim.trace import Trace
+from tests.maxmin_oracle import maxmin_flow_rates
 
 finite = st.floats(min_value=0.1, max_value=1e4, allow_nan=False)
 
@@ -97,7 +98,7 @@ def test_maxmin_never_oversubscribes_links(n_hosts, pairs, cap):
     if not flows:
         return
     links = {h: _HostLinks(cap, cap, 2000.0, h) for h in hosts}
-    rates = maxmin_flow_rates(flows, links)
+    rates = maxmin_fill(flows, links)
     assert all(r >= -1e-9 for r in rates)
     up = {h: 0.0 for h in hosts}
     down = {h: 0.0 for h in hosts}
@@ -195,8 +196,6 @@ def test_trace_mean_within_bounds(values):
 )
 @settings(max_examples=60, deadline=None)
 def test_maxmin_fast_is_bit_identical_to_reference(n_hosts, pairs, caps, scales):
-    from repro.sim.network import maxmin_flow_rates_fast
-
     hosts = [f"h{i}" for i in range(n_hosts)]
     flows = [
         _F(hosts[a % n_hosts], hosts[b % n_hosts])
@@ -210,7 +209,7 @@ def test_maxmin_fast_is_bit_identical_to_reference(n_hosts, pairs, caps, scales)
         links[h] = _HostLinks(caps[i], caps[(i + 1) % 6], 2000.0, h)
         links[h].nic_scale = scales[i]
     reference = maxmin_flow_rates(flows, links)
-    fast = maxmin_flow_rates_fast(flows, links)
+    fast = maxmin_fill(flows, links)
     assert fast == reference  # bit-for-bit, not approx
 
 
@@ -224,7 +223,7 @@ def test_incremental_rebalance_matches_pure_reference(seed):
     flows sharing their host channel equally)."""
     import random as random_mod
 
-    from repro.sim.network import NetworkFabric, maxmin_flow_rates
+    from repro.sim.network import NetworkFabric
 
     rng = random_mod.Random(seed)
     sim = Simulator(seed=seed)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim.network import NetworkFabric, maxmin_flow_rates
+from repro.sim.network import NetworkFabric, maxmin_fill
 
 
 def make_fabric(sim, hosts=("a", "b", "c"), cap=100.0):
@@ -117,7 +117,7 @@ def test_bytes_accounting(sim):
 
 
 # ----------------------------------------------------------------------
-# maxmin_flow_rates (pure function)
+# maxmin_fill (pure function)
 # ----------------------------------------------------------------------
 class _FakeFlow:
     def __init__(self, src, dst):
@@ -129,12 +129,13 @@ class _Links:
     def __init__(self, up, down):
         self.up = up
         self.down = down
+        self.nic_scale = 1.0
 
 
 def test_maxmin_bottleneck_is_shared_link():
     flows = [_FakeFlow("a", "b"), _FakeFlow("a", "c")]
     links = {"a": _Links(100, 100), "b": _Links(100, 100), "c": _Links(100, 100)}
-    rates = maxmin_flow_rates(flows, links)
+    rates = maxmin_fill(flows, links)
     assert rates == [pytest.approx(50.0), pytest.approx(50.0)]
 
 
@@ -142,13 +143,13 @@ def test_maxmin_unequal_links():
     # a->b limited by b's 30 downlink; a->c then gets the leftover 70
     flows = [_FakeFlow("a", "b"), _FakeFlow("a", "c")]
     links = {"a": _Links(100, 100), "b": _Links(100, 30), "c": _Links(100, 100)}
-    rates = maxmin_flow_rates(flows, links)
+    rates = maxmin_fill(flows, links)
     assert rates[0] == pytest.approx(30.0)
     assert rates[1] == pytest.approx(70.0)
 
 
 def test_maxmin_no_flows():
-    assert maxmin_flow_rates([], {}) == []
+    assert maxmin_fill([], {}) == []
 
 
 # ----------------------------------------------------------------------
