@@ -10,15 +10,37 @@ of which context each component is constructed on.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional
+from typing import TYPE_CHECKING, Callable, Dict, Optional
 
 from repro.cluster.machine import ExecutionContext
 from repro.hdfs.block import Block
 from repro.sim.pool import PoolEntry
 
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.hdfs.namenode import NameNode
+
 
 class DataNode:
-    """Stores block replicas and serves disk I/O for them."""
+    """Stores block replicas and serves disk I/O for them.
+
+    ``used_mb`` and ``pending_mb`` change only through
+    :meth:`store_instantly`, :meth:`drop`, :meth:`reserve` and write
+    completion, and each of those reports the change to the NameNode the
+    DataNode is registered with, which indexes DataNodes by
+    :attr:`committed_mb` for placement.
+    """
+
+    __slots__ = (
+        "name",
+        "context",
+        "blocks",
+        "used_mb",
+        "pending_mb",
+        "bytes_read_mb",
+        "bytes_written_mb",
+        "rank",
+        "namenode",
+    )
 
     def __init__(self, name: str, context: ExecutionContext) -> None:
         self.name = name
@@ -29,6 +51,9 @@ class DataNode:
         self.pending_mb = 0.0
         self.bytes_read_mb = 0.0
         self.bytes_written_mb = 0.0
+        #: registration rank and NameNode while registered, else None
+        self.rank: Optional[int] = None
+        self.namenode: Optional["NameNode"] = None
 
     @property
     def committed_mb(self) -> float:
@@ -46,18 +71,32 @@ class DataNode:
     # ------------------------------------------------------------------
     # storage mutation
     # ------------------------------------------------------------------
+    def _committed_changed(self, before: float) -> None:
+        if self.namenode is not None:
+            self.namenode.committed_changed(self, before)
+
     def store_instantly(self, block: Block) -> None:
         """Place a replica without simulating the write (data preload)."""
         if block.block_id in self.blocks:
             raise ValueError(f"{self.name} already holds block {block.block_id}")
+        before = self.committed_mb
         self.blocks[block.block_id] = block
         self.used_mb += block.size_mb
+        self._committed_changed(before)
 
     def drop(self, block: Block) -> None:
         if block.block_id not in self.blocks:
             raise KeyError(f"{self.name} does not hold block {block.block_id}")
+        before = self.committed_mb
         del self.blocks[block.block_id]
         self.used_mb -= block.size_mb
+        self._committed_changed(before)
+
+    def reserve(self, size_mb: float) -> None:
+        """Count an in-flight write of ``size_mb`` as committed."""
+        before = self.committed_mb
+        self.pending_mb += size_mb
+        self._committed_changed(before)
 
     # ------------------------------------------------------------------
     # timed I/O
@@ -96,10 +135,12 @@ class DataNode:
             raise ValueError(f"{self.name} already holds block {block.block_id}")
 
         def stored() -> None:
+            before = self.committed_mb
             self.blocks[block.block_id] = block
             self.used_mb += block.size_mb
             self.pending_mb = max(0.0, self.pending_mb - block.size_mb)
             self.bytes_written_mb += block.size_mb
+            self._committed_changed(before)
             if on_complete is not None:
                 on_complete()
 

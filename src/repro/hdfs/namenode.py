@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from bisect import bisect_left, insort
 from typing import Dict, List, Optional
 
 from repro.hdfs.block import Block
@@ -16,6 +17,13 @@ class NameNode:
     Placement policy mirrors Hadoop's: first replica on the writer's
     local DataNode when one exists, subsequent replicas on distinct
     nodes, balanced by current usage with random tie-breaking.
+
+    Placement reads an index instead of scanning the DataNodes: each
+    registration gets a *rank* (registration order, which is also the
+    order of :attr:`datanodes`), and the ranks are kept in buckets keyed
+    by exact :attr:`~repro.hdfs.datanode.DataNode.committed_mb`.
+    DataNodes report every committed-bytes change, so a bucket's key is
+    always its members' current value.
     """
 
     def __init__(self, rng: Optional[random.Random] = None) -> None:
@@ -24,6 +32,12 @@ class NameNode:
         self.replicas: Dict[int, List[str]] = {}
         self._block_ids = itertools.count()
         self.rng = rng or random.Random(0)
+        #: rank -> DataNode, None once decommissioned
+        self._ranked: List[Optional[DataNode]] = []
+        #: committed MB -> ranks of the DataNodes at that level, ascending
+        self._levels: Dict[float, List[int]] = {}
+        #: the keys of ``_levels``, ascending
+        self._level_keys: List[float] = []
 
     # ------------------------------------------------------------------
     # membership
@@ -32,16 +46,84 @@ class NameNode:
         if datanode.name in self.datanodes:
             raise ValueError(f"duplicate DataNode {datanode.name!r}")
         self.datanodes[datanode.name] = datanode
+        datanode.rank = len(self._ranked)
+        datanode.namenode = self
+        self._ranked.append(datanode)
+        self._file(datanode.rank, datanode.committed_mb)
 
     def decommission_datanode(self, name: str) -> List[Block]:
         """Remove a DataNode; returns blocks now under-replicated."""
         datanode = self.datanodes.pop(name)
+        self._unfile(datanode.rank, datanode.committed_mb)
+        self._ranked[datanode.rank] = None
+        datanode.rank = datanode.namenode = None
         lost: List[Block] = []
         for block_id, holders in self.replicas.items():
             if name in holders:
                 holders.remove(name)
                 lost.append(datanode.blocks.get(block_id) or self._find_block(block_id))
         return [b for b in lost if b is not None]
+
+    # ------------------------------------------------------------------
+    # the committed-bytes index
+    # ------------------------------------------------------------------
+    def _file(self, rank: int, level: float) -> None:
+        bucket = self._levels.get(level)
+        if bucket is None:
+            self._levels[level] = [rank]
+            insort(self._level_keys, level)
+        else:
+            insort(bucket, rank)
+
+    def _unfile(self, rank: int, level: float) -> None:
+        bucket = self._levels[level]
+        del bucket[bisect_left(bucket, rank)]
+        if not bucket:
+            del self._levels[level]
+            keys = self._level_keys
+            del keys[bisect_left(keys, level)]
+
+    def committed_changed(self, datanode: DataNode, before: float) -> None:
+        """Re-file ``datanode``, whose committed bytes were ``before``."""
+        after = datanode.committed_mb
+        if after != before:
+            self._unfile(datanode.rank, before)
+            self._file(datanode.rank, after)
+
+    def _least_committed(self, excluded: Dict[int, DataNode]) -> DataNode:
+        """Random pick among the least-committed DataNodes not excluded.
+
+        ``excluded`` maps rank -> DataNode.  The pool is every other
+        DataNode whose committed bytes are within 1e-9 MB of the least,
+        in rank order, and the draw is ``rng.randrange(len(pool))`` -- the
+        same pool, order and draw as a scan of :attr:`datanodes`.
+        """
+        skip: Dict[float, int] = {}
+        for datanode in excluded.values():
+            level = datanode.committed_mb
+            skip[level] = skip.get(level, 0) + 1
+        keys, levels = self._level_keys, self._levels
+        first = 0
+        while len(levels[keys[first]]) <= skip.get(keys[first], 0):
+            first += 1
+        limit = keys[first] + 1e-9
+        last, size = first, 0
+        while last < len(keys) and keys[last] <= limit:
+            size += len(levels[keys[last]]) - skip.get(keys[last], 0)
+            last += 1
+        k = self.rng.randrange(size)
+        if last - first == 1:
+            ranks = levels[keys[first]]
+        else:
+            ranks = sorted(r for key in keys[first:last] for r in levels[key])
+        # the k-th rank that is not excluded: step past each excluded
+        # rank at or before the current answer, in ascending order
+        lo, hi = keys[first], keys[last - 1]
+        for rank in sorted(r for r, d in excluded.items() if lo <= d.committed_mb <= hi):
+            if rank > ranks[k]:
+                break
+            k += 1
+        return self._ranked[ranks[k]]
 
     def _find_block(self, block_id: int) -> Optional[Block]:
         for blocks in self.files.values():
@@ -121,32 +203,41 @@ class NameNode:
         in-flight) bytes; ``reserve`` marks the chosen targets' capacity
         as in-flight so concurrent writers spread out instead of
         dog-piling one momentarily idle node.
+
+        Every other replica comes from the committed-bytes index (see
+        :meth:`_least_committed`); only the ``preferred_pm`` lookup scans
+        the DataNodes.
         """
         if replication <= 0:
             raise ValueError("replication must be positive")
-        existing = set(self.replicas.get(block.block_id, []))
-        candidates = [d for d in self.datanodes.values() if d.name not in existing]
-        if len(candidates) < replication:
+        excluded: Dict[int, DataNode] = {}
+        for name in self.replicas.get(block.block_id, ()):
+            holder = self.datanodes.get(name)
+            if holder is not None:
+                excluded[holder.rank] = holder
+        available = len(self.datanodes) - len(excluded)
+        if available < replication:
             raise RuntimeError(
                 f"not enough DataNodes for replication={replication} "
-                f"(have {len(candidates)})"
+                f"(have {available})"
             )
         targets: List[DataNode] = []
         if preferred_pm is not None:
-            local = [d for d in candidates if d.context.pm is preferred_pm]
+            local = [
+                d for d in self.datanodes.values()
+                if d.context.pm is preferred_pm and d.rank not in excluded
+            ]
             if local:
                 local.sort(key=lambda d: (d.committed_mb, d.name))
                 targets.append(local[0])
-                candidates.remove(local[0])
+                excluded[local[0].rank] = local[0]
         while len(targets) < replication:
-            least = min(d.committed_mb for d in candidates)
-            pool = [d for d in candidates if d.committed_mb <= least + 1e-9]
-            pick = pool[self.rng.randrange(len(pool))]
+            pick = self._least_committed(excluded)
             targets.append(pick)
-            candidates.remove(pick)
+            excluded[pick.rank] = pick
         if reserve:
             for target in targets:
-                target.pending_mb += block.size_mb
+                target.reserve(block.size_mb)
         return targets
 
     def under_replicated(self, replication: int) -> List[Block]:

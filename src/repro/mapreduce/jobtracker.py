@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+from operator import attrgetter
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.hdfs.filesystem import HDFS
@@ -13,6 +14,22 @@ from repro.mapreduce.tracker import TaskTracker
 from repro.sim.engine import Simulator
 from repro.sim.network import NetworkFabric
 from repro.virt.overheads import DEFAULT_OVERHEADS, OverheadModel
+
+
+class _Round:
+    """One dispatch round's state (see :meth:`JobTracker._dispatch`)."""
+
+    __slots__ = ("load_by_pm", "runnable", "cursor", "releases")
+
+    def __init__(self, load_by_pm: Dict[int, int], releases: int) -> None:
+        #: id(PM) -> attempts running there; PMs with none may be absent
+        self.load_by_pm = load_by_pm
+        #: (job id, kind) -> the job's unscheduled tasks of that kind
+        self.runnable: Dict[Tuple[int, TaskKind], List[Task]] = {}
+        #: kind -> position of the name-order cursor
+        self.cursor = {TaskKind.MAP: 0, TaskKind.REDUCE: 0}
+        #: the JobTracker's release count the cursors were last valid for
+        self.releases = releases
 
 
 class JobTracker:
@@ -51,6 +68,14 @@ class JobTracker:
         self.fs = fs
         self.fabric = fabric
         self.trackers = list(trackers)
+        #: the fleet in name order; the sort is stable, so trackers that
+        #: share a name keep their list order, as ``min()`` ties do
+        self._by_name = sorted(self.trackers, key=attrgetter("name"))
+        #: trackers with running attempts (an ordered set), kept by
+        #: ``_launch`` and the two release callbacks
+        self._busy: Dict[TaskTracker, None] = {}
+        #: attempts released so far; a round's cursors restart when it moves
+        self._releases = 0
         self.scheduler = scheduler or FairScheduler()
         self.overheads = overheads
         self.slowstart = slowstart
@@ -249,27 +274,29 @@ class JobTracker:
         self.sim.schedule(self.dispatch_delay, self._dispatch)
 
     def _dispatch(self) -> None:
+        """One dispatch round: assign tasks until no kind makes progress.
+
+        The round sums PM loads over the busy trackers only, then keeps
+        them up to date as it launches: within a round a load only grows
+        and runnable lists only shrink (launched tasks are filtered out
+        on the next hit via the cheap ``scheduled`` counter check).
+        Tasks that reopen mid-round are picked up by the next round --
+        every such transition calls request_dispatch(), so the drift
+        window is one dispatch delay.
+        """
         self._dispatch_pending = False
         self._policy_skipped = False
-        # Round-local caches, maintained incrementally across the
-        # assignments of this round instead of being rebuilt per offer:
-        # PM load only grows within a round (each launch bumps it), and
-        # runnable lists only shrink (launched tasks are filtered out on
-        # the next hit via the cheap ``scheduled`` counter check).  Tasks
-        # that reopen or slots that free up mid-round are picked up by
-        # the next round -- every such transition calls
-        # request_dispatch(), so the drift window is one dispatch delay.
         load_by_pm: Dict[int, int] = {}
-        for t in self.trackers:
+        for t in self._busy:
             key = id(t.context.pm)
             load_by_pm[key] = load_by_pm.get(key, 0) + len(t.running)
-        runnable: Dict[Tuple[int, TaskKind], List[Task]] = {}
+        state = _Round(load_by_pm, self._releases)
         progress = True
         while progress:
             progress = False
-            if self._assign_one(TaskKind.MAP, load_by_pm, runnable):
+            if self._assign_one(TaskKind.MAP, state):
                 progress = True
-            if self._assign_one(TaskKind.REDUCE, load_by_pm, runnable):
+            if self._assign_one(TaskKind.REDUCE, state):
                 progress = True
         if self._policy_skipped:
             # a policy declined every offer it got this round (delay
@@ -290,36 +317,60 @@ class JobTracker:
             return [t for t in self.trackers if t.free_map_slots() > 0]
         return [t for t in self.trackers if t.free_reduce_slots() > 0]
 
-    def _assign_one(
-        self,
-        kind: TaskKind,
-        load_by_pm: Optional[Dict[int, int]] = None,
-        runnable: Optional[Dict[Tuple[int, TaskKind], List[Task]]] = None,
-    ) -> bool:
+    def _pick_tracker(self, kind: TaskKind, state: _Round) -> Optional[TaskTracker]:
+        """The free tracker with the least ``(PM load, running, name)``.
+
+        A PM's load counts its trackers' running attempts, so a free
+        tracker on a PM with no load has key ``(0, 0, name)``, and the
+        first one in name order is the minimum.  The round's cursor
+        walks the name-ordered fleet to it.  Within a round no skipped
+        tracker can become such a tracker again -- PM loads only grow
+        and slots only fill -- except through a release, which restarts
+        the cursors.  Only when every free tracker sits on a loaded PM
+        does the choice fall back to ``min()`` over the free trackers.
+        """
+        if state.releases != self._releases:
+            state.releases = self._releases
+            state.cursor[TaskKind.MAP] = state.cursor[TaskKind.REDUCE] = 0
+        load_by_pm = state.load_by_pm
+        free_slots = (
+            TaskTracker.free_map_slots
+            if kind is TaskKind.MAP
+            else TaskTracker.free_reduce_slots
+        )
+        by_name = self._by_name
+        end = len(by_name)
+        i = state.cursor[kind]
+        while i < end:
+            t = by_name[i]
+            if free_slots(t) > 0 and not load_by_pm.get(id(t.context.pm)):
+                break
+            i += 1
+        state.cursor[kind] = i
+        if i < end:
+            return by_name[i]
+        free = self._free_trackers(kind)
+        if not free:
+            return None
+        return min(
+            free,
+            key=lambda t: (load_by_pm.get(id(t.context.pm), 0), len(t.running), t.name),
+        )
+
+    def _assign_one(self, kind: TaskKind, state: _Round) -> bool:
         """Assign one task, emulating Hadoop's heartbeat discipline.
 
         The *tracker* is chosen first -- the free one on the least
         loaded physical machine, like the next node to heartbeat in a
-        lightly loaded cluster -- and then the best task *for it*:
-        node-local, then host-local, then any pending task.  Choosing
-        the tracker first spreads work across machines instead of
-        packing every task onto the few nodes that hold replicas.
-
-        ``load_by_pm``/``runnable`` are the round caches built by
-        ``_dispatch``; when called standalone both are rebuilt fresh.
+        lightly loaded cluster (see :meth:`_pick_tracker`) -- and then
+        the best task *for it*: node-local, then host-local, then any
+        pending task.  Choosing the tracker first spreads work across
+        machines instead of packing every task onto the few nodes that
+        hold replicas.  ``state`` is the round ``_dispatch`` is running.
         """
-        free = self._free_trackers(kind)
-        if not free:
+        tracker = self._pick_tracker(kind, state)
+        if tracker is None:
             return False
-        if load_by_pm is None:
-            load_by_pm = {}
-            for t in self.trackers:
-                key = id(t.context.pm)
-                load_by_pm[key] = load_by_pm.get(key, 0) + len(t.running)
-        tracker = min(
-            free,
-            key=lambda t: (load_by_pm.get(id(t.context.pm), 0), len(t.running), t.name),
-        )
         scheduler = self.scheduler
         view = None
         if scheduler.policy_aware:
@@ -327,18 +378,16 @@ class JobTracker:
             from repro.zoo.policy import ClusterView
 
             view = ClusterView(self, kind)
+        runnable = state.runnable
         for job in scheduler.order(self.active_jobs, view):
-            if runnable is None:
+            cache_key = (job.job_id, kind)
+            tasks = runnable.get(cache_key)
+            if tasks is None:
                 tasks = self._runnable_tasks(job, kind)
-            else:
-                cache_key = (job.job_id, kind)
-                tasks = runnable.get(cache_key)
-                if tasks is None:
-                    tasks = self._runnable_tasks(job, kind)
-                    runnable[cache_key] = tasks
-                elif tasks and any(t.scheduled for t in tasks):
-                    # launched (or synchronously completed) since cached
-                    tasks[:] = [t for t in tasks if not t.scheduled]
+                runnable[cache_key] = tasks
+            elif tasks and any(t.scheduled for t in tasks):
+                # launched (or synchronously completed) since cached
+                tasks[:] = [t for t in tasks if not t.scheduled]
             if not tasks:
                 continue
             task = None
@@ -352,9 +401,8 @@ class JobTracker:
             if task is None:
                 task = self._pick_task_for(tracker, tasks, kind)
             self._launch(task, tracker)
-            load_by_pm[id(tracker.context.pm)] = (
-                load_by_pm.get(id(tracker.context.pm), 0) + 1
-            )
+            pm_key = id(tracker.context.pm)
+            state.load_by_pm[pm_key] = state.load_by_pm.get(pm_key, 0) + 1
             return True
         return False
 
@@ -380,6 +428,7 @@ class JobTracker:
     ) -> TaskAttempt:
         attempt = TaskAttempt(self, task, tracker, speculative)
         tracker.assign(attempt)
+        self._busy[tracker] = None
         job = task.job
         if job.start_time is None:
             job.start_time = self.sim.now
@@ -396,7 +445,14 @@ class JobTracker:
     # ------------------------------------------------------------------
     # attempt completion plumbing
     # ------------------------------------------------------------------
+    def _released(self, tracker: TaskTracker) -> None:
+        """Bookkeeping for an attempt that just left ``tracker``."""
+        self._releases += 1
+        if not tracker.running:
+            self._busy.pop(tracker, None)
+
     def on_attempt_succeeded(self, attempt: TaskAttempt) -> None:
+        self._released(attempt.tracker)
         task = attempt.task
         if task.completed:
             # lost the race against a sibling attempt that finished in
@@ -416,6 +472,7 @@ class JobTracker:
 
     def on_attempt_done(self, attempt: TaskAttempt) -> None:
         """Called when an attempt is killed; requeues incomplete tasks."""
+        self._released(attempt.tracker)
         self.request_dispatch()
 
     def _on_map_done(self, task: Task, attempt: TaskAttempt) -> None:

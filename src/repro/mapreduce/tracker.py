@@ -19,9 +19,10 @@ class TaskTracker:
     """One Hadoop worker node bound to an execution context.
 
     Free-slot queries are counter-backed (maintained in assign/release)
-    rather than scans of the running list: the dispatcher calls them for
-    every tracker on every slot round, which is the scheduler hot path
-    at datacenter scale.
+    rather than scans of the running list: the dispatcher's name-order
+    cursor calls them for each tracker it walks past, and its loaded-fleet
+    ``min()`` for every tracker, which is the scheduler hot path at
+    datacenter scale.
     """
 
     __slots__ = (

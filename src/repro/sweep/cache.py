@@ -34,8 +34,9 @@ import repro
 #: bump to invalidate every cached cell regardless of repro version
 #: (2: cell documents grew the ``events`` telemetry field; 3: the
 #: interference fits dropped numpy, which changes ``fig06`` results in
-#: environments that had it)
-CACHE_SCHEMA = 3
+#: environments that had it; 4: ``scale-smoke`` results dropped the
+#: host-timed ``build_wall_s``)
+CACHE_SCHEMA = 4
 
 DEFAULT_CACHE_DIR = ".repro-sweep-cache"
 

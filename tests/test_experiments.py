@@ -186,6 +186,16 @@ def test_scale_smoke_cell_completes_with_bounded_wave():
     assert result["events"] > 0
 
 
+def test_scale_smoke_result_is_pure_function_of_seed():
+    """No host timing leaks into the cell result: two same-seed runs
+    return equal dicts, so sweeps and the cache see one result."""
+    from repro.experiments.scale_smoke import run
+
+    first = run(TINY, seed=3, num_maps=32, num_reducers=2)
+    assert first == run(TINY, seed=3, num_maps=32, num_reducers=2)
+    assert "build_wall_s" not in first
+
+
 @pytest.mark.slow
 def test_scale_smoke_ten_thousand_hosts():
     """The LARGE contract: a 10k-host cluster builds, schedules a full
