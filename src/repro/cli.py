@@ -681,12 +681,19 @@ def cmd_bench(args) -> int:
         DEFAULT_CELLS,
         archive_report,
         compare_reports,
+        consistency_failures,
         format_bench,
         format_compare_table,
         run_bench,
         write_bench_json,
     )
+    from repro.obs.prof import format_profile, write_collapsed, write_speedscope
 
+    # read the baseline before anything is written: --out may name it
+    baseline = None
+    if args.compare:
+        with open(args.compare, "r", encoding="utf-8") as fh:
+            baseline = json.load(fh)
     cells = args.cells or list(DEFAULT_CELLS)
     report = run_bench(
         cells,
@@ -694,56 +701,13 @@ def cmd_bench(args) -> int:
         seed=args.seed,
         progress=lambda line: print(f"  {line}"),
         repeats=args.repeats,
+        trace_malloc=args.trace_malloc,
     )
+    for cell in report["cells"].values():
+        print()
+        print(format_profile(cell))
     print()
     print(format_bench(report))
-    if args.out:
-        write_bench_json(args.out, report)
-        print(f"wrote {args.out}")
-    if args.trajectory_dir and args.trajectory_dir != "none":
-        archived = archive_report(report, args.trajectory_dir)
-        print(f"archived {archived}")
-    if args.compare:
-        with open(args.compare, "r", encoding="utf-8") as fh:
-            baseline = json.load(fh)
-        print()
-        print(format_compare_table(baseline, report))
-        failures, notes = compare_reports(baseline, report, args.tolerance)
-        for note in notes:
-            print(f"note: {note}")
-        if failures:
-            for failure in failures:
-                print(f"FAIL: {failure}", file=sys.stderr)
-            return 1
-        print(f"bench OK vs {args.compare} (tolerance {args.tolerance:.0%})")
-    return 0
-
-
-def cmd_prof(args) -> int:
-    import json
-
-    from repro.obs.prof import (
-        compare_profiles,
-        format_profile,
-        format_profile_compare,
-        run_profile,
-        write_collapsed,
-        write_profile_json,
-        write_speedscope,
-    )
-
-    report = run_profile(
-        args.cell,
-        scale=args.scale,
-        seed=args.seed,
-        granularity=args.granularity,
-        trace_malloc=args.trace_malloc,
-        tracing=args.tracing,
-    )
-    print(format_profile(report))
-    if args.out:
-        write_profile_json(args.out, report)
-        print(f"wrote {args.out}")
     if args.flame:
         lines = write_collapsed(args.flame, report)
         print(f"wrote {args.flame} ({lines} stacks; feed to flamegraph.pl "
@@ -752,23 +716,28 @@ def cmd_prof(args) -> int:
         samples = write_speedscope(args.speedscope, report)
         print(f"wrote {args.speedscope} ({samples} samples; open at "
               f"https://speedscope.app)")
-    if not report["digest_consistent"]:
-        print("FAIL: profiling perturbed the simulation result",
-              file=sys.stderr)
-        return 1
-    if args.compare:
-        with open(args.compare, "r", encoding="utf-8") as fh:
-            baseline = json.load(fh)
+    if args.trajectory_dir and args.trajectory_dir != "none":
+        archived = archive_report(report, args.trajectory_dir)
+        print(f"archived {archived}")
+    if baseline is None:
+        failures, notes = consistency_failures(report), []
+    else:
         print()
-        print(format_profile_compare(baseline, report))
-        failures, notes = compare_profiles(baseline, report, args.tolerance)
-        for note in notes:
-            print(f"note: {note}")
-        if failures:
-            for failure in failures:
-                print(f"FAIL: {failure}", file=sys.stderr)
-            return 1
-        print(f"prof OK vs {args.compare} (tolerance {args.tolerance:.0%})")
+        print(format_compare_table(baseline, report))
+        failures, notes = compare_reports(baseline, report, args.tolerance)
+    for note in notes:
+        print(f"note: {note}")
+    if failures:
+        for failure in failures:
+            print(f"FAIL: {failure}", file=sys.stderr)
+        if args.out:
+            print(f"not writing {args.out}: the run failed", file=sys.stderr)
+        return 1
+    if args.out:
+        write_bench_json(args.out, report)
+        print(f"wrote {args.out}")
+    if baseline is not None:
+        print(f"bench OK vs {args.compare} (tolerance {args.tolerance:.0%})")
     return 0
 
 
@@ -874,6 +843,8 @@ def cmd_profile(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from repro.experiments.common import SCALES
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description="HybridMR reproduction: simulated hybrid data center "
@@ -1097,25 +1068,29 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench = sub.add_parser(
         "bench",
-        help="benchmark simulator throughput and blame; CI regression gate",
-        description="Run sweep cells at a pinned scale/seed, measuring "
-        "wall-clock simulator throughput (events/sec, spans/sec, peak "
-        "RSS, per-subsystem event counts) and the critical-path blame "
-        "breakdown, writing a repro.bench/1 report.  With --compare, "
-        "exit non-zero if any cell's events/sec regressed beyond the "
-        "tolerance vs the baseline report.",
+        help="benchmark and profile the simulator; CI regression gate",
+        description="Run sweep cells at a pinned scale/seed in three "
+        "passes: a bare timing pass (best of --repeats: events/sec), a "
+        "profiler pass (per-subsystem self/cumulative wall time and "
+        "event counts, hottest callbacks, engine gauges, flamegraph "
+        "stacks) and a traced pass (spans, critical-path blame).  All "
+        "three must give the same result digest.  Writes a "
+        "repro.bench/2 report.  Exits non-zero if a pass perturbed a "
+        "result or, with --compare, if any cell's events/sec regressed "
+        "beyond the tolerance vs the baseline report; a failed run "
+        "writes no --out report.",
     )
     bench.add_argument("cells", nargs="*",
                        help="cells to benchmark (default: headline fig01 "
                        "fig02 fig08 fig10 chaos fabric)")
-    bench.add_argument("--scale", choices=("tiny", "small", "medium", "paper"),
-                       default="tiny")
+    bench.add_argument("--scale", choices=tuple(SCALES), default="tiny")
     bench.add_argument("--seed", type=int, default=1)
     bench.add_argument("--repeats", type=int, default=2,
-                       help="perf-pass executions per cell; the fastest "
+                       help="timing-pass executions per cell; the fastest "
                             "wall time counts (noise filter)")
-    bench.add_argument("--out", default="BENCH_headline.json",
-                       help="bench report path (empty string to skip)")
+    bench.add_argument("--out", default="BENCH_current.json",
+                       help="bench report path (empty string to skip); "
+                       "BENCH_headline.json is the committed baseline")
     bench.add_argument("--compare", metavar="BASELINE", default=None,
                        help="baseline repro.bench report to gate against")
     bench.add_argument("--tolerance", type=float, default=0.2,
@@ -1124,6 +1099,15 @@ def build_parser() -> argparse.ArgumentParser:
                        metavar="DIR",
                        help="perf-history directory each run is archived "
                        "to ('none' to skip)")
+    bench.add_argument("--trace-malloc", action="store_true",
+                       help="sample tracemalloc memory into phase buckets "
+                       "(slows the profiler pass, never its result)")
+    bench.add_argument("--flame", default="", metavar="PATH",
+                       help="write a collapsed-stack flamegraph file, "
+                       "stacks rooted at the cell name")
+    bench.add_argument("--speedscope", default="", metavar="PATH",
+                       help="write a speedscope JSON file, one profile "
+                       "per cell")
     bench.set_defaults(func=cmd_bench)
 
     live = sub.add_parser(
@@ -1214,47 +1198,6 @@ def build_parser() -> argparse.ArgumentParser:
     prof.add_argument("--repeats", type=int, default=1)
     prof.add_argument("--estimate", type=float, nargs="*", default=[1.5])
     prof.set_defaults(func=cmd_profile)
-
-    wprof = sub.add_parser(
-        "prof",
-        help="wall-time profile of the simulator itself (flamegraphs)",
-        description="Run one sweep cell twice -- unprofiled for the "
-        "reference digest, then under the repro.obs.prof wall-time "
-        "profiler -- and report per-subsystem/callback self and "
-        "cumulative time, engine-health gauges and (optionally) "
-        "phase-bucketed tracemalloc memory, writing a repro.prof/1 "
-        "report plus collapsed-stack and speedscope flamegraphs.  With "
-        "--compare, exit non-zero on an events/sec regression vs a "
-        "baseline profile (a dossier like `repro bench --compare`).",
-    )
-    wprof.add_argument("--cell", default="fabric",
-                       help="sweep cell to profile (default: fabric, the "
-                       "shuffle-heavy microbench; aliases like "
-                       "fabric_micro work)")
-    wprof.add_argument("--scale", choices=("tiny", "small", "medium", "paper"),
-                       default="tiny")
-    wprof.add_argument("--seed", type=int, default=1)
-    wprof.add_argument("--granularity", choices=("coarse", "full"),
-                       default="full",
-                       help="coarse = per-module roots only; full adds "
-                       "per-callback frames and flamegraph depth")
-    wprof.add_argument("--trace-malloc", action="store_true",
-                       help="sample tracemalloc memory into phase buckets "
-                       "(slows the profiled pass, never its result)")
-    wprof.add_argument("--tracing", action="store_true",
-                       help="stack span tracing on top of profiling "
-                       "(the digest check still must hold)")
-    wprof.add_argument("--out", default="PROF_report.json",
-                       help="profile report path ('' disables)")
-    wprof.add_argument("--flame", default="", metavar="PATH",
-                       help="write a collapsed-stack flamegraph file")
-    wprof.add_argument("--speedscope", default="", metavar="PATH",
-                       help="write a speedscope JSON profile")
-    wprof.add_argument("--compare", metavar="BASELINE", default=None,
-                       help="baseline repro.prof report to gate against")
-    wprof.add_argument("--tolerance", type=float, default=0.25,
-                       help="allowed fractional events/sec regression")
-    wprof.set_defaults(func=cmd_prof)
 
     return parser
 

@@ -15,10 +15,11 @@ Call :meth:`Observability.enable_tracing` (or pass ``--trace`` to
 ``repro run``) to record spans; :mod:`repro.obs.export` then renders
 Chrome trace-event JSON, a JSONL structured log, and a text summary.
 :mod:`repro.obs.critpath` turns a traced run into a per-job
-critical-path blame breakdown, :mod:`repro.obs.bench` benchmarks
-the simulator itself (``repro bench``) with a regression gate, and
-:mod:`repro.obs.prof` attributes wall-clock self/cumulative time per
-subsystem and callback with flamegraph export (``repro prof``).
+critical-path blame breakdown, and :mod:`repro.obs.bench` benchmarks
+the simulator itself (``repro bench``) with a regression gate; its
+profiler pass uses :mod:`repro.obs.prof` to attribute wall-clock
+self/cumulative time and events per subsystem and callback, with
+flamegraph export.
 
 Instrumentation only *records* -- it never draws randomness or
 schedules events -- so identical seeds produce byte-identical

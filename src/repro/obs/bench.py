@@ -1,32 +1,40 @@
-"""Continuous simulator benchmarking (``repro bench``).
+"""Continuous simulator benchmarking and profiling (``repro bench``).
 
-Treats the simulator's own throughput as a first-class metric: each
-benchmarked cell (a :mod:`repro.sweep` figure function) runs in two
-passes --
+Treats the simulator's own throughput as a first-class metric and says
+where its time goes.  Each benchmarked cell (a :mod:`repro.sweep`
+figure function) runs in three passes, each under a
+:class:`~repro.obs.capture.SimCapture`:
 
-1. an *untraced perf pass* under a :class:`~repro.obs.capture.SimCapture`
-   with event accounting, measuring wall-clock time, events processed,
-   events/sec and per-subsystem event counts (best-of-``repeats``
-   executions, so machine noise cannot masquerade as a regression);
-2. a *traced blame pass* with tracing forced on, collecting spans and
-   the :mod:`repro.obs.critpath` blame breakdown.
+1. a *timing pass* with nothing attached, so ``Simulator.run`` takes
+   its fast loop: wall-clock time, events processed and events/sec
+   (best-of-``repeats`` executions, so machine noise cannot masquerade
+   as a regression);
+2. a *profiler pass* under a :class:`~repro.obs.prof.Profiler`:
+   per-subsystem self/cumulative wall time, hottest callbacks, engine
+   gauges, optional ``tracemalloc`` phases and flamegraph stacks, kept
+   under the cell's ``profile``; its per-subsystem event counts become
+   the cell's ``event_counts``;
+3. a *traced pass* with tracing forced on, collecting spans and the
+   :mod:`repro.obs.critpath` blame breakdown.
 
-The two passes double as a determinism check: the sha256 digest of the
-cell's canonical result must match between them (tracing must never
-perturb the simulation), reported per cell as ``tracing_consistent``.
+The passes double as a determinism check: the sha256 digest of the
+cell's canonical result must be the timing pass's in all three
+(instrumentation must never perturb the simulation), reported per cell
+as ``consistent``.
 
-``run_bench`` writes one report (schema ``repro.bench/1``)::
+``run_bench`` returns one report (schema ``repro.bench/2``)::
 
     {
-      "schema": "repro.bench/1",
+      "schema": "repro.bench/2",
       "repro_version": "...", "python": "...", "platform": "...",
-      "scale": "tiny", "seed": 1,
+      "scale": "tiny", "seed": 1, "trace_malloc": false,
       "cells": {
         "<figure>": {
           "wall_s": ..., "events": N, "events_per_s": ...,
           "simulators": N, "event_counts": {"repro.sim.network": N, ...},
+          "wall_profiled_s": ..., "profile": {...},
           "wall_traced_s": ..., "spans": N, "spans_per_s": ...,
-          "result_digest": "sha256...", "tracing_consistent": true,
+          "result_digest": "sha256...", "consistent": true,
           "jobs": N, "blame_s": {...}, "blame_pct": {...}
         }, ...
       },
@@ -34,11 +42,17 @@ perturb the simulation), reported per cell as ``tracing_consistent``.
                  "peak_rss_kb"}
     }
 
-``compare_reports`` is the CI regression gate: against a committed
-baseline it fails when any cell's events/sec drops by more than the
-tolerance (default 20%) or tracing perturbed a result; result-digest
-changes are surfaced as notes (simulation outputs legitimately change
-across PRs -- the gate watches *speed*, the tests watch *correctness*).
+``profile`` is :meth:`~repro.obs.prof.Profiler.snapshot`; the
+flamegraph exporters and ``format_profile`` in :mod:`repro.obs.prof`
+read it from this report.
+
+``compare_reports`` is the CI regression gate: against a baseline it
+fails when any cell's events/sec drops by more than the tolerance
+(default 20%) or instrumentation perturbed a result.  Result-digest
+changes, event-count drift and per-subsystem self-time share shifts of
+5 pp or more are notes: simulation outputs and the wall-time mix
+legitimately change across PRs -- the gate watches *speed*, the tests
+watch *correctness*.
 """
 
 from __future__ import annotations
@@ -47,12 +61,13 @@ import hashlib
 import json
 import platform
 import time
+import tracemalloc
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import repro
 from repro.obs.capture import SimCapture
 
-REPORT_SCHEMA = "repro.bench/1"
+REPORT_SCHEMA = "repro.bench/2"
 
 #: cells benchmarked by default: the headline claims plus one cell per
 #: subsystem of interest (virt overheads, deployment geometry, the
@@ -83,18 +98,36 @@ def result_digest(result: object) -> str:
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
-def run_cell(
-    figure: str, scale: str = "tiny", seed: int = 1, repeats: int = 2
-) -> dict:
-    """Benchmark one sweep cell: perf pass + traced blame pass.
+def _run_pass(fn, scale, seed: int, **capture) -> Tuple[str, float, SimCapture]:
+    """Run one cell under ``SimCapture(**capture)``; returns the result
+    digest, the wall time and the capture."""
+    with SimCapture(**capture) as cap:
+        started = time.perf_counter()
+        result = fn(scale, seed)
+        wall_s = time.perf_counter() - started
+    return result_digest(result), wall_s, cap
 
-    The perf pass runs ``repeats`` times and keeps the *fastest* wall
+
+def run_cell(
+    figure: str,
+    scale: str = "tiny",
+    seed: int = 1,
+    repeats: int = 2,
+    trace_malloc: bool = False,
+) -> dict:
+    """Benchmark one sweep cell: timing, profiler and traced passes, in
+    that order.
+
+    The timing pass runs ``repeats`` times and keeps the *fastest* wall
     time -- the usual best-of-N discipline that filters out scheduler
     noise from a shared machine, making the regression gate far less
     flaky.  Every repetition must produce the same result digest (the
     cells are pure functions of seed), which is asserted.
+    ``trace_malloc`` samples ``tracemalloc`` memory in the profiler
+    pass only.
     """
     from repro.experiments.common import resolve_scale
+    from repro.obs.prof import Profiler
     from repro.sweep.cells import load, resolve
 
     figure = resolve(figure)
@@ -104,23 +137,31 @@ def run_cell(
     wall_s = float("inf")
     digest = None
     for _ in range(max(1, repeats)):
-        with SimCapture(accounting=True) as perf:
-            started = time.perf_counter()
-            result = fn(scale_obj, seed)
-            wall_s = min(wall_s, time.perf_counter() - started)
-        rep_digest = result_digest(result)
+        rep_digest, rep_wall_s, timed = _run_pass(fn, scale_obj, seed)
         if digest is not None and rep_digest != digest:
             raise AssertionError(
                 f"cell {figure} is not a pure function of its seed: "
-                "result digest changed between perf repetitions"
+                "result digest changed between timing repetitions"
             )
-        digest = rep_digest
-    events = perf.total_events()
+        digest, wall_s = rep_digest, min(wall_s, rep_wall_s)
+    events = timed.total_events()
 
-    with SimCapture(tracing=True) as traced:
-        started = time.perf_counter()
-        result_traced = fn(scale_obj, seed)
-        wall_traced_s = time.perf_counter() - started
+    prof = Profiler(trace_memory=trace_malloc)
+    start_tracemalloc = trace_malloc and not tracemalloc.is_tracing()
+    if start_tracemalloc:
+        tracemalloc.start()
+    try:
+        profiled_digest, wall_profiled_s, _ = _run_pass(
+            fn, scale_obj, seed, profiler=prof
+        )
+    finally:
+        if start_tracemalloc:
+            tracemalloc.stop()
+    profile = prof.snapshot()
+
+    traced_digest, wall_traced_s, traced = _run_pass(
+        fn, scale_obj, seed, tracing=True
+    )
     blame = traced.combined_blame()
     spans = traced.total_spans()
 
@@ -129,13 +170,19 @@ def run_cell(
         "wall_s": wall_s,
         "events": events,
         "events_per_s": events / wall_s if wall_s > 0 else 0.0,
-        "simulators": len(perf.simulators),
-        "event_counts": perf.combined_event_counts(),
+        "simulators": len(timed.simulators),
+        "event_counts": {
+            name: sub["events"]
+            for name, sub in profile["subsystems"].items()
+            if sub["events"]
+        },
+        "wall_profiled_s": wall_profiled_s,
+        "profile": profile,
         "wall_traced_s": wall_traced_s,
         "spans": spans,
         "spans_per_s": spans / wall_traced_s if wall_traced_s > 0 else 0.0,
         "result_digest": digest,
-        "tracing_consistent": result_digest(result_traced) == digest,
+        "consistent": profiled_digest == digest == traced_digest,
         "jobs": blame["total"]["jobs"],
         "blame_s": blame["total"]["blame_s"],
         "blame_pct": blame["total"]["blame_pct"],
@@ -148,12 +195,15 @@ def run_bench(
     seed: int = 1,
     progress: Optional[Callable[[str], None]] = None,
     repeats: int = 2,
+    trace_malloc: bool = False,
 ) -> dict:
-    """Benchmark ``cells`` and return the ``repro.bench/1`` report."""
+    """Benchmark ``cells`` and return the ``repro.bench/2`` report."""
     started = time.perf_counter()
     out: Dict[str, dict] = {}
     for figure in cells:
-        cell = run_cell(figure, scale, seed, repeats=repeats)
+        cell = run_cell(
+            figure, scale, seed, repeats=repeats, trace_malloc=trace_malloc
+        )
         out[cell["figure"]] = cell
         if progress is not None:
             progress(
@@ -171,6 +221,7 @@ def run_bench(
         "platform": platform.platform(),
         "scale": scale,
         "seed": seed,
+        "trace_malloc": trace_malloc,
         "cells": out,
         "totals": {
             "wall_s": total_wall,
@@ -191,18 +242,31 @@ def write_bench_json(path: str, report: dict) -> None:
 # ----------------------------------------------------------------------
 # regression gate
 # ----------------------------------------------------------------------
+def consistency_failures(report: dict) -> List[str]:
+    """One failure line per cell whose passes disagreed on the digest."""
+    return [
+        f"{name}: instrumentation perturbed the simulation result "
+        "(profiled or traced digest differs from the timing pass)"
+        for name, cell in sorted(report.get("cells", {}).items())
+        if not cell.get("consistent", True)
+    ]
+
+
 def compare_reports(
     baseline: dict, current: dict, tolerance: float = 0.2
 ) -> Tuple[List[str], List[str]]:
     """Compare a bench report against a baseline.
 
     Returns ``(failures, notes)``.  Failures (events/sec regression
-    beyond ``tolerance``, tracing perturbing a result) should fail CI;
-    notes (digest changes, cell set drift) are informational.
+    beyond ``tolerance``, instrumentation perturbing a result) should
+    fail CI; notes (digest changes, event-count drift, subsystem
+    self-time share shifts of 5 pp or more, cell set drift) are
+    informational.  Share shifts need a profile on both sides, so a
+    ``repro.bench/1`` baseline gates speed only.
     """
     if not 0.0 <= tolerance < 1.0:
         raise ValueError("tolerance must be in [0, 1)")
-    failures: List[str] = []
+    failures = consistency_failures(current)
     notes: List[str] = []
     base_cells = baseline.get("cells", {})
     cur_cells = current.get("cells", {})
@@ -218,11 +282,6 @@ def compare_reports(
                 f"{base['events_per_s']:,.0f} -> {cur['events_per_s']:,.0f} "
                 f"(floor {floor:,.0f} at tolerance {tolerance:.0%})"
             )
-        if not cur.get("tracing_consistent", True):
-            failures.append(
-                f"{name}: tracing perturbed the simulation result "
-                "(digest mismatch between perf and blame passes)"
-            )
         if cur.get("result_digest") != base.get("result_digest"):
             notes.append(
                 f"{name}: result digest changed "
@@ -232,6 +291,19 @@ def compare_reports(
             notes.append(
                 f"{name}: events {base['events']} -> {cur['events']}"
             )
+        base_subs = base.get("profile", {}).get("subsystems", {})
+        cur_subs = cur.get("profile", {}).get("subsystems", {})
+        if not (base_subs and cur_subs):
+            continue
+        for sub in sorted(set(base_subs) | set(cur_subs)):
+            base_pct = base_subs.get(sub, {}).get("self_pct", 0.0)
+            cur_pct = cur_subs.get(sub, {}).get("self_pct", 0.0)
+            shift = cur_pct - base_pct
+            if abs(shift) >= 5.0:
+                notes.append(
+                    f"{name}: {sub} self-time share shifted "
+                    f"{base_pct:.1f}% -> {cur_pct:.1f}% ({shift:+.1f}pp)"
+                )
     for name in sorted(set(cur_cells) - set(base_cells)):
         notes.append(f"{name}: new cell, not in baseline")
     return failures, notes
@@ -352,7 +424,7 @@ def format_bench(report: dict) -> str:
                 round(cell["events_per_s"]),
                 cell["spans"],
                 cell["jobs"],
-                "ok" if cell["tracing_consistent"] else "PERTURBED",
+                "ok" if cell["consistent"] else "PERTURBED",
                 top_blame,
             ]
         )
@@ -365,7 +437,7 @@ def format_bench(report: dict) -> str:
     )
     return format_table(
         ["cell", "wall_s", "events", "events/s", "spans", "jobs",
-         "traced", "top_blame"],
+         "digests", "top_blame"],
         rows,
         title=title,
     )

@@ -88,33 +88,28 @@ def register_registry(registry: "MetricsRegistry") -> None:
 
 
 # ----------------------------------------------------------------------
-# simulator capture (bench profiling and blame passes)
+# simulator capture (bench passes and sweep blame)
 # ----------------------------------------------------------------------
 _ACTIVE_SIM: Optional["SimCapture"] = None
 
 
 class SimCapture:
     """Collects every :class:`~repro.sim.engine.Simulator` built while
-    active, optionally flipping on tracing and/or event accounting.
+    active, optionally turning on tracing and/or attaching a profiler.
 
-    The bench profiler (:mod:`repro.obs.bench`) and the sweep runner's
+    The bench passes (:mod:`repro.obs.bench`) and the sweep runner's
     blame pass use this the same way cells' metrics are captured: the
     figure functions build their simulators internally, so the only
-    seam is construction-time interception.  Forced tracing cannot
-    perturb results -- recording draws no randomness and schedules no
-    events -- which the bench's digest cross-check verifies on every
-    cell.  Captures nest and restore their predecessor on exit.
+    seam is construction-time interception.  Tracing and profiling
+    cannot perturb results -- recording draws no randomness and
+    schedules no events -- which the bench's digest cross-check
+    verifies on every cell.  Captures nest and restore their
+    predecessor on exit.
     """
 
-    def __init__(
-        self,
-        tracing: bool = False,
-        accounting: bool = False,
-        profiler=None,
-    ) -> None:
+    def __init__(self, tracing: bool = False, profiler=None) -> None:
         self.simulators: List[object] = []
         self.tracing = tracing
-        self.accounting = accounting
         #: a :class:`repro.obs.prof.Profiler` shared by every captured
         #: simulator (one frame stack spans the whole cell), or None
         self.profiler = profiler
@@ -136,8 +131,6 @@ class SimCapture:
         self.simulators.append(sim)
         if self.tracing:
             sim.obs.enable_tracing()
-        if self.accounting:
-            sim.enable_event_accounting()
         if self.profiler is not None:
             sim.enable_profiling(self.profiler)
 
@@ -147,14 +140,6 @@ class SimCapture:
 
     def total_spans(self) -> int:
         return sum(len(s.obs.tracer) for s in self.simulators)
-
-    def combined_event_counts(self) -> Dict[str, int]:
-        """Per-module event counts summed across simulators."""
-        out: Dict[str, int] = {}
-        for sim in self.simulators:
-            for module, count in sim.event_counts.items():
-                out[module] = out.get(module, 0) + count
-        return dict(sorted(out.items()))
 
     def combined_blame(self) -> dict:
         """One blame report over every captured (traced) simulator."""

@@ -1,16 +1,15 @@
-"""Deterministic wall-time profiling of the simulator (``repro prof``).
+"""Deterministic wall-time profiling of the simulator.
 
-:mod:`repro.obs.bench` counts *events* per subsystem; this module
-attributes *wall-clock time*.  A :class:`Profiler` hooks the
-:class:`~repro.sim.engine.Simulator` dispatch seam (the same seam
-``enable_event_accounting`` uses): every event callback becomes a timed
-frame, and instrumented internals (the fabric's max-min fill, heap
-compaction) push nested frames, so the profiler maintains a proper
-frame stack and can split **self** time (time in a frame excluding its
-children) from **cumulative** time.  Self times tile the dispatch wall
-clock exactly -- every profiled moment belongs to exactly one frame's
-self time -- which is what makes the per-subsystem table trustworthy:
-it sums to the total dispatch wall time by construction.
+A :class:`Profiler` attributes *wall-clock time*, and counts events, per
+subsystem.  It hooks the :class:`~repro.sim.engine.Simulator` dispatch
+seam: every event callback becomes a timed frame keyed
+``module:qualname``, and instrumented internals (the fabric's max-min
+fill, heap compaction) push nested frames, so the profiler maintains a
+proper frame stack and can split **self** time (time in a frame
+excluding its children) from **cumulative** time.  Self times tile the
+dispatch wall clock exactly -- every profiled moment belongs to exactly
+one frame's self time -- which is what makes the per-subsystem table
+trustworthy: it sums to the total dispatch wall time by construction.
 
 On top of the stack the profiler records:
 
@@ -29,28 +28,22 @@ On top of the stack the profiler records:
 The house invariant holds here as everywhere in ``repro.obs``: the
 profiler only *observes*.  It draws no randomness, schedules no events
 and mutates nothing it measures, so a same-seed run with profiling on
--- at any granularity, with tracing and ``tracemalloc`` stacked on top
--- produces byte-identical results to an unprofiled run.
-:func:`run_profile` verifies that on every invocation by digesting an
-unprofiled reference pass, and ``tests/test_prof.py`` pins it.
-
-``run_profile`` writes one canonical report (schema ``repro.prof/1``);
-:func:`compare_profiles` turns two reports into a regression dossier
-that gates exactly like ``repro bench --compare``.
+-- with tracing and ``tracemalloc`` stacked on top -- produces
+byte-identical results to an unprofiled run.  ``repro bench``
+(:mod:`repro.obs.bench`) runs every cell's profiler pass against the
+digest of its bare timing pass, stores :meth:`Profiler.snapshot` under
+the cell's ``profile``, and feeds its report to the exporters and
+:func:`format_profile` below; ``tests/test_prof.py`` pins the
+invariant.
 """
 
 from __future__ import annotations
 
 import json
-import platform
 import time
 import tracemalloc
 from contextlib import contextmanager
 from typing import Dict, List, Optional, Tuple
-
-PROF_SCHEMA = "repro.prof/1"
-
-GRANULARITIES = ("coarse", "full")
 
 #: memory buckets in a report: event-count deciles of the run
 MEMORY_PHASES = 10
@@ -63,35 +56,24 @@ def _r(value: float, digits: int = 9) -> float:
 class Profiler:
     """Frame-stack wall-time profiler for one (or more) simulators.
 
-    Granularities:
-
-    - ``"coarse"``: root frames are keyed by callback *module* only --
-      the cheapest useful attribution (one dict update per event).
-    - ``"full"``: root frames are keyed by ``module:qualname``, so the
-      callback table and flamegraph resolve individual callbacks.
-
-    Nested frames (:meth:`push`/:meth:`pop`) and gauges are always
-    active -- they only fire on slow-path operations (rebalances,
-    compactions), never per event.
+    Root frames are keyed by ``module:qualname``, so the callback table
+    and flamegraph resolve individual callbacks; the subsystem table
+    rolls them up per module.  Nested frames (:meth:`push`/:meth:`pop`)
+    only fire on slow-path operations (rebalances, compactions), never
+    per event.  The default gauge cadence of 16 events still samples
+    the smallest bench cells (a few hundred events over several
+    simulators).
     """
 
     def __init__(
         self,
-        granularity: str = "full",
-        gauge_sample_every: int = 256,
+        gauge_sample_every: int = 16,
         trace_memory: bool = False,
         max_memory_samples: int = 2048,
         clock=time.perf_counter,
     ) -> None:
-        if granularity not in GRANULARITIES:
-            raise ValueError(
-                f"unknown granularity {granularity!r}; "
-                f"choose from {GRANULARITIES}"
-            )
         if gauge_sample_every < 1:
             raise ValueError("gauge_sample_every must be >= 1")
-        self.granularity = granularity
-        self.full = granularity == "full"
         self.gauge_sample_every = gauge_sample_every
         self.trace_memory = trace_memory
         self.max_memory_samples = max_memory_samples
@@ -106,7 +88,7 @@ class Profiler:
         self._stack: List[list] = []
         # subsystem -> [events, self_s, cum_s]
         self._subsystems: Dict[str, list] = {}
-        # root frame name -> [count, self_s, cum_s] (full granularity)
+        # root frame name -> [count, self_s, cum_s]
         self._callbacks: Dict[str, list] = {}
         # nested frame name -> [count, self_s, cum_s]
         self._frames: Dict[str, list] = {}
@@ -124,25 +106,23 @@ class Profiler:
     # -- the frame stack ------------------------------------------------
     def begin_event(self, module: str, qualname: str) -> None:
         """Open the root frame for one dispatched event callback."""
-        name = f"{module}:{qualname}" if self.full else module
-        self._stack.append([name, module, self.clock(), 0.0])
+        self._stack.append([f"{module}:{qualname}", module, self.clock(), 0.0])
 
     def end_event(self) -> None:
         """Close the event frame opened by :meth:`begin_event`."""
-        name, subsystem, elapsed, _self_s = self._close_frame()
+        name, subsystem, elapsed, self_s = self._close_frame()
         self.events += 1
         self.dispatch_wall_s += elapsed
         entry = self._subsystems[subsystem]
         entry[0] += 1
         entry[2] += elapsed
-        if self.full:
-            cb = self._callbacks.get(name)
-            if cb is None:
-                self._callbacks[name] = [1, _self_s, elapsed]
-            else:
-                cb[0] += 1
-                cb[1] += _self_s
-                cb[2] += elapsed
+        cb = self._callbacks.get(name)
+        if cb is None:
+            self._callbacks[name] = [1, self_s, elapsed]
+        else:
+            cb[0] += 1
+            cb[1] += self_s
+            cb[2] += elapsed
 
     def push(self, name: str, subsystem: Optional[str] = None) -> None:
         """Open a nested frame (an instrumented internal operation).
@@ -320,12 +300,11 @@ class Profiler:
         }
 
     def snapshot(self, top_callbacks: int = 40) -> dict:
-        """The profiler's contribution to a ``repro.prof/1`` report."""
+        """A bench cell's ``profile`` (JSON-friendly, rounded)."""
         callbacks = sorted(
             self._callbacks.items(), key=lambda kv: (-kv[1][1], kv[0])
         )[:top_callbacks]
         return {
-            "granularity": self.granularity,
             "events": self.events,
             "dispatch_wall_s": _r(self.dispatch_wall_s),
             "outside_wall_s": _r(self.outside_wall_s),
@@ -367,96 +346,20 @@ class Profiler:
 
 
 # ----------------------------------------------------------------------
-# running a cell under the profiler
-# ----------------------------------------------------------------------
-def run_profile(
-    cell: str,
-    scale: str = "tiny",
-    seed: int = 1,
-    granularity: str = "full",
-    trace_malloc: bool = False,
-    tracing: bool = False,
-    gauge_sample_every: int = 256,
-) -> dict:
-    """Profile one sweep cell; returns the ``repro.prof/1`` report.
-
-    Two passes: an *unprofiled reference* pass establishes the result
-    digest, then the *profiled* pass (optionally with span tracing and
-    ``tracemalloc`` stacked on) re-runs the same cell.  The report's
-    ``digest_consistent`` proves profiling never perturbed the
-    simulation -- the same cross-check discipline ``repro bench``
-    applies to tracing.
-    """
-    import repro
-    from repro.experiments.common import resolve_scale
-    from repro.obs.bench import result_digest
-    from repro.obs.capture import SimCapture
-    from repro.sweep.cells import load, resolve
-
-    figure = resolve(cell)
-    fn = load(figure)
-    scale_obj = resolve_scale(scale)
-
-    with SimCapture():
-        result_ref = fn(scale_obj, seed)
-    ref_digest = result_digest(result_ref)
-
-    prof = Profiler(
-        granularity=granularity,
-        trace_memory=trace_malloc,
-        gauge_sample_every=gauge_sample_every,
-    )
-    started_tracemalloc = False
-    if trace_malloc and not tracemalloc.is_tracing():
-        tracemalloc.start()
-        started_tracemalloc = True
-    try:
-        with SimCapture(tracing=tracing, profiler=prof) as cap:
-            started = time.perf_counter()
-            result = fn(scale_obj, seed)
-            wall_s = time.perf_counter() - started
-    finally:
-        if started_tracemalloc:
-            tracemalloc.stop()
-    digest = result_digest(result)
-
-    report = {
-        "schema": PROF_SCHEMA,
-        "repro_version": repro.__version__,
-        "python": platform.python_version(),
-        "platform": platform.platform(),
-        "cell": figure,
-        "scale": scale,
-        "seed": seed,
-        "trace_malloc": trace_malloc,
-        "tracing": tracing,
-        "wall_s": _r(wall_s),
-        "events_per_s": _r(prof.events / wall_s if wall_s > 0 else 0.0, 3),
-        "simulators": len(cap.simulators),
-        "result_digest": digest,
-        "digest_consistent": digest == ref_digest,
-    }
-    report.update(prof.snapshot())
-    return report
-
-
-def write_profile_json(path: str, report: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-# ----------------------------------------------------------------------
-# flamegraph exports
+# flamegraph exports (of a ``repro.bench/2`` report)
 # ----------------------------------------------------------------------
 def collapsed_stacks(report: dict) -> str:
-    """Collapsed-stack text (``a;b;c <usecs>``), flamegraph.pl input."""
+    """Collapsed-stack text (``cell;a;b <usecs>``), flamegraph.pl input.
+
+    Every stack is rooted at its bench cell's name, so one file holds
+    all cells side by side.
+    """
     lines = []
-    for entry in report["stacks"]:
-        usec = int(round(entry["self_s"] * 1e6))
-        if usec <= 0:
-            continue
-        lines.append(";".join(entry["stack"]) + f" {usec}")
+    for name, cell in sorted(report["cells"].items()):
+        for entry in cell["profile"]["stacks"]:
+            usec = int(round(entry["self_s"] * 1e6))
+            if usec > 0:
+                lines.append(";".join([name] + entry["stack"]) + f" {usec}")
     return "\n".join(lines) + ("\n" if lines else "")
 
 
@@ -469,49 +372,37 @@ def write_collapsed(path: str, report: dict) -> int:
 
 
 def speedscope_doc(report: dict) -> dict:
-    """The report's stacks as a speedscope sampled profile."""
+    """The report's stacks as speedscope sampled profiles, one per cell."""
+    scale, seed = report.get("scale", "?"), report.get("seed", "?")
     frame_index: Dict[str, int] = {}
-    samples: List[List[int]] = []
-    weights: List[float] = []
-    for entry in report["stacks"]:
-        weight = entry["self_s"]
-        if weight <= 0:
-            continue
-        stack = []
-        for name in entry["stack"]:
-            if name not in frame_index:
-                frame_index[name] = len(frame_index)
-            stack.append(frame_index[name])
-        samples.append(stack)
-        weights.append(weight)
-    name = (
-        f"repro prof {report.get('cell', '?')}@{report.get('scale', '?')} "
-        f"seed {report.get('seed', '?')}"
-    )
+    profiles = []
+    for name, cell in sorted(report["cells"].items()):
+        samples: List[List[int]] = []
+        weights: List[float] = []
+        for entry in cell["profile"]["stacks"]:
+            if entry["self_s"] <= 0:
+                continue
+            samples.append([
+                frame_index.setdefault(frame, len(frame_index))
+                for frame in entry["stack"]
+            ])
+            weights.append(entry["self_s"])
+        profiles.append({
+            "type": "sampled",
+            "name": f"{name}@{scale} seed {seed}",
+            "unit": "seconds",
+            "startValue": 0.0,
+            "endValue": _r(sum(weights)),
+            "samples": samples,
+            "weights": [_r(w) for w in weights],
+        })
     return {
         "$schema": "https://www.speedscope.app/file-format-schema.json",
-        "name": name,
+        "name": f"repro bench @ {scale} seed {seed}",
         "exporter": f"repro.obs.prof/{report.get('repro_version', '')}",
         "activeProfileIndex": 0,
-        "shared": {
-            "frames": [
-                {"name": frame_name}
-                for frame_name, _ in sorted(
-                    frame_index.items(), key=lambda kv: kv[1]
-                )
-            ]
-        },
-        "profiles": [
-            {
-                "type": "sampled",
-                "name": name,
-                "unit": "seconds",
-                "startValue": 0.0,
-                "endValue": _r(sum(weights)),
-                "samples": samples,
-                "weights": [_r(w) for w in weights],
-            }
-        ],
+        "shared": {"frames": [{"name": frame} for frame in frame_index]},
+        "profiles": profiles,
     }
 
 
@@ -548,115 +439,25 @@ def write_speedscope(path: str, report: dict) -> int:
 
 
 # ----------------------------------------------------------------------
-# regression dossiers (the `repro prof --compare` gate)
-# ----------------------------------------------------------------------
-def compare_profiles(
-    baseline: dict, current: dict, tolerance: float = 0.25
-) -> Tuple[List[str], List[str]]:
-    """Compare two profile reports; returns ``(failures, notes)``.
-
-    Mirrors :func:`repro.obs.bench.compare_reports`: failures (events/s
-    regression beyond ``tolerance``, profiling perturbing the result)
-    should fail CI; subsystem self-share shifts are notes -- wall-time
-    mix legitimately moves as code changes, the dossier makes the move
-    visible instead of judging it.
-    """
-    if not 0.0 <= tolerance < 1.0:
-        raise ValueError("tolerance must be in [0, 1)")
-    failures: List[str] = []
-    notes: List[str] = []
-    if not current.get("digest_consistent", True):
-        failures.append(
-            "profiling perturbed the simulation result "
-            "(digest mismatch vs the unprofiled reference pass)"
-        )
-    base_eps = baseline.get("events_per_s", 0.0)
-    cur_eps = current.get("events_per_s", 0.0)
-    floor = base_eps * (1.0 - tolerance)
-    if base_eps and cur_eps < floor:
-        failures.append(
-            f"events/s regressed {base_eps:,.0f} -> {cur_eps:,.0f} "
-            f"(floor {floor:,.0f} at tolerance {tolerance:.0%})"
-        )
-    if current.get("result_digest") != baseline.get("result_digest"):
-        notes.append("result digest changed vs the baseline report")
-    base_subs = baseline.get("subsystems", {})
-    cur_subs = current.get("subsystems", {})
-    for name in sorted(set(base_subs) | set(cur_subs)):
-        base_pct = base_subs.get(name, {}).get("self_pct", 0.0)
-        cur_pct = cur_subs.get(name, {}).get("self_pct", 0.0)
-        shift = cur_pct - base_pct
-        if abs(shift) >= 5.0:
-            notes.append(
-                f"{name}: self-time share shifted "
-                f"{base_pct:.1f}% -> {cur_pct:.1f}% ({shift:+.1f}pp)"
-            )
-    return failures, notes
-
-
-def format_profile_compare(baseline: dict, current: dict) -> str:
-    """The per-subsystem delta table of a regression dossier."""
-    from repro.metrics.report import format_table
-
-    base_subs = baseline.get("subsystems", {})
-    cur_subs = current.get("subsystems", {})
-    rows = []
-    for name in sorted(set(base_subs) | set(cur_subs)):
-        base = base_subs.get(name, {})
-        cur = cur_subs.get(name, {})
-        base_self = base.get("self_s", 0.0)
-        cur_self = cur.get("self_s", 0.0)
-        delta_pct = (
-            100.0 * (cur_self - base_self) / base_self if base_self else 0.0
-        )
-        rows.append([
-            name,
-            round(base_self, 4),
-            round(cur_self, 4),
-            f"{delta_pct:+.1f}%",
-            f"{cur.get('self_pct', 0.0) - base.get('self_pct', 0.0):+.1f}pp",
-        ])
-    base_eps = baseline.get("events_per_s", 0.0)
-    cur_eps = current.get("events_per_s", 0.0)
-    eps_delta = 100.0 * (cur_eps - base_eps) / base_eps if base_eps else 0.0
-    title = (
-        f"prof dossier: {current.get('cell')}@{current.get('scale')} -- "
-        f"events/s {base_eps:,.0f} -> {cur_eps:,.0f} ({eps_delta:+.1f}%), "
-        f"dispatch {baseline.get('dispatch_wall_s', 0.0):.3f}s -> "
-        f"{current.get('dispatch_wall_s', 0.0):.3f}s"
-    )
-    return format_table(
-        ["subsystem", "base_self_s", "cur_self_s", "Δself", "Δshare"],
-        rows,
-        title=title,
-    )
-
-
-# ----------------------------------------------------------------------
 # text rendering
 # ----------------------------------------------------------------------
-def format_profile(report: dict, top: int = 12) -> str:
-    """Human-readable profile: subsystems, callbacks, engine health."""
+def format_profile(cell: dict, top: int = 12) -> str:
+    """Human-readable profile of one bench cell: subsystems, callbacks,
+    instrumented internals, engine health and memory."""
     from repro.metrics.report import format_table
 
-    lines = []
-    title = (
-        f"repro prof {report['cell']} @ {report['scale']} "
-        f"seed {report['seed']} -- granularity {report['granularity']}"
-    )
-    lines.append(title)
-    lines.append(
-        f"  {report['events']} events, dispatch "
-        f"{report['dispatch_wall_s']:.3f}s of {report['wall_s']:.3f}s wall "
-        f"({report['events_per_s']:,.0f} events/s, "
-        f"{report['simulators']} simulators), digest "
-        + ("consistent" if report["digest_consistent"] else "PERTURBED")
-    )
+    profile = cell["profile"]
+    lines = [
+        f"profile {cell['figure']} -- {profile['events']} events, dispatch "
+        f"{profile['dispatch_wall_s']:.3f}s of {cell['wall_profiled_s']:.3f}s "
+        f"profiled wall ({cell['simulators']} simulators), digests "
+        + ("consistent" if cell["consistent"] else "PERTURBED")
+    ]
     rows = [
         [name, s["events"], round(s["self_s"], 4), round(s["self_pct"], 1),
          round(s["cum_s"], 4)]
         for name, s in sorted(
-            report["subsystems"].items(),
+            profile["subsystems"].items(),
             key=lambda kv: -kv[1]["self_s"],
         )
     ]
@@ -664,29 +465,29 @@ def format_profile(report: dict, top: int = 12) -> str:
         ["subsystem", "events", "self_s", "self_%", "cum_s"], rows,
         title="per-subsystem wall time (self sums to dispatch wall)",
     ))
-    if report.get("callbacks"):
+    if profile["callbacks"]:
         rows = [
             [c["name"], c["events"], round(c["self_s"], 4),
              round(c["cum_s"], 4)]
-            for c in report["callbacks"][:top]
+            for c in profile["callbacks"][:top]
         ]
         lines.append(format_table(
             ["callback", "events", "self_s", "cum_s"], rows,
             title=f"hottest callbacks (top {min(top, len(rows))} by self)",
         ))
-    if report.get("frames"):
+    if profile["frames"]:
         rows = [
             [name, f["count"], round(f["self_s"], 4), round(f["cum_s"], 4)]
             for name, f in sorted(
-                report["frames"].items(), key=lambda kv: -kv[1]["self_s"]
+                profile["frames"].items(), key=lambda kv: -kv[1]["self_s"]
             )
         ]
         lines.append(format_table(
             ["internal frame", "count", "self_s", "cum_s"], rows,
             title="instrumented internals",
         ))
-    engine = report["engine"]
-    gauges = report.get("gauges", {})
+    engine = profile["engine"]
+    gauges = profile["gauges"]
     health = [
         f"compactions {engine['compactions']} "
         f"({engine['compact_s'] * 1000.0:.2f} ms)"
@@ -699,7 +500,7 @@ def format_profile(report: dict, top: int = 12) -> str:
                 f"{name} mean {g['mean']:.2f} / max {g['max']:.0f}"
             )
     lines.append("engine health: " + "; ".join(health))
-    memory = report.get("memory")
+    memory = profile["memory"]
     if memory:
         lines.append(
             f"memory: peak {memory['peak_kb'] / 1024.0:.1f} MB over "

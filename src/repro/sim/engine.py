@@ -165,14 +165,10 @@ class Simulator:
         self._seq = itertools.count()
         self._stopped = False
         self.events_processed = 0
-        #: per-subsystem event counts (callback module -> events); None
-        #: until :meth:`enable_event_accounting` -- the bench profiler
-        #: turns it on, normal runs keep the hot loop check-free
-        self._event_counts: Optional[Dict[str, int]] = None
         #: wall-time profiler (:class:`repro.obs.prof.Profiler`); None
-        #: until :meth:`enable_profiling`.  Like accounting, profiling
-        #: only observes the loop -- the fast path stays check-free
-        #: because :meth:`run` picks the instrumented loop up front.
+        #: until :meth:`enable_profiling`.  Profiling only observes the
+        #: loop -- the fast path stays check-free because :meth:`run`
+        #: picks the instrumented loop up front.
         self.prof: Optional[Any] = None
         #: observability handle shared by every subsystem on this
         #: simulator; tracing is off until ``obs.enable_tracing()``
@@ -263,8 +259,8 @@ class Simulator:
             if until is None or nxt <= until:
                 state["event"] = self._schedule_abs(max(nxt, self.now), fire)
 
-        # attribution (accounting, profiling) bills the firing to the
-        # callback's module, not to this closure's
+        # profiler attribution bills the firing to the callback's
+        # module, not to this closure's
         fire.__wrapped__ = callback  # type: ignore[attr-defined]
 
         first_delay = interval if start is None else max(0.0, start - self.now)
@@ -331,9 +327,9 @@ class Simulator:
 
         Tombstones (cancelled entries or ghost keys) are popped
         transparently in key order until the first live event.  There is
-        exactly one dispatch tail -- accounting and profiling hook the
-        same ``callback()`` call the plain path uses, so an instrumented
-        run can never drift from a bare one.
+        exactly one dispatch tail -- profiling hooks the same
+        ``callback()`` call the plain path uses, so a profiled run can
+        never drift from a bare one.
         """
         event = self._pop_live()
         if event is None:
@@ -343,14 +339,9 @@ class Simulator:
             raise RuntimeError("event queue went backwards in time")
         if time > self.now:
             self.now = time
-        counts = self._event_counts
         prof = self.prof
-        if counts is not None or prof is not None:
-            module, qualname = _callback_names(event.callback)
-            if counts is not None:
-                counts[module] = counts.get(module, 0) + 1
         if prof is not None:
-            prof.begin_event(module, qualname)
+            prof.begin_event(*_callback_names(event.callback))
         try:
             event.callback()
         finally:
@@ -373,9 +364,9 @@ class Simulator:
         """
         self._stopped = False
         heap = self._heap
-        if self._event_counts is not None or self.prof is not None:
-            # accounting/profiling pass (bench/prof runs): per-event
-            # bookkeeping lives in step(), no need to be lean here
+        if self.prof is not None:
+            # profiled pass (bench): per-event bookkeeping lives in
+            # step(), no need to be lean here
             processed = 0
             while not self._stopped:
                 if processed >= max_events:
@@ -393,7 +384,7 @@ class Simulator:
                     return
                 processed += 1
             return
-        # fast path: accounting branch hoisted out of the loop; the pop
+        # fast path: profiling branch hoisted out of the loop; the pop
         # itself (tombstone/ghost skipping included) is _pop_live,
         # shared with step(), so the two paths cannot diverge
         pop_live = self._pop_live
@@ -444,32 +435,9 @@ class Simulator:
             "ghost_keys": self._ghosts,
         }
 
-    def enable_event_accounting(self) -> None:
-        """Start counting processed events per callback module.
-
-        Idempotent.  Pure bookkeeping on the event loop -- it cannot
-        change simulation behaviour, only observe it.
-        """
-        if self._event_counts is None:
-            self._event_counts = {}
-
-    def disable_event_accounting(self) -> None:
-        """Stop accounting and drop the counts; :meth:`run` returns to
-        the fast path.  Idempotent."""
-        self._event_counts = None
-
-    def reset_event_accounting(self) -> None:
-        """Zero the counts but keep accounting on -- lets a capture
-        reuse one simulator across bench passes without the first
-        pass's events double-counting into the second.  No-op while
-        accounting is off."""
-        if self._event_counts is not None:
-            self._event_counts = {}
-
     def enable_profiling(self, profiler: Any) -> None:
         """Attach a :class:`repro.obs.prof.Profiler` to the dispatch
-        loop.  Like accounting this only observes; disable with
-        :meth:`disable_profiling`."""
+        loop.  It only observes; disable with :meth:`disable_profiling`."""
         if profiler is None:
             raise ValueError("profiler must not be None")
         self.prof = profiler
@@ -477,11 +445,6 @@ class Simulator:
     def disable_profiling(self) -> None:
         """Detach the profiler; :meth:`run` returns to the fast path."""
         self.prof = None
-
-    @property
-    def event_counts(self) -> Dict[str, int]:
-        """Events processed per callback module (empty until enabled)."""
-        return dict(self._event_counts or {})
 
     def fork_rng(self, label: str) -> random.Random:
         """Create an independent RNG stream derived from the seed.

@@ -1,4 +1,4 @@
-"""repro.obs.bench + SimCapture: profiling, regression gate, CLI."""
+"""repro.obs.bench + SimCapture: the three passes, regression gate, CLI."""
 
 import copy
 import json
@@ -32,8 +32,13 @@ def _tiny_job(seed=4):
     return sim, job
 
 
+@pytest.fixture(scope="module")
+def fig10_cell():
+    return run_cell("fig10", scale="tiny", seed=1)
+
+
 # ----------------------------------------------------------------------
-# SimCapture + engine event accounting
+# SimCapture + per-module event counts
 # ----------------------------------------------------------------------
 def test_sim_capture_collects_and_nests():
     assert active_sim_capture() is None
@@ -56,18 +61,22 @@ def test_sim_capture_forces_tracing_and_counts_spans():
     assert capture.total_events() == sim.events_processed > 0
 
 
-def test_event_accounting_attributes_modules():
-    with SimCapture(accounting=True) as capture:
-        sim, _job = _tiny_job()
-    counts = capture.combined_event_counts()
-    assert counts, "accounting should record per-module event counts"
-    assert sum(counts.values()) == sim.events_processed
+def test_event_accounting_attributes_modules(fig10_cell):
+    # the profiler pass counts every event, per callback module
+    counts = fig10_cell["event_counts"]
+    assert counts, "the profiler pass should record per-module event counts"
+    assert sum(counts.values()) == fig10_cell["events"]
     assert any(module.startswith("repro.") for module in counts)
+    assert counts == {
+        name: sub["events"]
+        for name, sub in fig10_cell["profile"]["subsystems"].items()
+        if sub["events"]
+    }
 
 
 def test_event_accounting_off_by_default():
     sim, _job = _tiny_job()
-    assert sim.event_counts == {}
+    assert sim.prof is None and not sim.obs.tracing
     assert sim.events_processed > 0
 
 
@@ -84,20 +93,51 @@ def test_sim_capture_combined_blame_ties_to_makespan():
 # ----------------------------------------------------------------------
 # run_cell / run_bench
 # ----------------------------------------------------------------------
-def test_run_cell_profiles_and_blames_fig10():
-    cell = run_cell("fig10", scale="tiny", seed=1)
+def test_run_cell_profiles_and_blames_fig10(fig10_cell):
+    cell = fig10_cell
     assert cell["figure"] == "fig10"
     assert cell["events"] > 0 and cell["events_per_s"] > 0
     assert cell["spans"] > 0 and cell["jobs"] >= 1
-    assert cell["tracing_consistent"] is True
+    assert cell["consistent"] is True
     assert set(cell["blame_s"]) == set(CATEGORIES)
-    assert cell["event_counts"]
     assert cell["simulators"] >= 1
+    profile = cell["profile"]
+    assert profile["events"] == cell["events"]
+    assert cell["wall_profiled_s"] >= profile["dispatch_wall_s"] > 0
+    assert profile["gauges"]["engine.queue_depth"]["n"] > 0
+    assert profile["memory"] is None  # tracemalloc is opt-in
+
+
+def test_timing_pass_runs_every_simulator_bare(monkeypatch):
+    """The timing pass times Simulator.run's fast loop: every simulator
+    it builds enters run() with no profiler and tracing off.  The
+    profiler and traced passes that follow it are instrumented."""
+    calls = []
+    real_run = Simulator.run
+
+    def spy(sim, *args, **kwargs):
+        calls.append((sim, sim.prof is not None, sim.obs.tracing))
+        return real_run(sim, *args, **kwargs)
+
+    monkeypatch.setattr(Simulator, "run", spy)
+    cell = run_cell("fig10", scale="tiny", seed=1, repeats=2)
+    # passes run in order: timing x repeats, profiler, traced; each
+    # makes the same run() calls
+    per_pass = len(calls) // 4
+    assert per_pass > 0 and len(calls) == 4 * per_pass
+    timing = calls[: 2 * per_pass]
+    assert not any(prof or tracing for _sim, prof, tracing in timing)
+    assert len({id(sim) for sim, _, _ in timing[per_pass:]}) == cell["simulators"]
+    profiled = calls[2 * per_pass: 3 * per_pass]
+    assert all(prof and not tracing for _sim, prof, tracing in profiled)
+    traced = calls[3 * per_pass:]
+    assert all(tracing and not prof for _sim, prof, tracing in traced)
 
 
 def test_run_bench_report_shape(tmp_path):
     report = run_bench(["fig10"], scale="tiny", seed=1)
-    assert report["schema"] == "repro.bench/1"
+    assert report["schema"] == "repro.bench/2"
+    assert report["trace_malloc"] is False
     assert set(report["cells"]) == {"fig10"}
     totals = report["totals"]
     assert totals["events"] == report["cells"]["fig10"]["events"]
@@ -131,7 +171,7 @@ def _fake_report(events_per_s=1000.0, digest="d0", consistent=True):
                 "events": 100,
                 "events_per_s": events_per_s,
                 "result_digest": digest,
-                "tracing_consistent": consistent,
+                "consistent": consistent,
             }
         }
     }
@@ -218,7 +258,7 @@ def test_archive_report_appends_history(tmp_path):
 # ----------------------------------------------------------------------
 # CLI: repro bench --compare exits non-zero on a synthetic regression
 # ----------------------------------------------------------------------
-def test_cli_bench_compare_gate(tmp_path, capsys):
+def test_cli_bench_compare_gate(tmp_path, capsys, monkeypatch):
     from repro.cli import main
 
     out = tmp_path / "BENCH.json"
@@ -246,13 +286,56 @@ def test_cli_bench_compare_gate(tmp_path, capsys):
     assert "bench vs baseline" in captured  # the per-cell delta table
     assert list(traj.glob("bench-*.json")) == archived  # 'none' skips
 
-    # inject a synthetic regression: baseline claims 100x the speed
+    # inject a synthetic regression: baseline claims 100x the speed.
+    # Passed as both --compare and --out, the baseline is read before
+    # anything is written and a failed run writes no report, so the
+    # gate cannot pass against the run itself
     doctored = copy.deepcopy(report)
     doctored["cells"]["fig10"]["events_per_s"] *= 100.0
     baseline = tmp_path / "BASELINE.json"
     baseline.write_text(json.dumps(doctored))
+    before = baseline.read_bytes()
     rc = main(["bench", "fig10", "--scale", "tiny", "--seed", "1",
-               "--out", "", "--trajectory-dir", "none",
+               "--out", str(baseline), "--trajectory-dir", "none",
                "--compare", str(baseline)])
     assert rc == 1
     assert "FAIL" in capsys.readouterr().err
+    assert baseline.read_bytes() == before
+
+    # a cell whose result changes under the profiler fails the run even
+    # without --compare, and writes no report
+    from repro.sweep import cells
+
+    real_load = cells.load
+
+    def perturbed_load(name):
+        fn = real_load(name)
+
+        def cell(scale, seed):
+            result = fn(scale, seed)
+            if active_sim_capture().profiler is not None:
+                result = dict(result, perturbed=True)
+            return result
+
+        return cell
+
+    monkeypatch.setattr(cells, "load", perturbed_load)
+    perturbed_out = tmp_path / "PERTURBED.json"
+    rc = main(["bench", "fig10", "--scale", "tiny", "--seed", "1",
+               "--out", str(perturbed_out), "--trajectory-dir", "none"])
+    assert rc == 1
+    assert "fig10: instrumentation perturbed" in capsys.readouterr().err
+    assert not perturbed_out.exists()
+
+
+def test_cli_bench_accepts_every_registered_scale():
+    from repro.cli import build_parser
+    from repro.experiments.common import SCALES
+
+    parser = build_parser()
+    assert {"large", "huge"} <= set(SCALES)
+    for scale in SCALES:
+        args = parser.parse_args(["bench", "scale-smoke", "--scale", scale])
+        assert args.scale == scale and args.cells == ["scale-smoke"]
+    # the default report is not the committed baseline
+    assert parser.parse_args(["bench"]).out == "BENCH_current.json"

@@ -8,8 +8,8 @@ Three families of evidence that the fast paths cannot drift:
 - the indexed max-min fill is *bitwise* identical to the per-link
   oracle in ``tests/maxmin_oracle.py``, both called directly and as
   the fabric dispatches it during a run;
-- ``Simulator.step``'s single dispatch tail means accounting and
-  profiling runs replay the bare run event-for-event, and both bill a
+- ``Simulator.step``'s single dispatch tail means profiled runs
+  replay the bare run event-for-event, and the profiler bills a
   ``call_every`` recurrence to the callback it runs.
 """
 
@@ -204,10 +204,8 @@ def test_maxmin_fill_dispatcher_matches_reference(seed):
 # ----------------------------------------------------------------------
 # step(): one dispatch tail, instrumented runs replay the bare run
 # ----------------------------------------------------------------------
-def _instrumented_run(accounting: bool, profiling: bool, stepwise: bool):
+def _instrumented_run(profiling: bool, stepwise: bool):
     sim = Simulator()
-    if accounting:
-        sim.enable_event_accounting()
     if profiling:
         sim.enable_profiling(Profiler(gauge_sample_every=16))
     rng = random.Random(42)
@@ -232,18 +230,17 @@ def _instrumented_run(accounting: bool, profiling: bool, stepwise: bool):
 
 
 def test_step_dispatch_tail_identical_across_instrumentation():
-    """Regression for the duplicated step() dispatch tail: accounting
-    and profiling variants must process the identical event sequence
-    with identical ``events_processed`` -- via step() and run() both."""
-    baseline = _instrumented_run(accounting=False, profiling=False, stepwise=False)
-    for accounting in (False, True):
-        for profiling in (False, True):
-            for stepwise in (False, True):
-                got = _instrumented_run(accounting, profiling, stepwise)
-                assert got == baseline, (
-                    f"dispatch drift with accounting={accounting} "
-                    f"profiling={profiling} stepwise={stepwise}"
-                )
+    """Regression for the duplicated step() dispatch tail: profiled
+    variants must process the identical event sequence with identical
+    ``events_processed`` -- via step() and run() both."""
+    baseline = _instrumented_run(profiling=False, stepwise=False)
+    for profiling in (False, True):
+        for stepwise in (False, True):
+            got = _instrumented_run(profiling, stepwise)
+            assert got == baseline, (
+                f"dispatch drift with profiling={profiling} "
+                f"stepwise={stepwise}"
+            )
 
 
 def _tick() -> None:
@@ -252,14 +249,12 @@ def _tick() -> None:
 
 def test_call_every_is_attributed_to_its_callback():
     """A recurrence is billed to the callback it runs, not to the
-    engine's closure around it, by accounting and profiler alike."""
+    engine's closure around it."""
     sim = Simulator()
-    sim.enable_event_accounting()
     prof = Profiler()
     sim.enable_profiling(prof)
     sim.call_every(1.0, _tick, until=5.0)
     sim.run()
-    assert sim.event_counts == {__name__: 5}
     snapshot = prof.snapshot()
     assert {k: v["events"] for k, v in snapshot["subsystems"].items()} == {__name__: 5}
     assert [c["name"] for c in snapshot["callbacks"]] == [f"{__name__}:_tick"]

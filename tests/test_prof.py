@@ -1,17 +1,16 @@
-"""repro.obs.prof: frame math, digest invariance, flamegraphs, CLI."""
+"""repro.obs.prof: frame math, digest invariance, flamegraphs, and the
+profiler pass of ``repro bench``."""
 
 import json
 import tracemalloc
 
 import pytest
 
-from repro.obs.bench import result_digest
+from repro.obs.bench import compare_reports, result_digest, run_bench
 from repro.obs.capture import SimCapture
 from repro.obs.prof import (
     Profiler,
     collapsed_stacks,
-    compare_profiles,
-    run_profile,
     speedscope_doc,
     validate_speedscope,
     write_speedscope,
@@ -37,7 +36,7 @@ class FakeClock:
 # ----------------------------------------------------------------------
 def test_self_and_cumulative_split_with_nested_frames():
     clock = FakeClock()
-    prof = Profiler(granularity="full", clock=clock)
+    prof = Profiler(clock=clock)
     prof.begin_event("repro.sim.network", "NetworkFabric._tick")
     clock.advance(1.0)  # callback's own work before the fill
     prof.push("net.maxmin_fill", subsystem="repro.sim.network")
@@ -87,17 +86,6 @@ def test_frames_outside_dispatch_count_as_outside_wall():
     assert prof.attributed_wall_s == pytest.approx(2.0)
 
 
-def test_coarse_granularity_keys_roots_by_module():
-    clock = FakeClock()
-    prof = Profiler(granularity="coarse", clock=clock)
-    prof.begin_event("repro.sim.network", "NetworkFabric._tick")
-    clock.advance(1.0)
-    prof.end_event()
-    snap = prof.snapshot()
-    assert snap["callbacks"] == []  # per-callback table is full-only
-    assert [e["stack"] for e in snap["stacks"]] == [["repro.sim.network"]]
-
-
 def test_gauges_track_n_min_max_last():
     prof = Profiler()
     for value in (5.0, 1.0, 3.0):
@@ -107,8 +95,6 @@ def test_gauges_track_n_min_max_last():
 
 
 def test_profiler_rejects_bad_config():
-    with pytest.raises(ValueError):
-        Profiler(granularity="verbose")
     with pytest.raises(ValueError):
         Profiler(gauge_sample_every=0)
 
@@ -156,29 +142,6 @@ def test_engine_profiles_events_and_samples_gauges():
     assert prof.events == 3  # detached: no further attribution
 
 
-def test_event_accounting_disable_and_reset():
-    sim = Simulator(seed=1)
-    sim.enable_event_accounting()
-    sim.schedule(1.0, lambda: None)
-    sim.run()
-    first = sim.event_counts
-    assert sum(first.values()) == 1
-    # reset zeroes the counts but keeps accounting on: a second pass
-    # on the same simulator must not double-count the first
-    sim.reset_event_accounting()
-    assert sim.event_counts == {}
-    sim.schedule(1.0, lambda: None)
-    sim.run()
-    assert sum(sim.event_counts.values()) == 1
-    sim.disable_event_accounting()
-    assert sim.event_counts == {}
-    sim.schedule(1.0, lambda: None)
-    sim.run()
-    assert sim.event_counts == {}  # off: the fast path, no counting
-    sim.reset_event_accounting()  # no-op while disabled
-    assert sim.event_counts == {}
-
-
 def test_compaction_is_attributed_when_profiled():
     prof = Profiler()
     sim = Simulator(seed=5)
@@ -205,17 +168,13 @@ def _run_cell_with(figure, seed, mode):
         with SimCapture():
             return result_digest(fn(scale, seed))
     profiler = Profiler(
-        granularity="coarse" if mode == "coarse" else "full",
-        gauge_sample_every=64,
-        trace_memory=(mode == "everything"),
+        gauge_sample_every=64, trace_memory=(mode == "everything")
     )
-    tracing = accounting = mode == "everything"
+    tracing = mode == "everything"
     if mode == "everything" and not tracemalloc.is_tracing():
         tracemalloc.start()
     try:
-        with SimCapture(
-            tracing=tracing, accounting=accounting, profiler=profiler
-        ):
+        with SimCapture(tracing=tracing, profiler=profiler):
             result = fn(scale, seed)
     finally:
         if mode == "everything":
@@ -228,45 +187,47 @@ def _run_cell_with(figure, seed, mode):
 def test_profiling_never_perturbs_digests(figure):
     digests = {
         mode: _run_cell_with(figure, seed=1, mode=mode)
-        for mode in ("none", "coarse", "full", "everything")
+        for mode in ("none", "profiled", "everything")
     }
     assert len(set(digests.values())) == 1, digests
 
 
 # ----------------------------------------------------------------------
-# run_profile + the ProfileReport contract
+# the profiler pass of a repro.bench/2 report
 # ----------------------------------------------------------------------
 @pytest.fixture(scope="module")
-def fabric_profile():
-    return run_profile(
-        "fabric_micro", scale="tiny", seed=1,
-        granularity="full", trace_malloc=True,
+def fabric_report():
+    return run_bench(
+        ["fabric_micro"], scale="tiny", seed=1, repeats=1, trace_malloc=True
     )
 
 
-def test_run_profile_report_shape(fabric_profile):
-    report = fabric_profile
-    assert report["schema"] == "repro.prof/1"
-    assert report["cell"] == "fabric"  # alias resolved
-    assert report["digest_consistent"]
-    assert report["events"] > 0 and report["events_per_s"] > 0
-    assert report["simulators"] == 1
+def test_run_profile_report_shape(fabric_report):
+    assert fabric_report["schema"] == "repro.bench/2"
+    assert fabric_report["trace_malloc"] is True
+    cell = fabric_report["cells"]["fabric"]  # alias resolved
+    assert cell["consistent"]
+    assert cell["events"] > 0 and cell["events_per_s"] > 0
+    assert cell["simulators"] == 1
+    profile = cell["profile"]
+    assert profile["events"] == cell["events"]
+    assert sum(cell["event_counts"].values()) == cell["events"]
     # the acceptance bar: per-subsystem self time sums (within 1%) to
     # the total attributed dispatch wall time
-    total = report["dispatch_wall_s"] + report["outside_wall_s"]
-    self_sum = sum(s["self_s"] for s in report["subsystems"].values())
+    total = profile["dispatch_wall_s"] + profile["outside_wall_s"]
+    self_sum = sum(s["self_s"] for s in profile["subsystems"].values())
     assert abs(self_sum - total) <= 0.01 * total
-    assert "repro.sim.network" in report["subsystems"]
+    assert "repro.sim.network" in profile["subsystems"]
     assert any(
         c["name"].startswith("repro.sim.network:")
-        for c in report["callbacks"]
+        for c in profile["callbacks"]
     )
-    assert report["frames"]["net.maxmin_fill"]["count"] > 0
-    gauges = report["gauges"]
+    assert profile["frames"]["net.maxmin_fill"]["count"] > 0
+    gauges = profile["gauges"]
     for name in ("engine.queue_depth", "engine.tombstone_ratio",
                  "net.rebalance_component_flows", "net.dirty_links"):
         assert gauges[name]["n"] > 0, name
-    memory = report["memory"]
+    memory = profile["memory"]
     assert memory["samples"] > 0 and memory["peak_kb"] > 0
     assert memory["phases"] and all(
         p["peak_kb_max"] >= p["current_kb_mean"] > 0
@@ -274,32 +235,48 @@ def test_run_profile_report_shape(fabric_profile):
     )
 
 
-def test_flamegraph_exports(fabric_profile, tmp_path):
-    collapsed = collapsed_stacks(fabric_profile)
+def test_flamegraph_exports(fabric_report, tmp_path):
+    profile = fabric_report["cells"]["fabric"]["profile"]
+    collapsed = collapsed_stacks(fabric_report)
     lines = collapsed.strip().splitlines()
     assert lines
     for line in lines:
         stack, weight = line.rsplit(" ", 1)
         assert int(weight) > 0
-        assert all(part for part in stack.split(";"))
+        parts = stack.split(";")
+        assert parts[0] == "fabric" and len(parts) > 1  # rooted at the cell
+        assert all(parts)
     assert any("net.maxmin_fill" in line for line in lines)
 
-    doc = speedscope_doc(fabric_profile)
+    doc = speedscope_doc(fabric_report)
     n = validate_speedscope(doc)
     # collapsed drops sub-microsecond stacks; speedscope keeps them
     assert n >= len(lines) > 0
+    assert [p["name"] for p in doc["profiles"]] == ["fabric@tiny seed 1"]
     total = sum(doc["profiles"][0]["weights"])
     assert total == pytest.approx(
-        fabric_profile["dispatch_wall_s"] + fabric_profile["outside_wall_s"],
-        rel=0.02,
+        profile["dispatch_wall_s"] + profile["outside_wall_s"], rel=0.02
     )
     path = tmp_path / "prof.speedscope.json"
-    assert write_speedscope(str(path), fabric_profile) == n
+    assert write_speedscope(str(path), fabric_report) == n
     validate_speedscope(json.loads(path.read_text()))
 
+    # several cells: one speedscope profile each, sharing one frame
+    # table, and collapsed stacks rooted at each cell's name
+    cell = fabric_report["cells"]["fabric"]
+    two = dict(fabric_report, cells={"a": cell, "b": cell})
+    doc = speedscope_doc(two)
+    assert validate_speedscope(doc) == 2 * n
+    assert [p["name"] for p in doc["profiles"]] == [
+        "a@tiny seed 1", "b@tiny seed 1"
+    ]
+    assert doc["profiles"][0]["samples"] == doc["profiles"][1]["samples"]
+    roots = {line.split(";", 1)[0] for line in collapsed_stacks(two).splitlines()}
+    assert roots == {"a", "b"}
 
-def test_validate_speedscope_rejects_malformed(fabric_profile):
-    doc = speedscope_doc(fabric_profile)
+
+def test_validate_speedscope_rejects_malformed(fabric_report):
+    doc = speedscope_doc(fabric_report)
     with pytest.raises(ValueError):
         validate_speedscope({"profiles": []})
     bad = json.loads(json.dumps(doc))
@@ -308,43 +285,65 @@ def test_validate_speedscope_rejects_malformed(fabric_profile):
         validate_speedscope(bad)
 
 
-def test_compare_profiles_gate(fabric_profile):
-    report = fabric_profile
-    failures, _notes = compare_profiles(report, report, tolerance=0.25)
-    assert failures == []
-    slower = dict(report, events_per_s=report["events_per_s"] * 0.1)
-    failures, _notes = compare_profiles(report, slower, tolerance=0.25)
+def test_compare_profiles_gate(fabric_report):
+    report = fabric_report
+    failures, notes = compare_reports(report, report, tolerance=0.25)
+    assert failures == [] and notes == []
+
+    def with_cell(**changes):
+        cell = dict(report["cells"]["fabric"], **changes)
+        return dict(report, cells={"fabric": cell})
+
+    cell = report["cells"]["fabric"]
+    slower = with_cell(events_per_s=cell["events_per_s"] * 0.1)
+    failures, _notes = compare_reports(report, slower, tolerance=0.25)
     assert any("regressed" in f for f in failures)
-    perturbed = dict(report, digest_consistent=False)
-    failures, _notes = compare_profiles(report, perturbed, tolerance=0.25)
+    perturbed = with_cell(consistent=False)
+    failures, _notes = compare_reports(report, perturbed, tolerance=0.25)
     assert any("perturbed" in f for f in failures)
     with pytest.raises(ValueError):
-        compare_profiles(report, report, tolerance=1.0)
+        compare_reports(report, report, tolerance=1.0)
+
+    # a subsystem self-time share shift of 5pp or more is a note
+    subs = json.loads(json.dumps(cell["profile"]["subsystems"]))
+    subs["repro.sim.network"]["self_pct"] -= 6.0
+    shifted = with_cell(profile=dict(cell["profile"], subsystems=subs))
+    failures, notes = compare_reports(report, shifted, tolerance=0.25)
+    assert failures == []
+    assert any(
+        "repro.sim.network self-time share shifted" in n and "-6.0pp" in n
+        for n in notes
+    )
 
 
 # ----------------------------------------------------------------------
-# CLI
+# CLI: repro bench prints and exports the profile
 # ----------------------------------------------------------------------
 def test_cli_prof_writes_report_and_flamegraphs(tmp_path, capsys):
     from repro.cli import main
 
-    out = tmp_path / "PROF.json"
+    out = tmp_path / "BENCH.json"
     flame = tmp_path / "prof.flame"
     scope = tmp_path / "prof.speedscope.json"
-    rc = main(["prof", "--cell", "fabric_micro", "--scale", "tiny",
-               "--seed", "1", "--out", str(out),
+    rc = main(["bench", "fabric_micro", "--scale", "tiny", "--seed", "1",
+               "--repeats", "1", "--trace-malloc", "--out", str(out),
+               "--trajectory-dir", "none",
                "--flame", str(flame), "--speedscope", str(scope)])
     assert rc == 0
-    assert "per-subsystem wall time" in capsys.readouterr().out
+    printed = capsys.readouterr().out
+    for title in ("per-subsystem wall time", "hottest callbacks",
+                  "instrumented internals", "engine health", "memory:"):
+        assert title in printed, title
     report = json.loads(out.read_text())
-    assert report["schema"] == "repro.prof/1"
-    assert report["digest_consistent"]
+    assert report["schema"] == "repro.bench/2"
+    assert report["cells"]["fabric"]["consistent"]
+    assert report["cells"]["fabric"]["profile"]["memory"]["samples"] > 0
     assert flame.read_text().strip()
     validate_speedscope(json.loads(scope.read_text()))
 
-    # self-compare passes the dossier gate with a generous tolerance
-    rc = main(["prof", "--cell", "fabric_micro", "--scale", "tiny",
-               "--seed", "1", "--out", "", "--tolerance", "0.9",
-               "--compare", str(out)])
+    # self-compare passes the gate with a generous tolerance
+    rc = main(["bench", "fabric_micro", "--scale", "tiny", "--seed", "1",
+               "--repeats", "1", "--out", "", "--trajectory-dir", "none",
+               "--tolerance", "0.9", "--compare", str(out)])
     assert rc == 0
-    assert "prof OK" in capsys.readouterr().out
+    assert "bench OK" in capsys.readouterr().out
