@@ -190,8 +190,6 @@ def run_single_job(
         cluster, contexts = build_native(sim, pms)
         if dom0:
             # virtualize the hosts but run Hadoop in Dom-0
-            sim = Simulator(seed=seed)
-            cluster = Cluster.native(sim, pms)
             contexts = [cluster.dom0(pm) for pm in cluster.pms]
     elif kind == "virtual":
         if split_storage:
@@ -225,7 +223,6 @@ def run_single_job(
     else:
         raise ValueError(f"unknown kind {kind!r}")
     if tracing or trace_path or events_path or metrics_path:
-        # enabled only after the dom0 branch settles on the final sim
         sim.obs.enable_tracing()
     mr = MapReduceCluster(
         sim,

@@ -2,9 +2,8 @@
 
 While a study runs, the coordinator feeds every completed cell into a
 :class:`GridProgress`, which maintains incremental statistics -- count,
-running mean, p50/p95 over a sorted insertion buffer -- per metric path
-per group (figure x scale x params), and periodically emits JSON frames
-shaped like the ``repro.obs.live`` telemetry stream (``type: "frame"``,
+running mean, exact p50/p95 -- per metric path per group (figure x
+scale x params), and periodically emits JSON frames shaped like the ``repro.obs.live`` telemetry stream (``type: "frame"``,
 monotonically increasing ``seq``).  The frames go to any frame sink
 (:class:`repro.obs.live.JsonlFrameSink`, a list, a callback), so
 ``repro serve`` can render a live study-progress panel and ``repro
@@ -17,148 +16,44 @@ contract (the canonical report is).
 
 from __future__ import annotations
 
-import bisect
 from typing import Callable, Dict, List, Optional
 
 from repro.grid.protocol import PROTOCOL
+from repro.sim.trace import percentile
 from repro.sweep.aggregate import _group_key, flatten
 
 
-#: samples kept in the exact sorted buffer before StreamingStats
-#: switches to constant-space P^2 estimators.  Below this, percentiles
-#: are exact; a long-running study can push millions of cells without
-#: the old O(n) insort / O(n) memory per stats object.
-EXACT_SAMPLE_MAX = 512
-
-
-class _P2Quantile:
-    """Jain & Chlamtac's P^2 single-quantile estimator (5 markers).
-
-    Seeded from a full sorted sample at the exact->streaming handoff,
-    so the markers start on the true quantile curve rather than the
-    first five raw observations.  h0/h4 track the exact min/max.
-    """
-
-    __slots__ = ("fracs", "count", "pos", "heights")
-
-    def __init__(self, q: float, sorted_data: List[float]) -> None:
-        n = len(sorted_data)
-        if n < 5:
-            raise ValueError("P^2 needs at least 5 seed samples")
-        self.fracs = (0.0, q / 2.0, q, (1.0 + q) / 2.0, 1.0)
-        self.count = n
-        idx = [round(f * (n - 1)) for f in self.fracs]
-        self.pos = [i + 1 for i in idx]  # 1-based marker positions
-        self.heights = [sorted_data[i] for i in idx]
-
-    def push(self, x: float) -> None:
-        pos = self.pos
-        h = self.heights
-        if x < h[0]:
-            h[0] = x
-            k = 0
-        elif x >= h[4]:
-            h[4] = x
-            k = 3
-        else:
-            k = 0
-            while x >= h[k + 1]:
-                k += 1
-        for i in range(k + 1, 5):
-            pos[i] += 1
-        self.count += 1
-        span = self.count - 1
-        for i in (1, 2, 3):
-            desired = 1.0 + span * self.fracs[i]
-            d = desired - pos[i]
-            if (d >= 1.0 and pos[i + 1] - pos[i] > 1) or (
-                d <= -1.0 and pos[i - 1] - pos[i] < -1
-            ):
-                step = 1 if d >= 1.0 else -1
-                # parabolic marker move; fall back to linear when the
-                # parabola would cross a neighbouring marker
-                np_, nm, nn = pos[i], pos[i - 1], pos[i + 1]
-                cand = h[i] + step / (nn - nm) * (
-                    (np_ - nm + step) * (h[i + 1] - h[i]) / (nn - np_)
-                    + (nn - np_ - step) * (h[i] - h[i - 1]) / (np_ - nm)
-                )
-                if not (h[i - 1] < cand < h[i + 1]):
-                    cand = h[i] + step * (h[i + step] - h[i]) / (pos[i + step] - np_)
-                h[i] = cand
-                pos[i] = np_ + step
-
-    def value(self) -> float:
-        return self.heights[2]
-
-
 class StreamingStats:
-    """Incremental n/mean/p50/p95 over an unbounded sample stream.
+    """Incremental n/mean/p50/p95 over a stream of samples.
 
-    Up to :data:`EXACT_SAMPLE_MAX` samples live in a sorted insertion
-    buffer (``bisect.insort``) and percentiles are exact linear
-    interpolation.  Past that, the buffer seeds two :class:`_P2Quantile`
-    estimators (p50, p95) and is dropped -- memory and per-push cost
-    become O(1) no matter how many cells a study completes.
+    Keeps every sample and a running sum; percentiles are computed
+    exactly (:func:`repro.sim.trace.percentile`) when asked for, which
+    is once per progress frame.  The study state keeps every completed
+    cell record for the final report anyway, so a constant-space
+    estimator here would save no memory.
     """
 
-    __slots__ = ("_sorted", "_sum", "_n", "_p50", "_p95")
+    __slots__ = ("_values", "_sum")
 
     def __init__(self) -> None:
-        self._sorted: List[float] = []
+        self._values: List[float] = []
         self._sum = 0.0
-        self._n = 0
-        self._p50: Optional[_P2Quantile] = None
-        self._p95: Optional[_P2Quantile] = None
 
     def push(self, value: float) -> None:
+        self._values.append(value)
         self._sum += value
-        self._n += 1
-        if self._p50 is not None:
-            self._p50.push(value)
-            self._p95.push(value)
-            return
-        bisect.insort(self._sorted, value)
-        if len(self._sorted) > EXACT_SAMPLE_MAX:
-            self._p50 = _P2Quantile(0.50, self._sorted)
-            self._p95 = _P2Quantile(0.95, self._sorted)
-            self._sorted = []
 
     @property
     def n(self) -> int:
-        return self._n
+        return len(self._values)
 
     @property
     def mean(self) -> float:
-        return self._sum / self._n if self._n else 0.0
+        return self._sum / len(self._values) if self._values else 0.0
 
     def percentile(self, q: float) -> float:
-        """Linear-interpolated percentile (matches ``sim.trace``).
-
-        Exact while the sample fits the buffer; past the handoff only
-        q in {0, 50, 95, 100} is answerable (min/max stay exact via the
-        outer P^2 markers, p50/p95 are estimates).
-        """
-        if self._p50 is not None:
-            if q <= 0.0:
-                return self._p50.heights[0]
-            if q >= 100.0:
-                return self._p50.heights[4]
-            if q == 50.0:
-                return self._p50.value()
-            if q == 95.0:
-                return self._p95.value()
-            raise ValueError(
-                f"q={q} unavailable in streaming mode (only 0/50/95/100)"
-            )
-        data = self._sorted
-        if not data:
-            return 0.0
-        if len(data) == 1:
-            return data[0]
-        pos = (len(data) - 1) * q / 100.0
-        lo = int(pos)
-        hi = min(lo + 1, len(data) - 1)
-        return data[lo] + (data[hi] - data[lo]) * (pos - lo)
+        """Linear-interpolated percentile (``sim.trace.percentile``)."""
+        return percentile(self._values, q)
 
     def snapshot(self) -> Dict[str, float]:
         return {

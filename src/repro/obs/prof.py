@@ -4,19 +4,19 @@ A :class:`Profiler` attributes *wall-clock time*, and counts events, per
 subsystem.  It hooks the :class:`~repro.sim.engine.Simulator` dispatch
 seam: every event callback becomes a timed frame keyed
 ``module:qualname``, and instrumented internals (the fabric's max-min
-fill, heap compaction) push nested frames, so the profiler maintains a
-proper frame stack and can split **self** time (time in a frame
-excluding its children) from **cumulative** time.  Self times tile the
-dispatch wall clock exactly -- every profiled moment belongs to exactly
+fill) push nested frames, so the profiler maintains a proper frame
+stack and can split **self** time (time in a frame excluding its
+children) from **cumulative** time.  Self times tile the dispatch wall
+clock exactly -- every profiled moment belongs to exactly
 one frame's self time -- which is what makes the per-subsystem table
 trustworthy: it sums to the total dispatch wall time by construction.
 
 On top of the stack the profiler records:
 
 - **engine-health gauges**, sampled every ``gauge_sample_every`` events:
-  heap depth, live events, tombstones, ghost keys, tombstone ratio;
-  plus compaction count/cost and the fabric's dirty-link rebalance
-  component sizes (gauges are pushed by the instrumented subsystems);
+  heap depth, live events, tombstones, tombstone ratio; plus the
+  fabric's dirty-link rebalance component sizes (gauges are pushed by
+  the instrumented subsystems);
 - **phase-bucketed memory snapshots** (opt-in): with ``tracemalloc``
   tracing, ``(events_processed, current, peak)`` samples are collected
   on the gauge cadence and bucketed into event-count deciles
@@ -59,8 +59,8 @@ class Profiler:
     Root frames are keyed by ``module:qualname``, so the callback table
     and flamegraph resolve individual callbacks; the subsystem table
     rolls them up per module.  Nested frames (:meth:`push`/:meth:`pop`)
-    only fire on slow-path operations (rebalances, compactions), never
-    per event.  The default gauge cadence of 16 events still samples
+    only fire on slow-path operations (fabric rebalances), never per
+    event.  The default gauge cadence of 16 events still samples
     the smallest bench cells (a few hundred events over several
     simulators).
     """
@@ -96,8 +96,6 @@ class Profiler:
         self._stacks: Dict[Tuple[str, ...], list] = {}
         # gauge name -> [n, sum, min, max, last]
         self._gauges: Dict[str, list] = {}
-        self.compactions = 0
-        self.compact_s = 0.0
         # (events_at_sample, current_bytes, peak_bytes), thinned
         self._memory: List[Tuple[int, int, int]] = []
         self._memory_stride = 1
@@ -199,27 +197,18 @@ class Profiler:
                 entry[3] = value
             entry[4] = value
 
-    def note_compaction(self, evicted: int, elapsed_s: float) -> None:
-        self.compactions += 1
-        self.compact_s += elapsed_s
-        self.gauge("engine.compact_evicted", evicted)
-
     def sample_engine(self, sim) -> None:
         """Engine-health sample; the dispatch loop calls this on the
         gauge cadence (reads only, never mutates).  Queue internals come
         from ``Simulator.queue_stats()``."""
         stats = sim.queue_stats()
         depth = stats["depth"]
-        ghosts = stats["ghost_keys"]
         tombstones = stats["tombstones"]
-        self.gauge("engine.queue_depth", depth + ghosts)
+        self.gauge("engine.queue_depth", depth)
         self.gauge("engine.live_events", stats["live"])
         self.gauge("engine.tombstones", tombstones)
-        self.gauge("engine.ghost_keys", ghosts)
-        total = depth + ghosts
         self.gauge(
-            "engine.tombstone_ratio",
-            (tombstones + ghosts) / total if total else 0.0,
+            "engine.tombstone_ratio", tombstones / depth if depth else 0.0
         )
         if self.trace_memory:
             self._sample_memory()
@@ -325,10 +314,6 @@ class Profiler:
                     "cum_s": _r(entry[2]),
                 }
                 for name, entry in sorted(self._frames.items())
-            },
-            "engine": {
-                "compactions": self.compactions,
-                "compact_s": _r(self.compact_s),
             },
             "gauges": {
                 name: {
@@ -486,12 +471,8 @@ def format_profile(cell: dict, top: int = 12) -> str:
             ["internal frame", "count", "self_s", "cum_s"], rows,
             title="instrumented internals",
         ))
-    engine = profile["engine"]
     gauges = profile["gauges"]
-    health = [
-        f"compactions {engine['compactions']} "
-        f"({engine['compact_s'] * 1000.0:.2f} ms)"
-    ]
+    health = []
     for name in ("engine.queue_depth", "engine.tombstone_ratio",
                  "net.rebalance_component_flows", "net.dirty_links"):
         if name in gauges:

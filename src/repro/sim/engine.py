@@ -8,22 +8,15 @@ fully deterministic for a given seed.
 
 Event queue
 -----------
-The queue is a binary heap with lazy deletion.  Entries are plain
-``(time, priority, seq, event)`` tuples so ordering happens in C tuple
-comparisons; ``seq`` is unique, so the pop order is total.  Cancelled
-entries stay in place as tombstones, and an in-place compaction swaps
-their Event objects for bare ``(time, priority, seq, None)`` ghost keys
-when tombstones outnumber live events -- heavy cancel traffic (flow
-completion events, speculative-kill races) would otherwise leave the
-queue mostly dead weight.
-
-Bookkeeping is O(1): a live-event counter (so :attr:`Simulator.pending`
-never scans) and a tombstone counter that triggers compaction.
-Compaction reclaims the Event objects and their callback closures but
-keeps the ghost keys in place: the run loop's ``until`` bound is checked
-against the *raw* queue head including cancelled entries (see
-:meth:`Simulator.run`), so forgetting a ghost's position would change
-observable behaviour.
+The queue is a binary heap of plain ``(time, seq, event)`` tuples, so
+ordering happens in C tuple comparisons; ``seq`` is unique, so the pop
+order is total and the heap never compares two :class:`Event` objects.
+Deletion is lazy: a cancelled event keeps its heap entry and is skipped
+when popped.  A live-event counter keeps :attr:`Simulator.pending` O(1).
+Dead entries are not swept: the run loop's ``until`` bound is checked
+against the *raw* queue head, cancelled entries included (see
+:meth:`Simulator.run`), and even a 10k-host run peaks at about a
+thousand dead entries.
 """
 
 from __future__ import annotations
@@ -35,14 +28,9 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.obs import Observability
 
-#: queue entry: ``(time, priority, seq, event-or-None)``.  ``None`` in
-#: the event slot marks a ghost key left behind by compaction.  ``seq``
-#: is unique, so tuple comparison never reaches the payload slot.
-_Entry = Tuple[float, int, int, Optional["Event"]]
-
-#: minimum tombstone count before cancel-triggered compaction kicks in;
-#: below this the sweep costs more than the tombstones
-COMPACT_MIN = 64
+#: queue entry: ``(time, seq, event)``.  ``seq`` is unique, so tuple
+#: comparison never reaches the event slot.
+_Entry = Tuple[float, int, "Event"]
 
 
 def _callback_names(callback: Callable[[], None]) -> tuple:
@@ -70,63 +58,32 @@ def _callback_names(callback: Callable[[], None]) -> tuple:
 class Event:
     """A scheduled callback.
 
-    Events are ordered by ``(time, priority, seq)``; ``seq`` is a
-    monotonically increasing tiebreaker so that two events scheduled for
-    the same instant fire in scheduling order (determinism).
+    The queue orders events by ``(time, seq)``, where ``seq`` is the
+    scheduling order: two events scheduled for the same instant fire in
+    the order they were scheduled (determinism).
 
     ``__slots__`` keeps the per-event footprint flat -- at datacenter
     scale the queue holds hundreds of thousands of these.
     """
 
-    __slots__ = ("time", "priority", "seq", "callback", "cancelled", "owner")
+    __slots__ = ("time", "callback", "cancelled", "owner")
 
     def __init__(
         self,
         time: float,
-        priority: int,
-        seq: int,
         callback: Callable[[], None],
-        cancelled: bool = False,
         owner: Optional["Simulator"] = None,
     ) -> None:
         self.time = time
-        self.priority = priority
-        self.seq = seq
         self.callback = callback
-        self.cancelled = cancelled
-        #: back-reference to the owning simulator while the event sits
-        #: in its queue; cleared on pop so a late cancel() cannot
-        #: corrupt the live/tombstone counters
+        self.cancelled = False
+        #: back-reference to the owning simulator while the event waits
+        #: to run; cleared when it is popped to run, so a late cancel()
+        #: cannot corrupt the live counter
         self.owner = owner
 
-    def sort_key(self) -> Tuple[float, int, int]:
-        return (self.time, self.priority, self.seq)
-
-    def __lt__(self, other: "Event") -> bool:
-        return self.sort_key() < other.sort_key()
-
-    def __le__(self, other: "Event") -> bool:
-        return self.sort_key() <= other.sort_key()
-
-    def __gt__(self, other: "Event") -> bool:
-        return self.sort_key() > other.sort_key()
-
-    def __ge__(self, other: "Event") -> bool:
-        return self.sort_key() >= other.sort_key()
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Event):
-            return NotImplemented
-        return self.sort_key() == other.sort_key()
-
-    # like the old ``@dataclass(order=True)`` Event: unhashable
-    __hash__ = None  # type: ignore[assignment]
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"Event(time={self.time!r}, priority={self.priority!r}, "
-            f"seq={self.seq!r}, cancelled={self.cancelled!r})"
-        )
+        return f"Event(time={self.time!r}, cancelled={self.cancelled!r})"
 
     def cancel(self) -> None:
         """Mark the event so the engine skips it when popped."""
@@ -135,7 +92,7 @@ class Event:
         self.cancelled = True
         owner = self.owner
         if owner is not None:
-            owner._note_cancelled()
+            owner._live -= 1
 
 
 class Simulator:
@@ -154,21 +111,16 @@ class Simulator:
         self.now: float = 0.0
         self.rng = random.Random(seed)
         self._seed = seed
-        #: one heap holds live events, tombstones (cancelled, Event
-        #: still attached) and ghost keys (cancelled, Event reclaimed
-        #: by :meth:`_compact`), so the pop order and the raw head peek
-        #: fall out of one total order
+        #: live and cancelled entries share one heap, so the pop order
+        #: and the raw head peek fall out of one total order
         self._heap: List[_Entry] = []
         self._live = 0
-        self._tombstones = 0
-        self._ghosts = 0
         self._seq = itertools.count()
         self._stopped = False
         self.events_processed = 0
         #: wall-time profiler (:class:`repro.obs.prof.Profiler`); None
         #: until :meth:`enable_profiling`.  Profiling only observes the
-        #: loop -- the fast path stays check-free because :meth:`run`
-        #: picks the instrumented loop up front.
+        #: dispatch in :meth:`_dispatch`.
         self.prof: Optional[Any] = None
         #: observability handle shared by every subsystem on this
         #: simulator; tracing is off until ``obs.enable_tracing()``
@@ -180,37 +132,22 @@ class Simulator:
     # ------------------------------------------------------------------
     # scheduling
     # ------------------------------------------------------------------
-    def schedule(
-        self,
-        delay: float,
-        callback: Callable[[], None],
-        priority: int = 0,
-    ) -> Event:
+    def schedule(self, delay: float, callback: Callable[[], None]) -> Event:
         """Schedule ``callback`` to run ``delay`` seconds from now."""
         if delay < 0:
             raise ValueError(f"cannot schedule in the past (delay={delay})")
         time = self.now + delay
         seq = next(self._seq)
-        event = Event(time, priority, seq, callback, owner=self)
-        heapq.heappush(self._heap, (time, priority, seq, event))
+        event = Event(time, callback, self)
+        heapq.heappush(self._heap, (time, seq, event))
         self._live += 1
         return event
 
-    def schedule_at(
-        self,
-        time: float,
-        callback: Callable[[], None],
-        priority: int = 0,
-    ) -> Event:
+    def schedule_at(self, time: float, callback: Callable[[], None]) -> Event:
         """Schedule ``callback`` at absolute simulation ``time``."""
-        return self.schedule(time - self.now, callback, priority)
+        return self.schedule(time - self.now, callback)
 
-    def _schedule_abs(
-        self,
-        time: float,
-        callback: Callable[[], None],
-        priority: int = 0,
-    ) -> Event:
+    def _schedule_abs(self, time: float, callback: Callable[[], None]) -> Event:
         """Schedule at an *exact* absolute timestamp.
 
         Unlike :meth:`schedule_at` there is no ``now``-relative
@@ -221,8 +158,8 @@ class Simulator:
         if time < self.now:
             raise ValueError(f"cannot schedule in the past (time={time})")
         seq = next(self._seq)
-        event = Event(time, priority, seq, callback, owner=self)
-        heapq.heappush(self._heap, (time, priority, seq, event))
+        event = Event(time, callback, self)
+        heapq.heappush(self._heap, (time, seq, event))
         self._live += 1
         return event
 
@@ -276,145 +213,83 @@ class Simulator:
     # ------------------------------------------------------------------
     # running
     # ------------------------------------------------------------------
-    def _note_cancelled(self) -> None:
-        """Counter upkeep for an in-queue cancellation (Event.cancel)."""
-        self._live -= 1
-        self._tombstones += 1
-        if self._tombstones > self._live and self._tombstones >= COMPACT_MIN:
-            self._compact()
-
-    def _compact(self) -> None:
-        """Swap cancelled entries for ghost keys, in place.
-
-        A ghost key carries the exact sort key of the entry it replaces,
-        so the heap invariant holds without a re-heapify, and pop order
-        and the raw head peek are untouched.
-        """
-        prof = self.prof
-        if prof is not None:
-            prof.push("engine.compact", subsystem="repro.sim.engine")
-        heap = self._heap
-        evicted = 0
-        for i, entry in enumerate(heap):
-            event = entry[3]
-            if event is not None and event.cancelled:
-                heap[i] = (entry[0], entry[1], entry[2], None)
-                event.owner = None
-                evicted += 1
-        self._ghosts += evicted
-        self._tombstones -= evicted
-        if prof is not None:
-            prof.note_compaction(evicted, prof.pop())
-
     def _pop_live(self) -> Optional[Event]:
-        """Pop dead entries in key order, then the first live event."""
+        """Pop cancelled entries in key order, then the first live event."""
         heap = self._heap
         while heap:
-            event = heapq.heappop(heap)[3]
-            if event is None:
-                self._ghosts -= 1
-                continue
-            event.owner = None
-            if event.cancelled:
-                self._tombstones -= 1
-                continue
-            self._live -= 1
-            return event
+            event = heapq.heappop(heap)[2]
+            if not event.cancelled:
+                event.owner = None
+                self._live -= 1
+                return event
         return None
 
-    def step(self) -> bool:
-        """Process the next event.  Returns False when queue is empty.
+    def _dispatch(self, event: Event) -> None:
+        """Advance the clock to ``event`` and run its callback.
 
-        Tombstones (cancelled entries or ghost keys) are popped
-        transparently in key order until the first live event.  There is
-        exactly one dispatch tail -- profiling hooks the same
-        ``callback()`` call the plain path uses, so a profiled run can
-        never drift from a bare one.
+        The one dispatch tail of :meth:`step` and :meth:`run`: profiling
+        hooks the same ``callback()`` call the plain path makes, so a
+        profiled run can never drift from a bare one.
         """
-        event = self._pop_live()
-        if event is None:
-            return False
         time = event.time
         if time < self.now - 1e-9:
             raise RuntimeError("event queue went backwards in time")
         if time > self.now:
             self.now = time
         prof = self.prof
-        if prof is not None:
-            prof.begin_event(*_callback_names(event.callback))
-        try:
+        if prof is None:
             event.callback()
-        finally:
-            if prof is not None:
+        else:
+            prof.begin_event(*_callback_names(event.callback))
+            try:
+                event.callback()
+            finally:
                 prof.end_event()
+            if prof.events % prof.gauge_sample_every == 0:
+                prof.sample_engine(self)
         self.events_processed += 1
-        if prof is not None and prof.events % prof.gauge_sample_every == 0:
-            prof.sample_engine(self)
+
+    def step(self) -> bool:
+        """Process the next live event.  Returns False when none is left."""
+        event = self._pop_live()
+        if event is None:
+            return False
+        self._dispatch(event)
         return True
 
     def run(self, until: Optional[float] = None, max_events: int = 50_000_000) -> None:
         """Run until the queue drains, or ``until`` is reached.
 
         The ``until`` bound is checked against the *raw* queue head -- a
-        cancelled tombstone included -- and once an iteration commits,
-        the next live event runs even if it lies past ``until``.  That
+        cancelled entry included -- and once an iteration commits, the
+        next live event runs even if it lies past ``until``.  That
         head-peek quirk is long-standing queue behaviour that lockstep
         experiment drivers (ramp-up run(until=...) phases) depend on;
         keep it, or same-seed runs change.
         """
         self._stopped = False
         heap = self._heap
-        if self.prof is not None:
-            # profiled pass (bench): per-event bookkeeping lives in
-            # step(), no need to be lean here
-            processed = 0
-            while not self._stopped:
-                if processed >= max_events:
-                    raise RuntimeError(
-                        f"exceeded max_events={max_events}; runaway simulation?"
-                    )
+        pop_live = self._pop_live
+        dispatch = self._dispatch
+        processed = 0
+        while not self._stopped:
+            if processed >= max_events:
+                raise RuntimeError(
+                    f"exceeded max_events={max_events}; runaway simulation?"
+                )
+            if until is not None:
                 if not heap:
-                    if until is not None:
-                        self.now = max(self.now, until)
+                    self.now = max(self.now, until)
                     return
-                if until is not None and heap[0][0] > until:
+                if heap[0][0] > until:
                     self.now = until
                     return
-                if not self.step():
-                    return
-                processed += 1
-            return
-        # fast path: profiling branch hoisted out of the loop; the pop
-        # itself (tombstone/ghost skipping included) is _pop_live,
-        # shared with step(), so the two paths cannot diverge
-        pop_live = self._pop_live
-        processed = 0
-        try:
-            while not self._stopped:
-                if processed >= max_events:
-                    raise RuntimeError(
-                        f"exceeded max_events={max_events}; runaway simulation?"
-                    )
-                if until is not None:
-                    if not heap:
-                        self.now = max(self.now, until)
-                        return
-                    if heap[0][0] > until:
-                        self.now = until
-                        return
-                # committed: the first live event runs unconditionally
-                event = pop_live()
-                if event is None:
-                    return  # empty, or only tombstones remained
-                time = event.time
-                if time < self.now - 1e-9:
-                    raise RuntimeError("event queue went backwards in time")
-                if time > self.now:
-                    self.now = time
-                event.callback()
-                processed += 1
-        finally:
-            self.events_processed += processed
+            # committed: the first live event runs unconditionally
+            event = pop_live()
+            if event is None:
+                return  # empty, or only cancelled entries remained
+            dispatch(event)
+            processed += 1
 
     def stop(self) -> None:
         """Stop :meth:`run` after the current event returns."""
@@ -424,15 +299,15 @@ class Simulator:
     # utilities
     # ------------------------------------------------------------------
     def queue_stats(self) -> Dict[str, Any]:
-        """Queue health: ``backend`` (always ``"heap"``), ``depth``
-        (entries still carrying Event objects: live + tombstones),
-        ``live``, ``tombstones`` and ``ghost_keys``."""
+        """Queue health: ``backend`` (always ``"heap"``), ``depth`` (heap
+        entries), ``live`` and ``tombstones`` (cancelled entries not yet
+        popped)."""
+        depth = len(self._heap)
         return {
             "backend": "heap",
-            "depth": self._live + self._tombstones,
+            "depth": depth,
             "live": self._live,
-            "tombstones": self._tombstones,
-            "ghost_keys": self._ghosts,
+            "tombstones": depth - self._live,
         }
 
     def enable_profiling(self, profiler: Any) -> None:
@@ -443,7 +318,7 @@ class Simulator:
         self.prof = profiler
 
     def disable_profiling(self) -> None:
-        """Detach the profiler; :meth:`run` returns to the fast path."""
+        """Detach the profiler."""
         self.prof = None
 
     def fork_rng(self, label: str) -> random.Random:

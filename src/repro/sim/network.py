@@ -85,14 +85,6 @@ class Flow:
         self.span = None  # tracer span while tracing is enabled
         self.seq = 0  # fabric-assigned start order (deterministic)
 
-    def eta(self) -> float:
-        if self.remaining <= _EPS:
-            return 0.0
-        rate = self.rate * self.efficiency
-        if rate <= _EPS:
-            return math.inf
-        return self.remaining / rate
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Flow({self.src}->{self.dst}, left={self.remaining:.1f}MB)"
 
@@ -500,10 +492,6 @@ class NetworkFabric:
         if self._batch_depth == 0:
             self._rebalance()
 
-    @property
-    def active_flows(self) -> int:
-        return len(self._flows) + len(self._loop_flows)
-
     # ------------------------------------------------------------------
     # internals (same advance/rebalance discipline as ResourcePool)
     # ------------------------------------------------------------------
@@ -625,6 +613,26 @@ class NetworkFabric:
                     down_stack.append(dst)
         return sorted(found, key=_flow_seq)
 
+    def _fill(self, flows: List[Flow]) -> None:
+        """Set max-min fair rates on ``flows``, one connected component
+        (or every cross-host flow).
+
+        Calls the module global :func:`maxmin_fill` on every call -- the
+        name external profilers and tests patch -- inside a
+        ``net.maxmin_fill`` profiler frame when one is attached.
+        """
+        prof = self.sim.prof
+        if prof is None:
+            rates = maxmin_fill(flows, self._links)
+        else:
+            prof.push("net.maxmin_fill", subsystem="repro.sim.network")
+            try:
+                rates = maxmin_fill(flows, self._links)
+            finally:
+                prof.pop()
+        for flow, rate in zip(flows, rates):
+            flow.rate = rate
+
     def _rebalance(self) -> None:
         """Incremental rebalance: re-fill only the touched component.
 
@@ -645,15 +653,7 @@ class NetworkFabric:
                 if prof is not None:
                     prof.gauge("net.dirty_links", len(dirty))
                     prof.gauge("net.rebalance_component_flows", len(component))
-                    prof.push("net.maxmin_fill", subsystem="repro.sim.network")
-                    try:
-                        rates = maxmin_fill(component, self._links)
-                    finally:
-                        prof.pop()
-                else:
-                    rates = maxmin_fill(component, self._links)
-                for flow, rate in zip(component, rates):
-                    flow.rate = rate
+                self._fill(component)
             # loopback channels are per-source-host and share with
             # nothing else: recompute only the touched hosts
             for host, direction in dirty:
@@ -684,15 +684,7 @@ class NetworkFabric:
         prof = self.sim.prof
         if prof is not None:
             prof.gauge("net.rebalance_full_flows", len(live))
-            prof.push("net.maxmin_fill", subsystem="repro.sim.network")
-            try:
-                rates = maxmin_fill(live, self._links)
-            finally:
-                prof.pop()
-        else:
-            rates = maxmin_fill(live, self._links)
-        for flow, rate in zip(live, rates):
-            flow.rate = rate
+        self._fill(live)
         # loopback flows share the per-host loopback channel equally
         loop_users: Dict[str, int] = {}
         for flow in self._loop_flows:

@@ -247,6 +247,27 @@ class ResourcePool:
         entry.rate = 0.0
         self._rebalance()
 
+    def detach(self, entry: PoolEntry) -> None:
+        """Withdraw an in-flight entry *without* finishing it, so another
+        pool can :meth:`adopt` it (a VM's work following the guest in a
+        live migration).  Progress up to now is applied first; if that
+        completes the entry, it finishes here as usual and stays done.
+        """
+        self._advance()
+        if entry.done:
+            return
+        self.entries.remove(entry)
+        entry.rate = 0.0
+        self._rebalance()
+
+    def adopt(self, entry: PoolEntry) -> None:
+        """Take over an entry :meth:`detach`-ed from another pool, with
+        its remaining work, parameters, label and completion callback."""
+        self._advance()
+        entry.pool = self
+        self.entries.append(entry)
+        self._rebalance()
+
     def set_capacity(self, capacity: float) -> None:
         if capacity < 0:
             raise ValueError("capacity must be non-negative")

@@ -35,8 +35,9 @@ import repro
 #: (2: cell documents grew the ``events`` telemetry field; 3: the
 #: interference fits dropped numpy, which changes ``fig06`` results in
 #: environments that had it; 4: ``scale-smoke`` results dropped the
-#: host-timed ``build_wall_s``)
-CACHE_SCHEMA = 4
+#: host-timed ``build_wall_s``; 5: ``fig02`` Dom-0 runs stopped building
+#: a discarded second simulator, which lowers ``metrics.simulators``)
+CACHE_SCHEMA = 5
 
 DEFAULT_CACHE_DIR = ".repro-sweep-cache"
 

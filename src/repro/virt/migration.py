@@ -138,39 +138,10 @@ class LiveMigration:
 
     def _finish(self, downtime_ms: float) -> None:
         vm = self.vm
-        # quiesce: move any in-flight pool entries' remaining work across
-        # by draining them from the old PM's pools and replaying on the new
-        pending_cpu = [
-            (e.work_remaining, self._requested_cap(e, 1.0))
-            for e in vm._cpu_entries
-            if not e.done
-        ]
-        pending_disk = [
-            (e.work_remaining, self._requested_cap(e, float("inf")))
-            for e in vm._disk_entries
-            if not e.done
-        ]
-        pending_memio = [e.work_remaining for e in vm._memio_entries if not e.done]
-        callbacks_cpu = [e.on_complete for e in vm._cpu_entries if not e.done]
-        callbacks_disk = [e.on_complete for e in vm._disk_entries if not e.done]
-        callbacks_memio = [e.on_complete for e in vm._memio_entries if not e.done]
-        for entry in list(vm._cpu_entries):
-            vm.pm.cpu_pool.remove(entry)
-        for entry in list(vm._disk_entries):
-            vm.pm.disk_pool.remove(entry)
-        for entry in list(vm._memio_entries):
-            vm.pm.memio_pool.remove(entry)
-        vm._cpu_entries.clear()
-        vm._disk_entries.clear()
-        vm._memio_entries.clear()
+        # the paused guest's in-flight work moves with it (relocate), so
+        # its owners' handles stay valid; resuming restarts it there
         vm.relocate(self.dst_pm)
         vm.resume()
-        for (work, cap), cb in zip(pending_cpu, callbacks_cpu):
-            vm.run_cpu(work, on_complete=cb, cap=cap)
-        for (work, cap), cb in zip(pending_disk, callbacks_disk):
-            vm.run_disk(work, on_complete=cb, cap=cap)
-        for work, cb in zip(pending_memio, callbacks_memio):
-            vm.run_disk(work, on_complete=cb, cached=True)
         self.record = MigrationRecord(
             vm_name=vm.name,
             src=self.src_pm.name,
@@ -192,6 +163,3 @@ class LiveMigration:
         )
         if self.on_complete is not None:
             self.on_complete(self.record)
-
-    def _requested_cap(self, entry, default: float) -> float:
-        return self.vm._requested_caps.get(id(entry), default)

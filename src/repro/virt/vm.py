@@ -20,7 +20,6 @@ from typing import Callable, Dict, Optional
 
 from repro.cluster.machine import ExecutionContext, PhysicalMachine
 from repro.cluster.resources import DEFAULT_VM_SPEC, Resources
-from repro.sim.pool import PoolEntry
 from repro.virt.overheads import DEFAULT_OVERHEADS, OverheadModel
 
 
@@ -194,24 +193,15 @@ class VirtualMachine(ExecutionContext):
             for pool in pools:
                 pool.end_batch()
 
-    def update_requested_cap(self, entry: PoolEntry, cap: float) -> None:
-        """Change the rate ceiling an in-flight entry asked for.
+    def update_requested_caps(self, updates) -> None:
+        """Change the rate ceilings in-flight entries asked for: write
+        every ``(entry, cap)`` pair, then refresh once.
 
         Used by interactive services whose demand varies epoch to epoch;
         going through the VM keeps the credit-scheduler share math
-        consistent on the next :meth:`refresh_entries`.
-        """
-        if cap < 0:
-            raise ValueError("cap must be non-negative")
-        self._requested_caps[id(entry)] = cap
-        self.refresh_entries()
-
-    def update_requested_caps(self, updates) -> None:
-        """Batched :meth:`update_requested_cap`: write every ``(entry,
-        cap)`` pair, then refresh once.  The interactive probe/settle
-        loops adjust two entries per VM per epoch; paying one refresh
-        instead of one per entry is what keeps wide service fleets off
-        the pool-rebalance hot path."""
+        consistent.  The probe/settle loops adjust two entries per VM
+        per epoch, and one refresh for all of them is what keeps wide
+        service fleets off the pool-rebalance hot path."""
         for entry, cap in updates:
             if cap < 0:
                 raise ValueError("cap must be non-negative")
@@ -281,14 +271,24 @@ class VirtualMachine(ExecutionContext):
 
         Live migration semantics (transfer time, downtime) live in
         :mod:`repro.virt.migration`; this is the final placement switch.
-        In-flight entries are *not* carried across machine pools -- the
-        migration module quiesces the VM first.
+        In-flight work moves with the guest: the very same pool entries
+        leave the old host's pools and join the new host's, so their
+        owners' handles, labels, requested caps and I/O penalties stay
+        valid.  The entries are adopted before :meth:`attach_vm`
+        refreshes the new host's guests, so that refresh already sees
+        them.
         """
-        if self._cpu_entries or self._disk_entries or self._memio_entries:
-            raise RuntimeError(
-                f"cannot relocate {self.name} with in-flight pool entries"
-            )
-        self._pm.detach_vm(self)
+        old_pm = self._pm
+        for entries, old_pool, new_pool in (
+            (self._cpu_entries, old_pm.cpu_pool, new_pm.cpu_pool),
+            (self._disk_entries, old_pm.disk_pool, new_pm.disk_pool),
+            (self._memio_entries, old_pm.memio_pool, new_pm.memio_pool),
+        ):
+            for entry in [e for e in entries if not e.done]:
+                old_pool.detach(entry)
+                if not entry.done:
+                    new_pool.adopt(entry)
+        old_pm.detach_vm(self)
         self._pm = new_pm
         new_pm.attach_vm(self)
         new_pm.fabric.set_group(self.name, new_pm.name)

@@ -13,6 +13,7 @@ from repro.interactive.service import RUBIS, InteractiveService
 from repro.interactive.sla import SLAMonitor
 from repro.mapreduce.cluster import MapReduceCluster
 from repro.sim.engine import Simulator
+from repro.virt.vm import VirtualMachine
 from repro.workloads.specs import make_job
 
 
@@ -201,6 +202,112 @@ def test_ips_releases_after_recovery():
     actions = [a.action for a in scheduler.ips.actions]
     if "throttle" in actions:
         assert "release" in actions
+    scheduler.stop()
+
+
+def build_ladder_world():
+    """RUBiS alone on pm00's first VM, a Sort on its two batch VMs and an
+    empty pm02: throttling and pausing cannot save the SLA, so IPS
+    climbs to the migrate rung (Algorithm 3's last resort)."""
+    sim = Simulator(seed=3)
+    cluster = Cluster.virtual(sim, 2, 3)
+    spare = cluster.add_pm()
+    vms = {vm.name: vm for vm in cluster.vms}
+    service = InteractiveService(
+        sim, "rubis", RUBIS, [vms["vm00"]], ConstantLoad(1200)
+    )
+    scheduler = HybridMRScheduler(
+        sim, cluster.fabric, [], [vms["vm01"], vms["vm02"]], cluster.pms,
+        services=[service],
+        config=HybridMRConfig(phase1_enabled=False),
+        mr_kwargs=dict(map_slots=2, reduce_slots=1),
+    )
+    scheduler.start()
+    _placement, job = scheduler.submit(
+        make_job("Sort", input_gb=2.0, num_reducers=2)
+    )
+    return sim, cluster, spare, vms, scheduler, job
+
+
+def test_ips_ladder_throttles_pauses_then_migrates():
+    sim, cluster, spare, vms, scheduler, job = build_ladder_world()
+    sim.run(until=600.0)
+    ips = scheduler.ips
+    assert [(a.time, a.action, a.vm_name) for a in ips.actions] == [
+        (5.0, "throttle", "vm02"),
+        (10.0, "throttle", "vm01"),
+        (15.0, "pause", "vm02"),
+        (20.0, "pause", "vm01"),
+        (25.0, "migrate", "vm02"),
+        (30.0, "migrate", "vm01"),
+    ]
+    assert [(r.vm_name, r.src, r.dst) for r in ips.migrations] == [
+        ("vm02", "pm00", "pm02"),
+        ("vm01", "pm00", "pm02"),
+    ]
+    finished_at = [
+        round(start + r.migration_time_s, 1)
+        for start, r in zip((25.0, 30.0), ips.migrations)
+    ]
+    assert finished_at == [84.0, 92.8]
+    assert all(r.downtime_ms > 0 for r in ips.migrations)
+    # the guests now live on pm02, in pm02's co-location group, and IPS
+    # released every limit it had set on them
+    for name in ("vm01", "vm02"):
+        vm = vms[name]
+        assert vm.pm is spare and vm in spare.vms
+        assert not vm.paused and vm.io_limit_mbps is None
+    assert cluster.pms[0].vms == [vms["vm00"]]
+    assert cluster.fabric.colocated("vm01", "vm02")
+    assert not cluster.fabric.colocated("vm01", "vm00")
+    assert job.done
+    scheduler.stop()
+
+
+def test_migration_moves_inflight_entries_with_their_owners(monkeypatch):
+    """Live migration moves the guest's in-flight pool entries to the
+    destination's pools -- the same objects, labels included -- so the
+    tasks that own them can still stop them.  Killing the owner of a
+    DataNode read that was in flight during a migration takes the read
+    out of pm02's disk pool instead of orphaning it there."""
+    sim, cluster, spare, vms, scheduler, job = build_ladder_world()
+    jt = scheduler.virtual_mr.jt
+    checked = []
+    relocate = VirtualMachine.relocate
+
+    def relocate_and_watch(vm, new_pm):
+        moving = [e for e in vm._disk_entries if not e.done]
+        labels = [e.label for e in moving]
+        relocate(vm, new_pm)
+
+        def kill_owners() -> None:
+            # the first event after the migration finished and resumed
+            pool = new_pm.disk_pool
+            assert [e.label for e in moving] == labels
+            assert all(e.pool is pool and e in pool.entries for e in moving)
+            assert all(e.work_remaining > 0 for e in moving)
+            owners = [
+                attempt
+                for entry in moving
+                for attempt in jt.running_attempts()
+                if entry in attempt._handles
+            ]
+            assert len(owners) == len(moving)
+            for attempt in owners:
+                attempt.kill()
+            assert all(e.done and e not in pool.entries for e in moving)
+            checked.append((vm.name, labels))
+
+        sim.schedule(0.0, kill_owners)
+
+    monkeypatch.setattr(VirtualMachine, "relocate", relocate_and_watch)
+    sim.run(until=600.0)
+    assert checked == [
+        ("vm02", ["dn-vm02:read:6", "dn-vm02:read:7"]),
+        ("vm01", ["dn-vm01:read:8", "dn-vm01:read:9"]),
+    ]
+    # the killed attempts were retried and the job still finished
+    assert job.done
     scheduler.stop()
 
 

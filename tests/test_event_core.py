@@ -2,15 +2,16 @@
 
 Three families of evidence that the fast paths cannot drift:
 
-- compaction is invisible: a randomized schedule (cancellations,
-  recurrences, ghost keys, ``run(until)`` splits) fires the identical
-  trace with and without forced mid-run compactions;
+- the heap with lazy deletion pops exactly what a plain sorted list
+  (``tests/queue_oracle.py``) pops, on randomized schedules with
+  cancellations, recurrences, same-time ties and ``run(until)`` splits
+  whose raw-head peek meets cancelled entries;
 - the indexed max-min fill is *bitwise* identical to the per-link
   oracle in ``tests/maxmin_oracle.py``, both called directly and as
   the fabric dispatches it during a run;
-- ``Simulator.step``'s single dispatch tail means profiled runs
-  replay the bare run event-for-event, and the profiler bills a
-  ``call_every`` recurrence to the callback it runs.
+- ``Simulator.step`` and ``Simulator.run`` share one dispatch tail, so
+  profiled runs replay the bare run event-for-event, and the profiler
+  bills a ``call_every`` recurrence to the callback it runs.
 """
 
 import random
@@ -24,90 +25,92 @@ from repro.sim import network
 from repro.sim.engine import Simulator
 from repro.sim.network import NetworkFabric, _HostLinks, maxmin_fill
 from tests.maxmin_oracle import maxmin_flow_rates
+from tests.queue_oracle import SortedListLoop
 
 
 # ----------------------------------------------------------------------
-# compaction never changes pop order
+# the heap pops what a sorted list pops
 # ----------------------------------------------------------------------
-def _run_scenario(seed: int, compact: bool):
-    """Drive one randomized schedule; ``compact`` forces extra
-    compactions at random points.
+def _run_scenario(seed: int, loop):
+    """Drive one randomized schedule on ``loop`` (a Simulator or the
+    sorted-list oracle).
 
     The RNG is consumed *inside callbacks*, so draws align across the
-    two variants only if pop order is identical -- any divergence
-    cascades into a loudly different trace rather than a near miss.
+    two loops only if pop order is identical -- any divergence cascades
+    into a loudly different trace rather than a near miss.
     """
     rng = random.Random(seed)
-    sim = Simulator()
     trace = []
     live_events = []
 
     def make(label: str, depth: int):
         def cb() -> None:
-            trace.append((round(sim.now, 9), label))
+            trace.append((loop.now, label))
             roll = rng.random()
             if roll < 0.35 and depth < 4:
                 # schedule more work from within a callback
                 for i in range(rng.randrange(1, 3)):
                     live_events.append(
-                        sim.schedule(
-                            rng.uniform(0.0, 7.0),
-                            make(f"{label}.{i}", depth + 1),
-                            priority=rng.randrange(-2, 3),
+                        loop.schedule(
+                            rng.uniform(0.0, 7.0), make(f"{label}.{i}", depth + 1)
                         )
                     )
             elif roll < 0.55 and live_events:
-                # cancel a random pending event (tombstone/ghost source)
+                # cancel a random pending event (a dead heap entry)
                 live_events.pop(rng.randrange(len(live_events))).cancel()
-            elif roll < 0.60 and compact:
-                sim._compact()
 
         return cb
 
     for i in range(rng.randrange(5, 25)):
         live_events.append(
-            sim.schedule(
-                rng.uniform(0.0, 10.0),
-                make(f"root{i}", 0),
-                priority=rng.randrange(-2, 3),
-            )
+            loop.schedule(rng.uniform(0.0, 10.0), make(f"root{i}", 0))
         )
     # exact-grid recurrences, one cancelled mid-run
     cancels = [
-        sim.call_every(rng.uniform(0.5, 2.0), make(f"every{i}", 4), until=12.0)
+        loop.call_every(rng.uniform(0.5, 2.0), make(f"every{i}", 4), until=12.0)
         for i in range(2)
     ]
-    sim.schedule(rng.uniform(2.0, 6.0), lambda: cancels[0]())
-    # a same-(time, priority) collision: seq must break the tie
+    loop.schedule(rng.uniform(2.0, 6.0), lambda: cancels[0]())
+    # a same-time collision: seq must break the tie
     t = rng.uniform(1.0, 9.0)
     for i in range(3):
-        sim.schedule_at(t, make(f"tie{i}", 4), priority=1)
+        loop.schedule_at(t, make(f"tie{i}", 4))
+    # cancelled entries just before the first split, so run(until)'s
+    # raw-head peek meets dead entries
+    split = rng.uniform(2.0, 8.0)
+    for _ in range(rng.randrange(0, 4)):
+        loop.schedule(split - rng.uniform(0.0, 1.0), lambda: None).cancel()
 
-    # split the run so run(until)'s raw-head-peek semantics are hit too
-    sim.run(until=rng.uniform(2.0, 8.0))
-    if compact:
-        sim._compact()
-    sim.run(until=40.0)
-    return trace, sim.now, sim.events_processed, sim.queue_stats()
+    loop.run(until=split)
+    mid = (list(trace), loop.now, loop.events_processed, loop.pending)
+    loop.run(until=40.0)
+    return mid, trace, loop.now, loop.events_processed, loop.pending
 
 
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=10_000))
 def test_compaction_is_invisible_to_pop_order(seed):
-    plain = _run_scenario(seed, compact=False)
-    compacted = _run_scenario(seed, compact=True)
-    assert compacted[0] == plain[0], "pop order diverged"
-    assert compacted[1] == plain[1], "final clock diverged"
-    assert compacted[2] == plain[2], "events_processed diverged"
-    # both runs must agree the queue fully drained
-    assert plain[3]["live"] == 0
-    assert compacted[3]["live"] == 0
+    """The engine's heap of ``(time, seq, event)`` tuples with lazy
+    deletion fires the sorted-list oracle's trace, stops each
+    ``run(until)`` at the oracle's clock, and agrees on
+    ``events_processed`` and ``pending`` throughout."""
+    engine = _run_scenario(seed, Simulator())
+    oracle = _run_scenario(seed, SortedListLoop())
+    assert engine[0] == oracle[0], "run(until) split diverged"
+    assert engine[1] == oracle[1], "pop order diverged"
+    assert engine[2:] == oracle[2:], "final clock, count or pending diverged"
 
 
 def test_queue_stats_reports_backend():
-    stats = Simulator().queue_stats()
-    assert stats == {
-        "backend": "heap", "depth": 0, "live": 0, "tombstones": 0, "ghost_keys": 0,
+    sim = Simulator()
+    assert sim.queue_stats() == {
+        "backend": "heap", "depth": 0, "live": 0, "tombstones": 0,
+    }
+    doomed = sim.schedule(1.0, lambda: None)
+    sim.schedule(2.0, lambda: None)
+    doomed.cancel()
+    assert sim.queue_stats() == {
+        "backend": "heap", "depth": 2, "live": 1, "tombstones": 1,
     }
 
 
@@ -202,7 +205,7 @@ def test_maxmin_fill_dispatcher_matches_reference(seed):
 
 
 # ----------------------------------------------------------------------
-# step(): one dispatch tail, instrumented runs replay the bare run
+# one dispatch tail: instrumented runs replay the bare run
 # ----------------------------------------------------------------------
 def _instrumented_run(profiling: bool, stepwise: bool):
     sim = Simulator()
@@ -220,7 +223,12 @@ def _instrumented_run(profiling: bool, stepwise: bool):
         return cb
 
     for i in range(30):
-        sim.schedule(rng.uniform(0.0, 5.0), make(f"e{i}", 0), priority=i % 3)
+        sim.schedule(rng.uniform(0.0, 5.0), make(f"e{i}", 0))
+    # same-time ties and a cancelled entry exercise seq order and the
+    # dead-entry skip on both dispatch paths
+    for i in range(3):
+        sim.schedule(2.5, make(f"tie{i}", 3))
+    sim.schedule(1.5, make("doomed", 3)).cancel()
     if stepwise:
         while sim.step():
             pass
@@ -230,9 +238,9 @@ def _instrumented_run(profiling: bool, stepwise: bool):
 
 
 def test_step_dispatch_tail_identical_across_instrumentation():
-    """Regression for the duplicated step() dispatch tail: profiled
-    variants must process the identical event sequence with identical
-    ``events_processed`` -- via step() and run() both."""
+    """step() and run() share one dispatch tail: bare and profiled
+    variants of both process the identical event sequence with
+    identical ``events_processed``."""
     baseline = _instrumented_run(profiling=False, stepwise=False)
     for profiling in (False, True):
         for stepwise in (False, True):

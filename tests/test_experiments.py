@@ -48,6 +48,28 @@ def test_fig2c_dom0_near_native():
         assert value == pytest.approx(1.0, abs=0.08)
 
 
+def test_dom0_run_builds_one_simulator():
+    """A Dom-0 run builds its cluster once: a capture around it sees
+    exactly the simulator that ran the job, with every event on it."""
+    from repro.experiments.common import run_single_job
+    from repro.obs.capture import SimCapture
+    from repro.virt.vm import Dom0Context
+
+    with SimCapture() as capture:
+        job = run_single_job(
+            "native", "Sort", input_gb=0.25, pms=2, seed=1, dom0=True
+        )
+    assert job.done
+    assert len(capture.simulators) == 1
+    assert capture.simulators[0].events_processed > 0
+    contexts = {
+        a.tracker.context
+        for t in job.map_tasks + job.reduce_tasks
+        for a in t.attempts
+    }
+    assert contexts and all(isinstance(c, Dom0Context) for c in contexts)
+
+
 def test_fig2d_split_beats_combined_on_average():
     from repro.experiments.fig02_deployment import fig2d, fig2d_mean_gain_pct
 

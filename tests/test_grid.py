@@ -243,8 +243,8 @@ def test_streaming_stats_match_batch_statistics():
 
 
 def test_streaming_stats_small_n_exact_pinned():
-    """Below the handoff threshold, percentiles are *exact* -- pinned
-    against hand-computed linear interpolation."""
+    """Percentiles are *exact* -- pinned against hand-computed linear
+    interpolation."""
     stats = StreamingStats()
     for v in (10.0, 20.0, 30.0, 40.0):
         stats.push(v)
@@ -252,28 +252,26 @@ def test_streaming_stats_small_n_exact_pinned():
 
 
 def test_streaming_stats_bounded_past_handoff():
-    """Past EXACT_SAMPLE_MAX the sorted buffer is dropped (O(1) memory,
-    no more O(n) insort) while min/max stay exact and p50/p95 track the
-    true quantiles via the P^2 estimators."""
+    """Percentiles stay exact however many samples arrive: at 20,000
+    samples every one equals ``sim.trace.percentile`` over all values."""
     import random
 
-    from repro.grid.progress import EXACT_SAMPLE_MAX
+    from repro.sim.trace import percentile
 
     rng = random.Random(3)
     stats = StreamingStats()
     values = [rng.uniform(0.0, 100.0) for _ in range(20_000)]
     for v in values:
         stats.push(v)
-    assert stats._sorted == []  # exact buffer released at the handoff
-    assert stats.n == 20_000 > EXACT_SAMPLE_MAX
+    assert stats.n == 20_000
     assert stats.mean == pytest.approx(statistics.fmean(values))
-    values.sort()
-    assert stats.percentile(0.0) == values[0]
-    assert stats.percentile(100.0) == values[-1]
-    assert stats.percentile(50.0) == pytest.approx(values[10_000], abs=2.0)
-    assert stats.percentile(95.0) == pytest.approx(values[19_000], abs=2.0)
-    with pytest.raises(ValueError):
-        stats.percentile(75.0)
+    for q in (0.0, 50.0, 75.0, 95.0, 100.0):
+        assert stats.percentile(q) == percentile(values, q)
+    assert stats.percentile(0.0) == min(values)
+    assert stats.percentile(100.0) == max(values)
+    snap = stats.snapshot()
+    assert snap["p50"] == percentile(values, 50.0)
+    assert snap["p95"] == percentile(values, 95.0)
 
 
 def test_grid_progress_frames_accumulate_groups():

@@ -143,15 +143,33 @@ def test_engine_profiles_events_and_samples_gauges():
 
 
 def test_compaction_is_attributed_when_profiled():
-    prof = Profiler()
+    """Cancelled entries show up in the engine gauges until the run
+    loop pops them.  The queue has no compaction, so the profile has no
+    ``engine.compact`` frame, no ``engine`` block and no ghost-key or
+    eviction gauges."""
+    prof = Profiler(gauge_sample_every=1)
     sim = Simulator(seed=5)
     sim.enable_profiling(prof)
     events = [sim.schedule(10.0 + i, lambda: None) for i in range(200)]
-    for event in events[:150]:
-        event.cancel()  # tombstones > live -> in-place compaction
-    assert prof.compactions >= 1
-    assert prof.snapshot()["gauges"]["engine.compact_evicted"]["max"] > 0
+    for event in events[1::2]:
+        event.cancel()
     sim.run()
+    snapshot = prof.snapshot()
+    gauges = snapshot["gauges"]
+    assert snapshot["events"] == 100
+    # first sample, after the t=10 event: 99 live entries with the 100
+    # cancelled ones interleaved, none popped yet
+    assert gauges["engine.queue_depth"]["max"] == 199
+    assert gauges["engine.live_events"]["max"] == 99
+    assert gauges["engine.tombstones"]["max"] == 100
+    # each later pop reclaims the dead entry just before the live one;
+    # the last sample still sees the dead t=209 entry...
+    assert gauges["engine.tombstones"]["last"] == 1
+    # ...which the loop pops on its way out
+    assert sim.queue_stats()["depth"] == 0
+    assert "engine.compact" not in snapshot["frames"]
+    assert "engine" not in snapshot
+    assert not {"engine.ghost_keys", "engine.compact_evicted"} & set(gauges)
 
 
 # ----------------------------------------------------------------------

@@ -28,11 +28,21 @@ def test_same_time_events_fire_in_scheduling_order(sim):
 
 
 def test_priority_breaks_ties(sim):
+    """There is no priority knob: same-time events fire in scheduling
+    order, whichever call scheduled them and wherever they were
+    scheduled from."""
     order = []
-    sim.schedule(1.0, lambda: order.append("low"), priority=1)
-    sim.schedule(1.0, lambda: order.append("high"), priority=0)
+    sim.schedule(1.0, lambda: order.append("a"))
+    sim.schedule_at(1.0, lambda: order.append("b"))
+
+    def nested():
+        order.append("c")
+        sim.schedule(0.0, lambda: order.append("e"))
+
+    sim.schedule(1.0, nested)
+    sim.schedule(1.0, lambda: order.append("d"))
     sim.run()
-    assert order == ["high", "low"]
+    assert order == ["a", "b", "c", "d", "e"]
 
 
 def test_negative_delay_rejected(sim):
@@ -211,7 +221,7 @@ def test_max_events_guard():
 
 
 # ----------------------------------------------------------------------
-# recurrence grid, tombstone compaction, run-until semantics
+# recurrence grid, lazy deletion, run-until semantics
 # ----------------------------------------------------------------------
 def test_call_every_thousand_firings_stay_on_grid():
     """Firing times are origin + n*interval computed from the recurrence
@@ -236,23 +246,31 @@ def test_call_every_until_boundary_with_start():
 
 
 def test_compaction_reclaims_cancelled_heap_entries():
+    """Lazy deletion: a cancelled event keeps its heap entry until the
+    run loop pops it; popping reclaims it without firing it."""
     sim = Simulator()
     events = [sim.schedule(float(i + 1), lambda: None) for i in range(200)]
     survivors = events[::10]
     for i, event in enumerate(events):
         if i % 10:
             event.cancel()
-    # cancelled entries outnumber live ones by far; compaction must
-    # have reclaimed the Event objects (only bare ghost keys remain)
     assert sim.pending == len(survivors)
-    stats = sim.queue_stats()
-    assert stats["tombstones"] < 64  # compaction threshold
-    assert stats["ghost_keys"] >= 100
+    assert sim.queue_stats() == {
+        "backend": "heap", "depth": 200, "live": 20, "tombstones": 180,
+    }
     fired = []
     for event in survivors:
         event.callback = lambda t=event.time: fired.append(t)
     sim.run()
     assert fired == sorted(e.time for e in survivors)
+    assert sim.queue_stats() == {
+        "backend": "heap", "depth": 0, "live": 0, "tombstones": 0,
+    }
+    # popped events drop their queue back-reference, so a late cancel
+    # cannot corrupt the live counter
+    survivors[0].cancel()
+    events[1].cancel()
+    assert sim.pending == 0
 
 
 def test_pending_is_exact_under_cancel_storm():
@@ -282,20 +300,21 @@ def test_run_until_head_tombstone_commits_next_event():
 
 
 def test_run_until_head_tombstone_semantics_survive_compaction():
-    """Compaction evicts cancelled Event objects but must keep their
-    queue positions (ghost keys) participating in run(until) head
-    peeks, or compacted and uncompacted runs would diverge."""
+    """A cancel storm at the head changes nothing about run(until): the
+    peek sees the first cancelled entry (t=3.0 <= until), the committed
+    iteration pops all 200 of them and runs the live t=5.0 event."""
     sim = Simulator()
     doomed = [sim.schedule(3.0, lambda: None) for _ in range(200)]
     fired = []
     sim.schedule(5.0, lambda: fired.append(sim.now))
     for event in doomed:
-        event.cancel()  # triggers compaction: tombstones >> live
-    stats = sim.queue_stats()
-    assert stats["tombstones"] < 64  # most Event objects reclaimed...
+        event.cancel()
+    assert sim.queue_stats()["tombstones"] == 200
     sim.run(until=4.0)
-    assert fired == [5.0]  # ...but the head peek still sees t=3.0
+    assert fired == [5.0]
     assert sim.now == 5.0
+    assert sim.events_processed == 1
+    assert sim.queue_stats()["depth"] == 0
 
 
 def test_run_until_stops_before_live_head():

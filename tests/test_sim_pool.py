@@ -214,3 +214,46 @@ def test_same_instant_finish_callback_removes_sibling(sim):
     assert entries["second"].done
     assert entries["second"].rate == 0.0
     assert pool.entries == []
+
+
+def test_detach_and_adopt_move_an_entry_between_pools(sim):
+    """An entry detached from one pool and adopted by another keeps its
+    progress, parameters, label and callback, and the new pool removes
+    it: the handle its owner holds stays valid."""
+    slow = ResourcePool(sim, 2.0, name="slow")
+    fast = ResourcePool(sim, 10.0, name="fast")
+    done = []
+    entry = slow.add(
+        40.0, on_complete=lambda: done.append(sim.now), cap=5.0, label="read"
+    )
+    other = slow.add(100.0)
+
+    def move():
+        slow.detach(entry)
+        assert not entry.done and entry not in slow.entries
+        assert other.rate == pytest.approx(2.0)  # slow pool rebalanced
+        fast.adopt(entry)
+
+    sim.schedule(10.0, move)  # 10 s at rate 1: 30 units left
+    sim.run(until=11.0)
+    assert entry.pool is fast and entry in fast.entries
+    assert (entry.label, entry.cap, entry.rate) == ("read", 5.0, 5.0)
+    sim.run(until=20.0)
+    assert done == [pytest.approx(16.0)]  # 30 units at the cap of 5
+    # a later remove through the owner's handle is a no-op, not an error
+    entry.pool.remove(entry)
+    assert fast.entries == []
+
+
+def test_removing_an_adopted_entry_takes_it_out_of_the_new_pool(sim):
+    old = ResourcePool(sim, 10.0, name="old")
+    new = ResourcePool(sim, 10.0, name="new")
+    done = []
+    entry = old.add(100.0, on_complete=lambda: done.append(sim.now))
+    sim.run(until=1.0)
+    old.detach(entry)
+    new.adopt(entry)
+    entry.pool.remove(entry)  # what a killed task does with its handle
+    assert entry.done and new.entries == [] and old.entries == []
+    sim.run()
+    assert done == []
