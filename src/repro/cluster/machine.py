@@ -16,7 +16,7 @@ and hybrid clusters -- the comparison at the heart of the paper.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Callable, List, Optional
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 from repro.cluster.power import PowerModel
 from repro.cluster.resources import DEFAULT_PM_SPEC, Resources
@@ -42,12 +42,15 @@ class ExecutionContext:
         self._pm = pm
         self.mem_capacity_mb = mem_capacity_mb
         self.mem_used_mb = 0.0
-        self._cpu_entries: List[PoolEntry] = []
-        self._disk_entries: List[PoolEntry] = []
-        self._memio_entries: List[PoolEntry] = []
-        #: per-entry sustained-I/O penalties, so refreshes can recompute
-        #: absolute efficiencies instead of ratcheting them down
-        self._disk_penalties: dict = {}
+        #: the one record of in-flight work, per pool and in start order:
+        #: a CPU entry maps to the cap its owner asked for, a disk entry
+        #: to ``(requested cap, I/O penalty)`` (so refreshes recompute
+        #: absolute shares and efficiencies instead of ratcheting them),
+        #: a page-cache entry to ``None``.  Finished entries linger until
+        #: the next :meth:`_prune`; readers prune first or skip them.
+        self._cpu_entries: Dict[PoolEntry, float] = {}
+        self._disk_entries: Dict[PoolEntry, Tuple[float, float]] = {}
+        self._memio_entries: Dict[PoolEntry, None] = {}
         #: transient fault-injection multipliers in (0, 1]: CPU steal
         #: (noisy neighbour / hypervisor contention) and a degraded disk
         #: (remapped sectors, failing controller).  Applied on top of the
@@ -79,16 +82,6 @@ class ExecutionContext:
     def net_efficiency(self) -> float:
         return 1.0
 
-    def cpu_cap_per_entry(self, requested_cap: float) -> float:
-        """Rate ceiling applied to a new CPU entry."""
-        return requested_cap
-
-    def disk_cap_per_entry(self, requested_cap: float) -> float:
-        return requested_cap
-
-    def cpu_weight_per_entry(self) -> float:
-        return 1.0
-
     # -- memory ----------------------------------------------------------
     def alloc_mem(self, mb: float) -> None:
         """Reserve memory; over-commit is allowed but slows CPU work."""
@@ -118,10 +111,6 @@ class ExecutionContext:
             return 1.0
         return max(0.25, 1.0 - 0.6 * (ratio - 1.0))
 
-    @property
-    def mem_available_mb(self) -> float:
-        return max(0.0, self.mem_capacity_mb - self.mem_used_mb)
-
     # -- transient degradation (fault injection) --------------------------
     def set_degradation(self, cpu: float = 1.0, disk: float = 1.0) -> None:
         """Degrade this context's CPU/disk to the given capacity factors.
@@ -144,7 +133,6 @@ class ExecutionContext:
         self,
         core_seconds: float,
         on_complete: Optional[Callable[[], None]] = None,
-        weight: float = 1.0,
         cap: float = 1.0,
         label: str = "",
     ) -> PoolEntry:
@@ -155,21 +143,19 @@ class ExecutionContext:
         """
         entry = self._pm.cpu_pool.add(
             core_seconds,
-            on_complete=self._wrap_done(self._cpu_entries, on_complete),
-            weight=weight * self.cpu_weight_per_entry(),
-            cap=self.cpu_cap_per_entry(cap),
+            on_complete,
+            cap=cap,
             efficiency=self._combined_cpu_eff(),
             label=label or f"{self.name}:cpu",
         )
         if not entry.done:
-            self._cpu_entries.append(entry)
+            self._cpu_entries[entry] = cap
         return entry
 
     def run_disk(
         self,
         mb: float,
         on_complete: Optional[Callable[[], None]] = None,
-        weight: float = 1.0,
         cap: float = math.inf,
         label: str = "",
         efficiency_penalty: float = 0.0,
@@ -182,32 +168,31 @@ class ExecutionContext:
         the paper shows the virtual/native gap widening with data size).
         ``cached`` routes the I/O through the page-cache pool instead of
         the disk (the caller decides whether the working set fits).
+        ``cap`` bounds the entry's rate on either route.
         """
         if cached:
             entry = self._pm.memio_pool.add(
                 mb,
-                on_complete=self._wrap_done(self._memio_entries, on_complete),
-                weight=weight,
+                on_complete,
+                cap=cap,
                 efficiency=0.95 if self.is_virtual else 1.0,
                 label=label or f"{self.name}:memio",
             )
             if not entry.done:
-                self._memio_entries.append(entry)
+                self._memio_entries[entry] = None
             return entry
         eff = max(
             0.05, self.disk_efficiency() * self.degrade_disk_factor - efficiency_penalty
         )
         entry = self._pm.disk_pool.add(
             mb,
-            on_complete=self._wrap_done(self._disk_entries, on_complete),
-            weight=weight,
-            cap=self.disk_cap_per_entry(cap),
+            on_complete,
+            cap=cap,
             efficiency=eff,
             label=label or f"{self.name}:disk",
         )
         if not entry.done:
-            self._disk_entries.append(entry)
-            self._disk_penalties[id(entry)] = efficiency_penalty
+            self._disk_entries[entry] = (cap, efficiency_penalty)
         return entry
 
     def _combined_cpu_eff(self) -> float:
@@ -218,41 +203,40 @@ class ExecutionContext:
             * self.degrade_cpu_factor,
         )
 
-    def _wrap_done(
-        self,
-        registry: List[PoolEntry],
-        on_complete: Optional[Callable[[], None]],
-    ) -> Callable[[], None]:
-        def done() -> None:
-            registry[:] = [e for e in registry if not e.done]
-            if on_complete is not None:
-                on_complete()
+    def _prune(self) -> None:
+        """Drop finished entries (completed or removed) from the maps."""
+        for entries in (self._cpu_entries, self._disk_entries, self._memio_entries):
+            if entries:
+                for entry in [e for e in entries if e.done]:
+                    del entries[entry]
 
-        return done
+    def _begin_refresh(self, memio: bool) -> List[ResourcePool]:
+        """Prune, then open one batch per pool this context has work in
+        -- CPU, then disk, then (if ``memio``) page cache -- and return
+        the pools for :meth:`~repro.sim.pool.ResourcePool.end_batch`."""
+        self._prune()
+        pm = self._pm
+        pools = []
+        if self._cpu_entries:
+            pools.append(pm.cpu_pool)
+        if self._disk_entries:
+            pools.append(pm.disk_pool)
+        if memio and self._memio_entries:
+            pools.append(pm.memio_pool)
+        for pool in pools:
+            pool.begin_batch()
+        return pools
 
     def refresh_entries(self) -> None:
-        """Re-apply efficiency/caps to in-flight work after a change.
+        """Re-apply efficiencies to in-flight work after a change.
 
-        Runs as one batched update per pool (see
+        Caps and weights stay as the owners asked.  Runs as one batched
+        update per pool (see
         :meth:`~repro.sim.pool.ResourcePool.begin_batch`): the whole
         refresh costs one rebalance per touched pool instead of one per
         entry mutation.
         """
-        self._cpu_entries[:] = [e for e in self._cpu_entries if not e.done]
-        self._disk_entries[:] = [e for e in self._disk_entries if not e.done]
-        self._memio_entries[:] = [e for e in self._memio_entries if not e.done]
-        if self._disk_entries or self._disk_penalties:
-            live = {id(e) for e in self._disk_entries}
-            self._disk_penalties = {
-                k: v for k, v in self._disk_penalties.items() if k in live
-            }
-        pools = []
-        if self._cpu_entries:
-            pools.append(self._pm.cpu_pool)
-        if self._disk_entries:
-            pools.append(self._pm.disk_pool)
-        for pool in pools:
-            pool.begin_batch()
+        pools = self._begin_refresh(memio=False)
         try:
             if self._cpu_entries:
                 cpu_eff = self._combined_cpu_eff()
@@ -260,8 +244,7 @@ class ExecutionContext:
                     entry.set_efficiency(cpu_eff)
             if self._disk_entries:
                 base_eff = self.disk_efficiency() * self.degrade_disk_factor
-                for entry in self._disk_entries:
-                    penalty = self._disk_penalties.get(id(entry), 0.0)
+                for entry, (_, penalty) in self._disk_entries.items():
                     entry.set_efficiency(max(0.05, base_eff - penalty))
         finally:
             for pool in pools:
@@ -269,12 +252,12 @@ class ExecutionContext:
 
     @property
     def active_cpu_entries(self) -> int:
-        self._cpu_entries[:] = [e for e in self._cpu_entries if not e.done]
+        self._prune()
         return len(self._cpu_entries)
 
     @property
     def active_disk_entries(self) -> int:
-        self._disk_entries[:] = [e for e in self._disk_entries if not e.done]
+        self._prune()
         return len(self._disk_entries)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -106,7 +106,6 @@ class DataNode:
         block: Block,
         on_complete: Optional[Callable[[], None]] = None,
         efficiency_penalty: float = 0.0,
-        weight: float = 1.0,
         cached: bool = False,
     ) -> PoolEntry:
         """Read the replica (``cached`` serves it from the page cache)."""
@@ -116,7 +115,6 @@ class DataNode:
         return self.context.run_disk(
             block.size_mb,
             on_complete=on_complete,
-            weight=weight,
             label=f"{self.name}:read:{block.block_id}",
             efficiency_penalty=efficiency_penalty,
             cached=cached,
@@ -127,7 +125,6 @@ class DataNode:
         block: Block,
         on_complete: Optional[Callable[[], None]] = None,
         efficiency_penalty: float = 0.0,
-        weight: float = 1.0,
         cached: bool = False,
     ) -> PoolEntry:
         """Write a new replica; ``cached`` uses the page-cache path."""
@@ -147,7 +144,6 @@ class DataNode:
         return self.context.run_disk(
             block.size_mb,
             on_complete=stored,
-            weight=weight,
             label=f"{self.name}:write:{block.block_id}",
             efficiency_penalty=efficiency_penalty,
             cached=cached,

@@ -136,9 +136,9 @@ class InteractiveService:
         if self._cancel is not None:
             self._cancel()
             self._cancel = None
-        for vm, cpu, disk in zip(self.vms, self._cpu_entries, self._disk_entries):
-            vm.pm.cpu_pool.remove(cpu)
-            vm.pm.disk_pool.remove(disk)
+        for cpu, disk in zip(self._cpu_entries, self._disk_entries):
+            cpu.pool.remove(cpu)
+            disk.pool.remove(disk)
         self._cpu_entries.clear()
         self._disk_entries.clear()
         self._started = False
@@ -208,14 +208,14 @@ class InteractiveService:
 
     def _background_disk_utilization(self) -> float:
         """Disk utilization of the service's hosts from *other* tenants."""
-        own = {id(e) for e in self._disk_entries}
+        own = set(self._disk_entries)  # pool entries hash by identity
         pms = {vm.pm for vm in self.vms}
         total = 0.0
         for pm in pms:
             if pm.disk_pool.capacity <= 0:
                 continue
             foreign = sum(
-                e.rate for e in pm.disk_pool.entries if id(e) not in own
+                e.rate for e in pm.disk_pool.entries if e not in own
             )
             total += min(1.0, foreign / pm.disk_pool.capacity)
         return total / len(pms)

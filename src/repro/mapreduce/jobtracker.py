@@ -411,17 +411,28 @@ class JobTracker:
     ) -> Task:
         """Best pending task for this tracker (locality preference)."""
         if kind is TaskKind.MAP:
-            host_local: Optional[Task] = None
-            for task in tasks:
-                holders = self.fs.namenode.replica_holders(task.block)
-                for holder in holders:
-                    if holder.context is tracker.context:
-                        return task  # node-local
-                    if host_local is None and holder.context.pm is tracker.context.pm:
-                        host_local = task
-            if host_local is not None:
-                return host_local
+            task = self.local_task(tracker, tasks)
+            if task is not None:
+                return task
         return tasks[0]
+
+    def local_task(self, tracker: TaskTracker, tasks: List[Task]) -> Optional[Task]:
+        """The first of the map ``tasks`` whose input has a replica on
+        ``tracker``'s context (node-local), else the first with one on
+        its physical machine (host-local), else ``None``.
+
+        The one locality rule: the default pick and the zoo's locality
+        policies (delay scheduling, job-driven maps) all ask it.
+        """
+        host_local: Optional[Task] = None
+        context = tracker.context
+        for task in tasks:
+            for holder in self.fs.namenode.replica_holders(task.block):
+                if holder.context is context:
+                    return task
+                if host_local is None and holder.context.pm is context.pm:
+                    host_local = task
+        return host_local
 
     def _launch(
         self, task: Task, tracker: TaskTracker, speculative: bool = False

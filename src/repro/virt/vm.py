@@ -16,7 +16,7 @@ here: ``cpu_fraction`` (credit-scheduler cap), ``io_limit_mbps``
 from __future__ import annotations
 
 import math
-from typing import Callable, Dict, Optional
+from typing import Optional
 
 from repro.cluster.machine import ExecutionContext, PhysicalMachine
 from repro.cluster.resources import DEFAULT_VM_SPEC, Resources
@@ -47,7 +47,6 @@ class VirtualMachine(ExecutionContext):
         self.io_limit_mbps: Optional[float] = None
         #: blkio weight: relative disk share vs other VMs on the host
         self.io_weight = 1.0
-        self._requested_caps: Dict[int, float] = {}
         pm.attach_vm(self)
         # the guest gets its own network endpoint, capped by the virtual
         # NIC ceiling and co-located (loopback) with its host's group
@@ -73,41 +72,20 @@ class VirtualMachine(ExecutionContext):
 
     def disk_efficiency(self) -> float:
         eff = self.overheads.vm_io_efficiency(self._pm.vm_count)
-        if self.active_cpu_entries > 0 and self.active_disk_entries > 0:
+        self._prune()
+        if self._cpu_entries and self._disk_entries:
             eff -= self.overheads.mixed_workload_penalty
         return max(self.overheads.floor, eff)
 
     def net_efficiency(self) -> float:
         return self.overheads.net_eff
 
-    def cpu_cap_per_entry(self, requested_cap: float) -> float:
-        if self.paused:
-            return 0.0
-        n = max(1, self.active_cpu_entries + 1)
-        share = self.spec.cpu_cores * self.cpu_fraction / n
-        return min(requested_cap, max(share, 1e-6))
-
-    def disk_cap_per_entry(self, requested_cap: float) -> float:
-        if self.paused:
-            return 0.0
-        if self.io_limit_mbps is None:
-            return requested_cap
-        n = max(1, self.active_disk_entries + 1)
-        return min(requested_cap, max(self.io_limit_mbps / n, 1e-6))
-
-    def cpu_weight_per_entry(self) -> float:
-        # the VM's aggregate weight stays constant no matter how many
-        # tasks it runs, like a credit-scheduler domain weight
-        n = max(1, self.active_cpu_entries + 1)
-        return self.vm_weight / n
-
     # ------------------------------------------------------------------
-    # tracking requested caps so refreshes can recompute shares
+    # the share rule: credit-scheduler caps and weights, blkio throttle
     # ------------------------------------------------------------------
-    def run_cpu(self, core_seconds, on_complete=None, weight=1.0, cap=1.0, label=""):
-        entry = super().run_cpu(core_seconds, on_complete, weight, cap, label)
+    def run_cpu(self, core_seconds, on_complete=None, cap=1.0, label=""):
+        entry = super().run_cpu(core_seconds, on_complete, cap, label)
         if not entry.done:
-            self._requested_caps[id(entry)] = cap
             self.refresh_entries()
         return entry
 
@@ -115,80 +93,67 @@ class VirtualMachine(ExecutionContext):
         self,
         mb,
         on_complete=None,
-        weight=1.0,
         cap=math.inf,
         label="",
         efficiency_penalty=0.0,
         cached=False,
     ):
+        if cached:
+            # page-cache I/O bypasses the blkio share, so it needs no
+            # refresh; but a paused guest does no I/O at all, so it
+            # starts frozen, as the next refresh would leave it
+            cap = 0.0 if self.paused else math.inf
         entry = super().run_disk(
-            mb, on_complete, weight, cap, label, efficiency_penalty, cached
+            mb, on_complete, cap, label, efficiency_penalty, cached
         )
         if not entry.done and not cached:
-            self._requested_caps[id(entry)] = cap
             self.refresh_entries()
         return entry
 
     def refresh_entries(self) -> None:
         """Recompute caps, weights and efficiencies for in-flight work.
 
-        Runs as one batched update per pool (see
-        :meth:`~repro.sim.pool.ResourcePool.begin_batch`): the whole
-        refresh costs one rebalance per touched pool instead of three
-        per entry.
+        The one place a VM's share rule lives: its CPU entries split one
+        VM weight and ``cpu_fraction`` of its vCPUs evenly, its disk
+        entries split ``io_weight`` and the blkio throttle, and a paused
+        guest's entries, page cache included, get cap 0.  A start
+        (:meth:`run_cpu`, uncached :meth:`run_disk`) and every change
+        to an input of the rule re-run it.  Runs as one batched update
+        per pool (see :meth:`~repro.sim.pool.ResourcePool.begin_batch`):
+        the whole refresh costs one rebalance per touched pool instead
+        of three per entry.
         """
-        self._cpu_entries[:] = [e for e in self._cpu_entries if not e.done]
-        self._disk_entries[:] = [e for e in self._disk_entries if not e.done]
-        self._memio_entries[:] = [e for e in self._memio_entries if not e.done]
-        live = {id(e) for e in self._cpu_entries} | {id(e) for e in self._disk_entries}
-        self._requested_caps = {
-            k: v for k, v in self._requested_caps.items() if k in live
-        }
-        pools = []
-        if self._cpu_entries:
-            pools.append(self._pm.cpu_pool)
-        if self._disk_entries:
-            pools.append(self._pm.disk_pool)
-        if self._memio_entries:
-            pools.append(self._pm.memio_pool)
-        for pool in pools:
-            pool.begin_batch()
+        pools = self._begin_refresh(memio=True)
+        # opening a batch applies accrued progress, which can finish
+        # entries: the shares split among the live ones only
+        self._prune()
         try:
+            paused = self.paused
             if self._cpu_entries:
                 cpu_eff = self._combined_cpu_eff()
                 n_cpu = len(self._cpu_entries)
-                cpu_share = self.spec.cpu_cores * self.cpu_fraction / n_cpu
+                cpu_share = max(self.spec.cpu_cores * self.cpu_fraction / n_cpu, 1e-6)
                 cpu_weight = self.vm_weight / n_cpu
-                for entry in self._cpu_entries:
-                    requested = self._requested_caps.get(id(entry), 1.0)
-                    entry.set_cap(
-                        0.0 if self.paused else min(requested, max(cpu_share, 1e-6))
-                    )
+                for entry, requested in self._cpu_entries.items():
+                    entry.set_cap(0.0 if paused else min(requested, cpu_share))
                     entry.set_weight(cpu_weight)
                     entry.set_efficiency(cpu_eff)
-            live_disk = {id(e) for e in self._disk_entries}
-            self._disk_penalties = {
-                k: v for k, v in self._disk_penalties.items() if k in live_disk
-            }
             if self._disk_entries:
                 base_disk_eff = self.disk_efficiency() * self.degrade_disk_factor
                 n_disk = len(self._disk_entries)
                 disk_weight = self.io_weight / n_disk
-                for entry in self._disk_entries:
-                    requested = self._requested_caps.get(id(entry), math.inf)
-                    if self.paused:
+                limit = self.io_limit_mbps
+                for entry, (requested, penalty) in self._disk_entries.items():
+                    if paused:
                         entry.set_cap(0.0)
-                    elif self.io_limit_mbps is not None:
-                        entry.set_cap(
-                            min(requested, max(self.io_limit_mbps / n_disk, 1e-6))
-                        )
+                    elif limit is not None:
+                        entry.set_cap(min(requested, max(limit / n_disk, 1e-6)))
                     else:
                         entry.set_cap(requested)
                     entry.set_weight(disk_weight)
-                    penalty = self._disk_penalties.get(id(entry), 0.0)
                     entry.set_efficiency(max(0.05, base_disk_eff - penalty))
             for entry in self._memio_entries:
-                entry.set_cap(0.0 if self.paused else math.inf)
+                entry.set_cap(0.0 if paused else math.inf)
         finally:
             for pool in pools:
                 pool.end_batch()
@@ -201,11 +166,15 @@ class VirtualMachine(ExecutionContext):
         going through the VM keeps the credit-scheduler share math
         consistent.  The probe/settle loops adjust two entries per VM
         per epoch, and one refresh for all of them is what keeps wide
-        service fleets off the pool-rebalance hot path."""
+        service fleets off the pool-rebalance hot path.  An entry that
+        has already finished is ignored."""
         for entry, cap in updates:
             if cap < 0:
                 raise ValueError("cap must be non-negative")
-            self._requested_caps[id(entry)] = cap
+            if entry in self._cpu_entries:
+                self._cpu_entries[entry] = cap
+            elif entry in self._disk_entries:
+                self._disk_entries[entry] = (cap, self._disk_entries[entry][1])
         self.refresh_entries()
 
     # ------------------------------------------------------------------
@@ -293,18 +262,15 @@ class VirtualMachine(ExecutionContext):
         new_pm.attach_vm(self)
         new_pm.fabric.set_group(self.name, new_pm.name)
 
-    @property
-    def busy(self) -> bool:
-        return self.active_cpu_entries > 0 or self.active_disk_entries > 0
-
     def activity_level(self) -> float:
         """Rough [0,1] score of how hard the guest is working.
 
         Drives the dirty-page rate during live migration: a VM running
         Wcount dirties memory much faster than an idle one.
         """
-        cpu = sum(e.rate for e in self._cpu_entries if not e.done)
-        disk = sum(e.rate for e in self._disk_entries if not e.done)
+        self._prune()
+        cpu = sum(e.rate for e in self._cpu_entries)
+        disk = sum(e.rate for e in self._disk_entries)
         cpu_part = min(1.0, cpu / max(self.spec.cpu_cores, 1e-9))
         disk_part = min(1.0, disk / 40.0)
         return min(1.0, 0.6 * cpu_part + 0.4 * disk_part)

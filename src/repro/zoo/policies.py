@@ -91,10 +91,10 @@ class DelayScheduler(SchedulingPolicy):
 
         if kind is not TaskKind.MAP:
             return None
-        local = view.local_tasks(tasks, tracker)
-        if local:
+        local = view.jt.local_task(tracker, tasks)
+        if local is not None:
             self._skips.pop(job.job_id, None)
-            return local[0]
+            return local
         skipped = self._skips.get(job.job_id, 0)
         if skipped < self.skip_budget:
             self._skips[job.job_id] = skipped + 1
@@ -199,10 +199,10 @@ class JobDrivenMapScheduler(SchedulingPolicy):
             return None
         if self._is_small(job, view):
             return tasks[0]
-        local = view.local_tasks(tasks, tracker)
-        if local:
+        local = view.jt.local_task(tracker, tasks)
+        if local is not None:
             self._skips.pop(job.job_id, None)
-            return local[0]
+            return local
         skipped = self._skips.get(job.job_id, 0)
         if skipped < self.large_job_skip_budget:
             self._skips[job.job_id] = skipped + 1

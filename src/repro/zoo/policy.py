@@ -29,7 +29,7 @@ from repro.mapreduce.schedulers import (
 if TYPE_CHECKING:  # pragma: no cover
     from repro.mapreduce.job import Job
     from repro.mapreduce.jobtracker import JobTracker
-    from repro.mapreduce.task import Task, TaskKind
+    from repro.mapreduce.task import TaskKind
     from repro.mapreduce.tracker import TaskTracker
 
 __all__ = ["ClusterView", "SchedulingPolicy", "SKIP_JOB"]
@@ -49,9 +49,11 @@ CPU_OCCUPANCY_BY_CLASS: Dict[str, float] = {
 class ClusterView:
     """Read-only snapshot helpers over a JobTracker's cluster state.
 
-    Built by the JobTracker once per slot-assignment round and handed to
-    ``policy_aware`` schedulers.  Everything is computed lazily and
-    cached for the round, so cheap policies pay only for what they use.
+    Built by the JobTracker once per slot offer (``_assign_one``) and
+    handed to ``policy_aware`` schedulers.  Everything is computed
+    lazily and cached for the offer, so cheap policies pay only for what
+    they use.  Locality is the JobTracker's own rule:
+    ``view.jt.local_task(tracker, tasks)``.
     """
 
     def __init__(self, jt: "JobTracker", kind: "TaskKind") -> None:
@@ -115,7 +117,7 @@ class ClusterView:
     # per-job state
     # ------------------------------------------------------------------
     def running_tasks(self, job: "Job") -> int:
-        """Currently running attempts of ``job`` (cached per round)."""
+        """Currently running attempts of ``job`` (cached per offer)."""
         if self._running_counts is None:
             self._running_counts = running_task_counts(self.jt.active_jobs)
         return self._running_counts.get(job.job_id, 0)
@@ -136,7 +138,7 @@ class ClusterView:
 
     def usage(self, job: "Job") -> Dict[str, float]:
         """Resource vector ``job`` currently holds (running attempts x
-        per-task demand), cached per round."""
+        per-task demand), cached per offer."""
         cached = self._usage.get(job.job_id)
         if cached is not None:
             return cached
@@ -178,37 +180,6 @@ class ClusterView:
             per_reduce_mb for task in job.reduce_tasks if not task.completed
         )
         return maps_mb + reduces_mb
-
-    # ------------------------------------------------------------------
-    # locality
-    # ------------------------------------------------------------------
-    def locality(self, task: "Task", tracker: "TaskTracker") -> str:
-        """``"node"`` / ``"host"`` / ``"remote"`` placement of ``task``'s
-        input relative to ``tracker`` (maps only; reduces are remote)."""
-        if task.block is None:
-            return "remote"
-        for holder in self.jt.fs.namenode.replica_holders(task.block):
-            if holder.context is tracker.context:
-                return "node"
-        for holder in self.jt.fs.namenode.replica_holders(task.block):
-            if holder.context.pm is tracker.context.pm:
-                return "host"
-        return "remote"
-
-    def local_tasks(
-        self, tasks: List["Task"], tracker: "TaskTracker"
-    ) -> List["Task"]:
-        """The subset of ``tasks`` that is node- or host-local to
-        ``tracker``, node-local first, input order preserved."""
-        node: List["Task"] = []
-        host: List["Task"] = []
-        for task in tasks:
-            level = self.locality(task, tracker)
-            if level == "node":
-                node.append(task)
-            elif level == "host":
-                host.append(task)
-        return node + host
 
 
 class SchedulingPolicy(SlotScheduler):

@@ -340,7 +340,11 @@ def _dispatch_history(seed, branches):
         roll = rng.random()
         idle = [
             vm for vm in vms
-            if not (vm._cpu_entries or vm._disk_entries or vm._memio_entries)
+            if all(
+                e.done
+                for entries in (vm._cpu_entries, vm._disk_entries, vm._memio_entries)
+                for e in entries
+            )
         ]
         if roll < 0.4 and idle and len(cluster.pms) > 1:
             vm = rng.choice(idle)

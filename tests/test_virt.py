@@ -142,6 +142,134 @@ def test_vm_density_change_refreshes_efficiency(sim):
 
 
 # ----------------------------------------------------------------------
+# the share rule: what each context kind gives its in-flight entries
+# ----------------------------------------------------------------------
+def _start_mixed_work(ctx):
+    """Two CPU entries (requested caps 0.2 and 1.0), one disk entry with
+    an I/O penalty and one page-cache entry, all open-ended."""
+    return [
+        ctx.run_cpu(math.inf, cap=0.2),
+        ctx.run_cpu(math.inf, cap=1.0),
+        ctx.run_disk(math.inf, cap=40.0, efficiency_penalty=0.05),
+        ctx.run_disk(math.inf, cached=True),
+    ]
+
+
+def _shares(entries):
+    return [(e.cap, e.weight, e.efficiency) for e in entries]
+
+
+def test_vm_share_rule_pins_every_inflight_entry(sim):
+    vm = Cluster.virtual(sim, 1, 2).vms[0]  # 1 vCPU on a 2-core host
+    entries = _start_mixed_work(vm)
+    m = DEFAULT_OVERHEADS
+    cpu_eff = m.vm_cpu_efficiency(2)
+    # CPU and disk work at once: the mixed-workload penalty applies
+    disk_eff = m.vm_io_efficiency(2) - m.mixed_workload_penalty - 0.05
+
+    # two CPU entries split one vCPU and one VM weight
+    assert _shares(entries) == [
+        (0.2, 0.5, cpu_eff),
+        (0.5, 0.5, cpu_eff),
+        (40.0, 1.0, disk_eff),
+        (math.inf, 1.0, 0.95),
+    ]
+    vm.set_cpu_fraction(2.0)
+    assert _shares(entries)[:2] == [(0.2, 0.5, cpu_eff), (1.0, 0.5, cpu_eff)]
+    vm.set_io_limit(10.0)
+    assert _shares(entries)[2:] == [(10.0, 1.0, disk_eff), (math.inf, 1.0, 0.95)]
+    vm.set_io_weight(3.0)
+    throttled = [
+        (0.2, 0.5, cpu_eff),
+        (1.0, 0.5, cpu_eff),
+        (10.0, 3.0, disk_eff),
+        (math.inf, 1.0, 0.95),
+    ]
+    assert _shares(entries) == throttled
+    vm.pause()
+    assert _shares(entries) == [
+        (0.0, 0.5, cpu_eff),
+        (0.0, 0.5, cpu_eff),
+        (0.0, 3.0, disk_eff),
+        (0.0, 1.0, 0.95),
+    ]
+    vm.resume()
+    assert _shares(entries) == throttled
+
+
+def test_native_share_rule_keeps_requests_and_tracks_efficiency(sim):
+    ctx = Cluster.native(sim, 1).pms[0].native
+    entries = _start_mixed_work(ctx)
+    requested = [(0.2, 1.0), (1.0, 1.0), (40.0, 1.0), (math.inf, 1.0)]
+    assert _shares(entries) == [
+        (0.2, 1.0, 1.0),
+        (1.0, 1.0, 1.0),
+        (40.0, 1.0, 0.95),
+        (math.inf, 1.0, 1.0),
+    ]
+    # 150% memory use: CPU work pages, at 1 - 0.6 * 0.5 of its speed
+    ctx.alloc_mem(1.5 * ctx.mem_capacity_mb)
+    pressure = ctx.memory_pressure_factor()
+    assert pressure == pytest.approx(0.7)
+    assert [e.efficiency for e in entries] == [pressure, pressure, 0.95, 1.0]
+    ctx.set_degradation(cpu=0.5, disk=0.5)
+    assert [(c, w) for c, w, _ in _shares(entries)] == requested
+    assert [e.efficiency for e in entries] == [
+        pressure * 0.5,
+        pressure * 0.5,
+        0.5 - 0.05,
+        1.0,
+    ]
+
+
+def test_open_ended_entry_keeps_its_cap_through_churn(sim, monkeypatch):
+    vm = Cluster.virtual(sim, 1, 2).vms[0]
+    service = vm.run_cpu(math.inf, cap=0.3)
+    refreshes = []
+    refresh = vm.refresh_entries
+
+    def checked_refresh():
+        refresh()
+        live = [e for e in vm._cpu_entries if not e.done]
+        share = max(vm.spec.cpu_cores * vm.cpu_fraction / len(live), 1e-6)
+        assert service.cap == min(0.3, share)
+        assert service.weight == vm.vm_weight / len(live)
+        refreshes.append(len(live))
+
+    monkeypatch.setattr(vm, "refresh_entries", checked_refresh)
+    short = []
+    for i in range(200):
+        # bursts of four: each start cuts the share, down to a fifth
+        sim.schedule(0.25 * (i // 4), lambda: short.append(vm.run_cpu(0.04)))
+    sim.run()
+    assert len(short) == 200 and all(e.done for e in short)
+    assert len(refreshes) == 200 and max(refreshes) == 5
+    assert vm.active_cpu_entries == 1  # prunes the finished entries
+    assert vm._cpu_entries == {service: 0.3}
+
+    # a finished entry's new request is ignored, not re-recorded; the
+    # refresh hands the open-ended entry its whole request back
+    maps = (dict(vm._cpu_entries), dict(vm._disk_entries), dict(vm._memio_entries))
+    vm.update_requested_caps([(short[-1], 5.0)])
+    assert (vm._cpu_entries, vm._disk_entries, vm._memio_entries) == maps
+    assert service.cap == 0.3
+
+
+def test_paused_vm_freezes_page_cache_io_started_while_paused(sim):
+    vm = Cluster.virtual(sim, 1, 2).vms[0]
+    vm.pause()
+    done = []
+    entry = vm.run_disk(100.0, on_complete=lambda: done.append(sim.now), cached=True)
+    sim.run(until=10.0)
+    assert not done
+    assert entry.work_remaining == 100.0
+    vm.resume()
+    sim.run()
+    # 100 MB through the page cache at 400 MB/s, 95% efficient in a guest
+    assert done == [pytest.approx(10.0 + 100.0 / (400.0 * 0.95))]
+
+
+# ----------------------------------------------------------------------
 # CgroupController
 # ----------------------------------------------------------------------
 def test_cgroups_audit_log(sim, virtual_cluster):

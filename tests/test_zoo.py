@@ -71,11 +71,14 @@ def test_register_policy_rejects_bad_names_and_allows_override():
 # ----------------------------------------------------------------------
 # policy mechanics (no simulator needed)
 # ----------------------------------------------------------------------
+class _NoLocalJobTracker:
+    def local_task(self, tracker, tasks):
+        return None
+
+
 class _NoLocalView:
     kind = TaskKind.MAP
-
-    def local_tasks(self, tasks, tracker):
-        return []
+    jt = _NoLocalJobTracker()
 
 
 def test_delay_scheduler_skip_budget_then_remote():
