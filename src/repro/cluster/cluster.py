@@ -157,11 +157,6 @@ class Cluster:
             return 0.0
         return sum(pm.cpu_pool.mean_utilization() for pm in self.pms) / len(self.pms)
 
-    def mean_disk_utilization(self) -> float:
-        if not self.pms:
-            return 0.0
-        return sum(pm.disk_pool.mean_utilization() for pm in self.pms) / len(self.pms)
-
     def instantaneous_utilization(self) -> float:
         if not self.pms:
             return 0.0

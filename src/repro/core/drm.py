@@ -148,10 +148,6 @@ class LocalResourceManager:
         if len(xs) >= 4:
             self.cpu_model.fit(xs, ys)
 
-    def forget(self, attempt_id: int) -> None:
-        self._last_progress.pop(attempt_id, None)
-        self._rate_ewma.pop(attempt_id, None)
-
 
 class DynamicResourceManager:
     """The GRM + all LRMs, driving one virtual MapReduce cluster."""

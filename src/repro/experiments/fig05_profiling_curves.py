@@ -23,12 +23,23 @@ from repro.workloads.specs import make_job
 def _run_on_vms(
     benchmark: str, gb: float, n_vms: int, seed: int = 7
 ):
-    """One benchmark run on an ``n_vms`` virtual cluster (2 VMs/PM)."""
+    """One benchmark run on an ``n_vms`` virtual cluster (2 VMs/PM).
+
+    HDFS keeps two replicas, or one on a one-node cluster (as a
+    single-node Hadoop is configured).
+    """
     sim = Simulator(seed=seed)
     n_pms = max(1, (n_vms + 1) // 2)
     cluster = Cluster.virtual(sim, n_pms, 2)
     contexts = cluster.vms[:n_vms]
-    mr = MapReduceCluster(sim, cluster.fabric, contexts, map_slots=None, reduce_slots=None)
+    mr = MapReduceCluster(
+        sim,
+        cluster.fabric,
+        contexts,
+        map_slots=None,
+        reduce_slots=None,
+        replication=min(2, n_vms),
+    )
     return mr.run_job(make_job(benchmark, input_gb=gb, num_reducers=max(1, n_vms // 2)))
 
 

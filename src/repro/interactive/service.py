@@ -237,10 +237,6 @@ class InteractiveService:
     def mean_latency_ms(self) -> float:
         return self.latency_trace.mean()
 
-    def latency_percentile(self, q: float) -> float:
-        """Latency percentile (ms) over all probe epochs so far."""
-        return self.latency_trace.percentile(q)
-
     def latency_summary(
         self, window_s: Optional[float] = None, now: Optional[float] = None
     ) -> dict:

@@ -44,10 +44,6 @@ class SLAMonitor:
         self._violating = {s.name: False for s in self.services}
         self._cancel: Optional[Callable[[], None]] = None
 
-    def add_service(self, service: InteractiveService) -> None:
-        self.services.append(service)
-        self._violating[service.name] = False
-
     def on_violation(
         self, handler: Callable[[InteractiveService, SLAEvent], None]
     ) -> None:

@@ -11,14 +11,6 @@ from typing import Dict, List, Sequence, Union
 Number = Union[int, float]
 
 
-def _fmt(value: object, width: int) -> str:
-    if isinstance(value, float):
-        text = f"{value:.3f}"
-    else:
-        text = str(value)
-    return text.rjust(width)
-
-
 def format_table(
     headers: Sequence[str], rows: Sequence[Sequence[object]], title: str = ""
 ) -> str:

@@ -174,9 +174,6 @@ class LiveSampler:
     def add_sink(self, sink: Callable[[dict], None]) -> None:
         self._sinks.append(sink)
 
-    def add_service(self, service: "InteractiveService") -> None:
-        self.services.append(service)
-
     @property
     def frames(self) -> List[dict]:
         """Ring-buffer contents, oldest first."""

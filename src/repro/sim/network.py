@@ -16,16 +16,18 @@ Hot-path complexity
 -------------------
 Flow membership lives in per-link indexes (each host's ``up``/``down``
 flow sets plus per-host loopback in/out sets), so ``start_flow``,
-``cancel_flow``, flow completion and ``flows_from``/``flows_to`` never
-scan the global flow list.  A flow start/finish re-runs progressive
-filling only over the *connected component* of links actually touched
-by the changed flow -- flows on disjoint links keep their rates, which
-is exact because max-min allocations of disjoint components are
-independent.  The component fill itself (:func:`maxmin_fill`)
-maintains per-link unfixed-flow counters instead of rescanning every
-link's user list each round, dropping a fill from O(F·L) per round to
-O(F + L·rounds) total.  Progress advancement and the next-completion
-scan stay O(live flows) by necessity: the fluid model applies the same
+``cancel_flow``, flow completion and ``flows_from``/``flows_to`` are
+O(1) or O(result).  Every change -- a flow start, cancel or completion,
+a NIC scale, a partition or its heal, a group move -- marks the links
+it touches, and the rebalance re-runs progressive filling only over the
+*connected components* of unblocked flows reachable from them; flows
+elsewhere keep their rates, since max-min allocations of disjoint
+components are independent.  The component fill itself
+(:func:`maxmin_fill`) maintains per-link unfixed-flow counters instead
+of rescanning every link's user list each round, dropping a fill from
+O(F·L) per round to O(F + L·rounds) total.  Reading the component off
+the start-ordered flow table, progress advancement and the
+next-completion scan are O(live flows): the fluid model applies the same
 per-interval arithmetic to every flow with a nonzero rate, and replays
 must stay byte-identical (see docs/networking.md); stalled flows
 (partitioned, or starved by the fill) are skipped.
@@ -34,14 +36,11 @@ must stay byte-identical (see docs/networking.md); stalled flows
 from __future__ import annotations
 
 import math
-from operator import attrgetter
 from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from repro.sim.engine import Event, Simulator
 
 _EPS = 1e-9
-
-_flow_seq = attrgetter("seq")
 
 
 class Flow:
@@ -56,10 +55,8 @@ class Flow:
         "efficiency",
         "done",
         "label",
-        "started_at",
         "is_loopback",
         "span",
-        "seq",
     )
 
     def __init__(
@@ -70,7 +67,6 @@ class Flow:
         on_complete: Optional[Callable[[], None]],
         efficiency: float,
         label: str,
-        started_at: float,
     ) -> None:
         self.src = src
         self.dst = dst
@@ -80,10 +76,8 @@ class Flow:
         self.efficiency = efficiency
         self.done = False
         self.label = label
-        self.started_at = started_at
         self.is_loopback = False
         self.span = None  # tracer span while tracing is enabled
-        self.seq = 0  # fabric-assigned start order (deterministic)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Flow({self.src}->{self.dst}, left={self.remaining:.1f}MB)"
@@ -228,7 +222,6 @@ class NetworkFabric:
         # iteration in start order (the order the old list gave)
         self._flows: Dict[Flow, None] = {}
         self._loop_flows: Dict[Flow, None] = {}
-        self._flow_seq = 0
         self._last_update = sim.now
         self._completion_event: Optional[Event] = None
         self.bytes_transferred_mb = 0.0
@@ -240,13 +233,10 @@ class NetworkFabric:
         #: crossing the cut stall at rate 0 (TCP keeps retrying) until
         #: :meth:`heal_partition`; loopback flows are never cut.
         self._partition: Optional[Tuple[FrozenSet[str], FrozenSet[str]]] = None
-        #: reentrant batch depth: while > 0, start/cancel/capacity
-        #: mutations accumulate dirty marks and the closing fill runs
-        #: once at the outermost end_batch (see begin_batch)
+        #: reentrant batch depth: while > 0, every change only
+        #: accumulates dirty marks and the closing fill runs once at the
+        #: outermost end_batch (see begin_batch)
         self._batch_depth = 0
-        #: a capacity-shifting mutation happened inside the batch, so
-        #: the closing fill must be a full rebalance
-        self._batch_full = False
 
     def begin_batch(self) -> None:
         """Open a flow-mutation batch: one advance now, one fill at close.
@@ -257,11 +247,12 @@ class NetworkFabric:
         pays a dozen fills for the price of one.  Between begin_batch and
         the matching end_batch, mutations only update memberships and
         dirty marks; the outermost end_batch runs the single closing fill
-        over the accumulated dirty component.  Rates are bit-identical to
-        the unbatched sequence: max-min allocations are a pure function
-        of the final membership, and the per-link arithmetic order the
-        progressive fill applies does not depend on how components are
-        grouped into fill calls.  Reentrant (nested batches no-op).
+        over the components of the accumulated dirty links.  Max-min
+        allocations are a pure function of the final membership, so the
+        rates are the unbatched sequence's, except that one fill over
+        several components can resolve near-ties (within ``_EPS``)
+        differently from each component's own fill (docs/networking.md).
+        Reentrant (nested batches no-op).
         """
         self._batch_depth += 1
         if self._batch_depth == 1:
@@ -275,11 +266,7 @@ class NetworkFabric:
             raise RuntimeError("end_batch without begin_batch")
         self._batch_depth -= 1
         if self._batch_depth == 0:
-            if self._batch_full:
-                self._batch_full = False
-                self._rebalance_full()
-            else:
-                self._rebalance()
+            self._rebalance()
 
     def register_host(
         self,
@@ -303,16 +290,28 @@ class NetworkFabric:
         return host in self._links
 
     def set_group(self, host: str, group: str) -> None:
-        """Re-home a host to another co-location group (VM migration)."""
+        """Re-home a host to another co-location group (VM migration).
+
+        Existing flows keep their channel; only future flows are
+        classified by the new group.  Under a partition the move can
+        block or free a cross-host flow with an endpoint here, which
+        changes the membership of its other link too, so both links of
+        each such flow are marked.
+        """
         if host not in self._links:
             raise KeyError(f"unknown host {host!r}")
         if self._batch_depth == 0:
             self._advance()
-        self._links[host].group = group
-        if self._batch_depth:
-            self._batch_full = True
-        else:
-            self._rebalance_full()
+        links = self._links[host]
+        links.group = group
+        self._mark_hosts((host,))
+        dirty = self._dirty
+        for flow in links.up_flows:
+            dirty.add((flow.dst, "down"))
+        for flow in links.down_flows:
+            dirty.add((flow.src, "up"))
+        if self._batch_depth == 0:
+            self._rebalance()
 
     def colocated(self, a: str, b: str) -> bool:
         return a == b or self._links[a].group == self._links[b].group
@@ -335,10 +334,9 @@ class NetworkFabric:
             self._advance()
         self._links[host].nic_scale = scale
         self.sim.obs.metrics.gauge(f"net.nic_scale.{host}").set(scale)
-        if self._batch_depth:
-            self._batch_full = True
-        else:
-            self._rebalance_full()
+        self._mark_hosts((host,))
+        if self._batch_depth == 0:
+            self._rebalance()
 
     def nic_scale(self, host: str) -> float:
         return self._links[host].nic_scale
@@ -363,10 +361,9 @@ class NetworkFabric:
             self._advance()
         self._partition = (a, b)
         self.sim.obs.metrics.counter("net.partitions").inc()
-        if self._batch_depth:
-            self._batch_full = True
-        else:
-            self._rebalance_full()
+        self._mark_hosts(a | b)
+        if self._batch_depth == 0:
+            self._rebalance()
 
     def heal_partition(self) -> None:
         """Remove the active partition (no-op when none is active)."""
@@ -374,11 +371,11 @@ class NetworkFabric:
             return
         if self._batch_depth == 0:
             self._advance()
+        a, b = self._partition
         self._partition = None
-        if self._batch_depth:
-            self._batch_full = True
-        else:
-            self._rebalance_full()
+        self._mark_hosts(a | b)
+        if self._batch_depth == 0:
+            self._rebalance()
 
     @property
     def partitioned(self) -> bool:
@@ -432,8 +429,7 @@ class NetworkFabric:
             raise ValueError("flow size must be non-negative")
         if self._batch_depth == 0:
             self._advance()
-        flow = Flow(src, dst, mb, on_complete, efficiency, label, self.sim.now)
-        flow.seq = self._flow_seq = self._flow_seq + 1
+        flow = Flow(src, dst, mb, on_complete, efficiency, label)
         obs = self.sim.obs
         obs.metrics.counter("net.flows.started").inc()
         if mb <= _EPS:
@@ -478,17 +474,16 @@ class NetworkFabric:
             return
         if self._batch_depth == 0:
             self._advance()
-        # _advance may itself have completed (and detached) the flow;
-        # _detach tolerates that and the cancelled counter still ticks,
-        # matching the historical fall-through semantics
-        self._detach(flow)
-        flow.done = True
-        flow.rate = 0.0
-        obs = self.sim.obs
-        obs.metrics.counter("net.flows.cancelled").inc()
-        if flow.span is not None:
-            obs.tracer.end(flow.span, cancelled=True, left_mb=flow.remaining)
-            flow.span = None
+        # a flow that drained in that advance has finished as usual
+        if not flow.done:
+            self._detach(flow)
+            flow.done = True
+            flow.rate = 0.0
+            obs = self.sim.obs
+            obs.metrics.counter("net.flows.cancelled").inc()
+            if flow.span is not None:
+                obs.tracer.end(flow.span, cancelled=True, left_mb=flow.remaining)
+                flow.span = None
         if self._batch_depth == 0:
             self._rebalance()
 
@@ -499,24 +494,27 @@ class NetworkFabric:
         """Unlink a flow from the global and per-link indexes, O(1).
 
         Marks the flow's links dirty so the next rebalance re-fills the
-        component that just lost a member.  Safe to call on a flow that
-        was already detached.
+        component that just lost a member.  Called once per flow, when it
+        finishes or is cancelled (a flow is in the indexes until done).
         """
         if flow.is_loopback:
-            if flow not in self._loop_flows:
-                return
             del self._loop_flows[flow]
             del self._links[flow.src].loop_out[flow]
             del self._links[flow.dst].loop_in[flow]
             self._dirty.add((flow.src, "loop"))
         else:
-            if flow not in self._flows:
-                return
             del self._flows[flow]
             del self._links[flow.src].up_flows[flow]
             del self._links[flow.dst].down_flows[flow]
             self._dirty.add((flow.src, "up"))
             self._dirty.add((flow.dst, "down"))
+
+    def _mark_hosts(self, hosts: Iterable[str]) -> None:
+        """Mark the uplink and downlink of every host dirty."""
+        dirty = self._dirty
+        for host in hosts:
+            dirty.add((host, "up"))
+            dirty.add((host, "down"))
 
     def _advance(self) -> None:
         now = self.sim.now
@@ -578,44 +576,57 @@ class NetworkFabric:
                 flow.on_complete()
 
     def _component_flows(self, seeds: Set[tuple]) -> List[Flow]:
-        """Cross-host flows connected to the seed links, in start order.
+        """Unblocked cross-host flows connected to the seed links, in
+        start order.
 
         Walks the per-link membership indexes: a flow joins the
-        component when any of its two links is reachable, and brings its
-        other link with it.  Loopback seeds are handled separately (the
-        loopback channel shares with nothing).
+        component when either of its links is reachable, and brings its
+        other link with it.  A flow the active partition blocks connects
+        nothing; every blocked flow the walk meets is pinned at rate 0.
+        The component is then every flow whose uplink the walk reached,
+        read off the start-ordered flow table.  Loopback seeds are
+        handled separately (the loopback channel shares with nothing).
         """
         links = self._links
-        found: Dict[Flow, None] = {}
-        # separate per-direction frontiers keyed by host string: same
-        # reachable set as the historical mixed (host, dir) stack, and
-        # the output is sorted by seq so walk order cannot leak
+        partitioned = self._partition is not None
+        is_blocked = self.is_blocked
         up_stack = [h for (h, d) in seeds if d == "up"]
         down_stack = [h for (h, d) in seeds if d == "down"]
         seen_up = set(up_stack)
         seen_down = set(down_stack)
         while up_stack or down_stack:
             if up_stack:
-                flowset = links[up_stack.pop()].up_flows
-            else:
-                flowset = links[down_stack.pop()].down_flows
-            for flow in flowset:
-                if flow in found:
-                    continue
-                found[flow] = None
-                src = flow.src
-                if src not in seen_up:
-                    seen_up.add(src)
-                    up_stack.append(src)
-                dst = flow.dst
-                if dst not in seen_down:
+                for flow in links[up_stack.pop()].up_flows:
+                    dst = flow.dst
+                    if dst in seen_down:
+                        continue
+                    if partitioned and is_blocked(flow.src, dst):
+                        flow.rate = 0.0
+                        continue
                     seen_down.add(dst)
                     down_stack.append(dst)
-        return sorted(found, key=_flow_seq)
+            else:
+                for flow in links[down_stack.pop()].down_flows:
+                    src = flow.src
+                    if src in seen_up:
+                        continue
+                    if partitioned and is_blocked(src, flow.dst):
+                        flow.rate = 0.0
+                        continue
+                    seen_up.add(src)
+                    up_stack.append(src)
+        component = []
+        for flow in self._flows:
+            if flow.src in seen_up:
+                if partitioned and is_blocked(flow.src, flow.dst):
+                    flow.rate = 0.0
+                else:
+                    component.append(flow)
+        return component
 
     def _fill(self, flows: List[Flow]) -> None:
-        """Set max-min fair rates on ``flows``, one connected component
-        (or every cross-host flow).
+        """Set max-min fair rates on ``flows``, the connected components
+        of one rebalance.
 
         Calls the module global :func:`maxmin_fill` on every call -- the
         name external profilers and tests patch -- inside a
@@ -634,16 +645,11 @@ class NetworkFabric:
             flow.rate = rate
 
     def _rebalance(self) -> None:
-        """Incremental rebalance: re-fill only the touched component.
+        """Re-fill the components reachable from the dirty links.
 
-        Falls back to a full rebalance while a partition is active (the
-        blocked-flow bookkeeping is global).  Max-min allocations of
-        link-disjoint flow sets are independent, so flows outside the
-        dirty component keep their (already exact) rates.
+        Max-min allocations of link-disjoint flow sets are independent,
+        so flows outside them keep their rates.
         """
-        if self._partition is not None:
-            self._rebalance_full()
-            return
         dirty = self._dirty
         if dirty:
             prof = self.sim.prof
@@ -665,32 +671,6 @@ class NetworkFabric:
                     share = self._links[host].loopback / n
                     for flow in loop_out:
                         flow.rate = share
-        self._reschedule_completion()
-
-    def _rebalance_full(self) -> None:
-        """Recompute every rate from scratch (partition / NIC / group
-        changes shift capacities globally, so no component is safe)."""
-        self._dirty.clear()
-        if self._partition is not None:
-            # flows crossing the cut stall; the rest share the links
-            live = []
-            for flow in self._flows:
-                if self.is_blocked(flow.src, flow.dst):
-                    flow.rate = 0.0
-                else:
-                    live.append(flow)
-        else:
-            live = list(self._flows)
-        prof = self.sim.prof
-        if prof is not None:
-            prof.gauge("net.rebalance_full_flows", len(live))
-        self._fill(live)
-        # loopback flows share the per-host loopback channel equally
-        loop_users: Dict[str, int] = {}
-        for flow in self._loop_flows:
-            loop_users[flow.src] = loop_users.get(flow.src, 0) + 1
-        for flow in self._loop_flows:
-            flow.rate = self._links[flow.src].loopback / loop_users[flow.src]
         self._reschedule_completion()
 
     def _reschedule_completion(self) -> None:

@@ -46,7 +46,6 @@ class PoolEntry:
         "rate",
         "done",
         "label",
-        "total_done",
     )
 
     def __init__(
@@ -68,47 +67,37 @@ class PoolEntry:
         self.rate = 0.0
         self.done = False
         self.label = label
-        self.total_done = 0.0
 
-    # -- mutators (all trigger a pool rebalance, unless batched) -------
+    # -- rate parameters: set only inside a pool batch -----------------
     def set_weight(self, weight: float) -> None:
         if weight < 0:
             raise ValueError("weight must be non-negative")
         pool = self.pool
-        if pool._in_batch:
-            if weight != self.weight:
-                self.weight = weight
-                pool._batch_dirty = True
-            return
-        pool._advance()
-        self.weight = weight
-        pool._rebalance()
+        if not pool._in_batch:
+            raise RuntimeError(f"pool {pool.name!r}: set_weight outside a batch")
+        if weight != self.weight:
+            self.weight = weight
+            pool._batch_dirty = True
 
     def set_cap(self, cap: float) -> None:
         if cap < 0:
             raise ValueError("cap must be non-negative")
         pool = self.pool
-        if pool._in_batch:
-            if cap != self.cap:
-                self.cap = cap
-                pool._batch_dirty = True
-            return
-        pool._advance()
-        self.cap = cap
-        pool._rebalance()
+        if not pool._in_batch:
+            raise RuntimeError(f"pool {pool.name!r}: set_cap outside a batch")
+        if cap != self.cap:
+            self.cap = cap
+            pool._batch_dirty = True
 
     def set_efficiency(self, efficiency: float) -> None:
         if not 0 < efficiency <= 1.0 + _EPS:
             raise ValueError("efficiency must be in (0, 1]")
         pool = self.pool
-        if pool._in_batch:
-            if efficiency != self.efficiency:
-                self.efficiency = efficiency
-                pool._batch_dirty = True
-            return
-        pool._advance()
-        self.efficiency = efficiency
-        pool._rebalance()
+        if not pool._in_batch:
+            raise RuntimeError(f"pool {pool.name!r}: set_efficiency outside a batch")
+        if efficiency != self.efficiency:
+            self.efficiency = efficiency
+            pool._batch_dirty = True
 
     def add_work(self, extra: float) -> None:
         """Append more work to an in-flight entry (e.g. streamed bytes)."""
@@ -195,7 +184,7 @@ class ResourcePool:
         self.busy_integral = 0.0
         self._created_at = sim.now
         #: True while a begin_batch()/end_batch() parameter update is in
-        #: flight: entry mutators skip their per-call advance/rebalance
+        #: flight, the only time entry rate parameters may change
         self._in_batch = False
         #: something inside the current batch actually changed an input
         #: of the allocation; a clean batch skips the closing rebalance
@@ -238,10 +227,14 @@ class ResourcePool:
         return entry
 
     def remove(self, entry: PoolEntry) -> None:
-        """Withdraw an entry (e.g. task killed or paused)."""
+        """Withdraw an entry (e.g. task killed or paused).  Progress up to
+        now is applied first; if that completes the entry, it finishes
+        here as usual, as in :meth:`detach`."""
         if entry.done or entry not in self.entries:
             return
         self._advance()
+        if entry.done:
+            return
         self.entries.remove(entry)
         entry.done = True
         entry.rate = 0.0
@@ -279,14 +272,11 @@ class ResourcePool:
         """Start a batched parameter update.
 
         Applies accrued progress once, then lets ``set_weight`` /
-        ``set_cap`` / ``set_efficiency`` mutate entries without a
-        per-call advance/rebalance; :meth:`end_batch` recomputes rates
-        once for the whole round.  Refreshing a context with dozens of
-        in-flight entries this way costs one rebalance instead of
-        O(entries), which is what keeps 10k-host refresh storms flat.
-        No virtual time can pass inside a batch (the event loop is
-        single-threaded), so the final rates are what the per-call
-        discipline would have produced.
+        ``set_cap`` / ``set_efficiency`` record new values (they raise
+        ``RuntimeError`` outside a batch); :meth:`end_batch` recomputes
+        rates once for the whole round.  Refreshing a context with
+        dozens of in-flight entries this way costs one rebalance instead
+        of O(entries), which is what keeps 10k-host refresh storms flat.
         """
         if self._in_batch:
             raise RuntimeError(f"pool {self.name!r} is already in a batch")
@@ -349,14 +339,12 @@ class ResourcePool:
         for entry in self.entries:
             rate = entry.rate
             total += rate
-            if rate <= _EPS:
+            if rate <= _EPS or entry.work_remaining == inf:
                 continue
             done = rate * entry.efficiency * dt
-            if entry.work_remaining != inf:
-                entry.work_remaining = max(0.0, entry.work_remaining - done)
-                if entry.work_remaining <= _EPS:
-                    finished.append(entry)
-            entry.total_done += done
+            entry.work_remaining = max(0.0, entry.work_remaining - done)
+            if entry.work_remaining <= _EPS:
+                finished.append(entry)
         self.busy_integral += total * dt
         self._last_update = now
         if finished:

@@ -71,10 +71,6 @@ class Join:
             self._fired = True
             self._on_complete()
 
-    @property
-    def outstanding(self) -> int:
-        return self._outstanding
-
 
 def join(count: int, on_complete: Callable[[], None]) -> List[Callable[[], None]]:
     """Convenience: a sealed :class:`Join` with ``count`` pre-made arms."""

@@ -44,10 +44,6 @@ class CellSpec:
     params: Tuple[Tuple[str, object], ...] = ()
     blame: bool = False
 
-    @property
-    def params_dict(self) -> Dict[str, object]:
-        return dict(self.params)
-
     def config(self) -> dict:
         """Normalized configuration (the content-address payload).
 

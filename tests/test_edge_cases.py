@@ -19,7 +19,13 @@ def test_pool_efficiency_change_midrun(sim):
     pool = ResourcePool(sim, 10.0)
     done = []
     entry = pool.add(100.0, on_complete=lambda: done.append(sim.now))
-    sim.schedule(5.0, lambda: entry.set_efficiency(0.5))
+
+    def slow_down():
+        pool.begin_batch()
+        entry.set_efficiency(0.5)
+        pool.end_batch()
+
+    sim.schedule(5.0, slow_down)
     sim.run()
     # 50 done by t=5 at full speed; remaining 50 at 5/s useful -> t=15
     assert done == [pytest.approx(15.0)]
@@ -30,7 +36,13 @@ def test_pool_weight_change_midrun(sim):
     done = {}
     a = pool.add(100.0, on_complete=lambda: done.setdefault("a", sim.now))
     pool.add(100.0, on_complete=lambda: done.setdefault("b", sim.now))
-    sim.schedule(2.0, lambda: a.set_weight(4.0))
+
+    def favour_a():
+        pool.begin_batch()
+        a.set_weight(4.0)
+        pool.end_batch()
+
+    sim.schedule(2.0, favour_a)
     sim.run()
     assert done["a"] < done["b"]
 
@@ -39,7 +51,13 @@ def test_pool_cap_tightened_midrun(sim):
     pool = ResourcePool(sim, 10.0)
     done = []
     entry = pool.add(100.0, on_complete=lambda: done.append(sim.now))
-    sim.schedule(5.0, lambda: entry.set_cap(2.5))
+
+    def tighten():
+        pool.begin_batch()
+        entry.set_cap(2.5)
+        pool.end_batch()
+
+    sim.schedule(5.0, tighten)
     sim.run()
     # 50 by t=5, remaining 50 at 2.5/s -> t=25
     assert done == [pytest.approx(25.0)]

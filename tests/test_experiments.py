@@ -96,6 +96,16 @@ def test_fig5_jct_shrinks_with_cluster_and_grows_with_data():
         assert result[8][gb] < result[2][gb]
 
 
+def test_fig05_cell_runs_a_one_node_cluster():
+    """C1 is one VM, so one DataNode: HDFS keeps a single replica."""
+    from repro.experiments.fig05_profiling_curves import run
+
+    result = run(data_sizes_gb=(1.0, 2.0), cluster_sizes=(1, 2))
+    assert sorted(result["fig5d"]) == [1, 2]
+    for series in result["fig5d"].values():
+        assert series[1.0] < series[2.0]
+
+
 def test_fig6a_profiling_error_reasonable():
     from repro.experiments.fig06_models import fig6a
 

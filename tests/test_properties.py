@@ -217,10 +217,10 @@ def test_maxmin_fast_is_bit_identical_to_reference(n_hosts, pairs, caps, scales)
 @settings(max_examples=40, deadline=None)
 def test_incremental_rebalance_matches_pure_reference(seed):
     """Drive a fabric through a random start/cancel/advance/degrade/
-    partition/heal sequence; after every step the incremental component
-    fill must give every flow the exact rate the from-scratch reference
-    assigns (stalled cross-partition flows pinned at zero, loopback
-    flows sharing their host channel equally)."""
+    group-move/batched-burst/partition/heal sequence; after every step
+    the incremental component fill must give every flow the exact rate
+    the from-scratch reference assigns (stalled cross-partition flows
+    pinned at zero, loopback flows sharing their host channel equally)."""
     import random as random_mod
 
     from repro.sim.network import NetworkFabric
@@ -255,23 +255,50 @@ def test_incremental_rebalance_matches_pure_reference(seed):
         for flow in fabric._loop_flows:
             assert flow.rate == fabric._links[flow.src].loopback / loop_users[flow.src]
 
+    def start() -> None:
+        src = rng.choice(hosts)
+        dst = rng.choice(hosts)
+        flow = fabric.start_flow(
+            src, dst, rng.uniform(5.0, 500.0), on_complete=lambda: None
+        )
+        live.append(flow)
+
+    def cancel() -> None:
+        flow = live.pop(rng.randrange(len(live)))
+        if not flow.done:
+            fabric.cancel_flow(flow)
+
+    def degrade() -> None:
+        fabric.set_nic_scale(rng.choice(hosts), rng.choice([0.25, 0.5, 1.0]))
+
     for _ in range(40):
         op = rng.random()
-        if op < 0.45 or not live:
-            src = rng.choice(hosts)
-            dst = rng.choice(hosts)
-            flow = fabric.start_flow(
-                src, dst, rng.uniform(5.0, 500.0), on_complete=lambda: None
-            )
-            live.append(flow)
+        if op < 0.35 or not live:
+            start()
+        elif op < 0.45:
+            cancel()
         elif op < 0.6:
-            flow = live.pop(rng.randrange(len(live)))
-            if not flow.done:
-                fabric.cancel_flow(flow)
-        elif op < 0.8:
             sim.run(until=sim.now + rng.uniform(0.01, 2.0))
-        elif op < 0.9:
-            fabric.set_nic_scale(rng.choice(hosts), rng.choice([0.25, 0.5, 1.0]))
+        elif op < 0.67:
+            degrade()
+        elif op < 0.8:
+            # re-home a host into another host's group, or back into its
+            # own; under a partition this blocks or frees its flows
+            fabric.set_group(rng.choice(hosts), rng.choice(hosts))
+        elif op < 0.88:
+            # a burst of starts and cancels around one NIC change, with
+            # a single closing fill
+            steps = rng.randint(1, 4)
+            nic_at = rng.randint(0, steps)
+            fabric.begin_batch()
+            for i in range(steps + 1):
+                if i == nic_at:
+                    degrade()
+                elif rng.random() < 0.6 or not live:
+                    start()
+                else:
+                    cancel()
+            fabric.end_batch()
         elif fabric.partitioned:
             fabric.heal_partition()
         elif len(hosts) >= 2:

@@ -228,3 +228,61 @@ def test_flow_index_tolerates_unknown_host(sim):
     fabric = make_fabric(sim)
     assert fabric.flows_from("ghost") == []
     assert fabric.flows_to("ghost") == []
+
+
+def test_cancel_on_the_instant_the_flow_drains_completes_it_once(sim):
+    """A cancel scheduled for the very instant a flow drains: the advance
+    it runs first finishes the flow, so the flow completes (callback and
+    counter once) and is not also counted as cancelled."""
+    fabric = NetworkFabric(sim)
+    fabric.register_host("a")
+    fabric.register_host("b")
+    box = {}
+    done = []
+    sim.schedule(10.0, lambda: fabric.cancel_flow(box["flow"]))
+    box["flow"] = fabric.start_flow(
+        "a", "b", 1190.0, on_complete=lambda: done.append(sim.now)
+    )
+    sim.run()
+    assert done == [10.0]
+    counters = sim.obs.metrics.counters()
+    assert counters["net.flows.completed"] == 1
+    assert counters.get("net.flows.cancelled", 0) == 0
+    assert fabric.flows_from("a") == []
+
+
+def test_nic_change_on_an_idle_host_leaves_other_rates_alone(sim):
+    """A change re-fills only the components of the links it touches.
+    Here h3->h4 and h5->h4 share h4's downlink with shares inside the
+    fill's 1e-9 tie window, and h1->h2 runs elsewhere; a refill of all
+    three together would resolve the near-tie differently.  Scaling the
+    NIC of h9, which carries no flow, must leave every rate bit-identical."""
+    fabric = NetworkFabric(sim)
+    fabric.register_host("h1", up_mbps=1.0, down_mbps=100.0)
+    fabric.register_host("h3", up_mbps=1.0 - 0.6e-9, down_mbps=100.0)
+    fabric.register_host("h4", up_mbps=100.0, down_mbps=2.0 * (1.0 - 1.5e-9))
+    for host in ("h2", "h5", "h9"):
+        fabric.register_host(host, up_mbps=100.0, down_mbps=100.0)
+    flows = [
+        fabric.start_flow(src, dst, 1000.0)
+        for src, dst in (("h1", "h2"), ("h3", "h4"), ("h5", "h4"))
+    ]
+    before = [flow.rate for flow in flows]
+    fabric.set_nic_scale("h9", 0.5)
+    assert [flow.rate for flow in flows] == before
+
+
+def test_group_move_under_partition_refills_the_freed_link(sim):
+    """Moving h2 out of h0's group under a partition blocks h0->h2 and so
+    frees h0's uplink: the refill must reach h0->h1, although the move
+    touched only h2."""
+    fabric = make_fabric(sim, hosts=("h0", "h1", "h2"))
+    to_h1 = fabric.start_flow("h0", "h1", 1000.0)
+    to_h2 = fabric.start_flow("h0", "h2", 1000.0)
+    fabric.set_group("h2", "h0")  # colocated: a partition cannot cut it
+    fabric.partition(["h0", "h1"], ["h2"])
+    assert (to_h1.rate, to_h2.rate) == (50.0, 50.0)
+    fabric.set_group("h2", "h2")
+    assert (to_h1.rate, to_h2.rate) == (100.0, 0.0)
+    fabric.set_group("h2", "h0")
+    assert (to_h1.rate, to_h2.rate) == (50.0, 50.0)

@@ -100,9 +100,9 @@ def test_open_ended_entry_never_completes(sim):
     entry = pool.add(math.inf, cap=4.0)
     sim.run(until=10.0)
     assert not entry.done
-    assert entry.total_done == pytest.approx(0.0)  # no advance happened yet
+    assert pool.busy_integral == pytest.approx(0.0)  # no advance happened yet
     pool._advance()
-    assert entry.total_done == pytest.approx(40.0)
+    assert pool.busy_integral == pytest.approx(40.0)
 
 
 def test_set_capacity_rebalances(sim):
@@ -257,3 +257,55 @@ def test_removing_an_adopted_entry_takes_it_out_of_the_new_pool(sim):
     assert entry.done and new.entries == [] and old.entries == []
     sim.run()
     assert done == []
+
+
+def test_remove_on_the_instant_the_work_drains_finishes_the_entry(sim):
+    """A remove scheduled for the very instant an entry drains: the
+    advance it runs first finishes the entry, which completes as usual
+    instead of being removed a second time."""
+    pool = ResourcePool(sim, 10.0)
+    box = {}
+    done = []
+    sim.schedule(10.0, lambda: pool.remove(box["entry"]))
+    box["entry"] = pool.add(100.0, on_complete=lambda: done.append(sim.now))
+    sim.run()
+    assert done == [10.0]
+    assert box["entry"].done
+    assert pool.entries == []
+
+
+def test_rate_setters_raise_outside_a_batch(sim):
+    pool = ResourcePool(sim, 10.0)
+    entry = pool.add(100.0, cap=5.0)
+    for setter, value in (
+        (entry.set_cap, 2.0),
+        (entry.set_weight, 3.0),
+        (entry.set_efficiency, 0.5),
+    ):
+        with pytest.raises(RuntimeError):
+            setter(value)
+    assert (entry.cap, entry.weight, entry.efficiency) == (5.0, 1.0, 1.0)
+    assert entry.rate == 5.0
+
+
+def test_clean_batch_keeps_the_pending_completion_event(sim):
+    """A batch that writes back the values already in place skips the
+    closing rebalance, so the scheduled completion event survives; a
+    batch that changes a value reschedules it."""
+    pool = ResourcePool(sim, 10.0)
+    a = pool.add(100.0, cap=4.0, weight=2.0, efficiency=0.5)
+    b = pool.add(50.0)
+    sim.run(until=2.0)
+    event = pool._completion_event
+    assert event is not None
+    pool.begin_batch()
+    for entry in (a, b):
+        entry.set_cap(entry.cap)
+        entry.set_weight(entry.weight)
+        entry.set_efficiency(entry.efficiency)
+    pool.end_batch()
+    assert pool._completion_event is event
+    pool.begin_batch()
+    a.set_cap(3.0)
+    pool.end_batch()
+    assert pool._completion_event is not event
