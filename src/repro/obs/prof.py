@@ -4,7 +4,8 @@ A :class:`Profiler` attributes *wall-clock time*, and counts events, per
 subsystem.  It hooks the :class:`~repro.sim.engine.Simulator` dispatch
 seam: every event callback becomes a timed frame keyed
 ``module:qualname``, and instrumented internals (the fabric's max-min
-fill) push nested frames, so the profiler maintains a proper frame
+fill) and the completion callbacks pools and the fabric call directly
+push nested frames, so the profiler maintains a proper frame
 stack and can split **self** time (time in a frame excluding its
 children) from **cumulative** time.  Self times tile the dispatch wall
 clock exactly -- every profiled moment belongs to exactly
@@ -59,8 +60,8 @@ class Profiler:
     Root frames are keyed by ``module:qualname``, so the callback table
     and flamegraph resolve individual callbacks; the subsystem table
     rolls them up per module.  Nested frames (:meth:`push`/:meth:`pop`)
-    only fire on slow-path operations (fabric rebalances), never per
-    event.  The default gauge cadence of 16 events still samples
+    fire on fabric fills and on the completion callbacks that pools and
+    the fabric call directly.  The default gauge cadence of 16 events still samples
     the smallest bench cells (a few hundred events over several
     simulators).
     """

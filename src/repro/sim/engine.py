@@ -55,6 +55,22 @@ def _callback_names(callback: Callable[[], None]) -> tuple:
     return module, qualname
 
 
+def _profiled_call(prof: Any, callback: Callable[[], None]) -> None:
+    """Run ``callback`` inside a profiler frame billed to its module.
+
+    Pools and the fabric call completion callbacks directly, not through
+    the queue; without a frame of their own, a callback's work (a task's
+    stage transition, the JobTracker round it triggers) would be billed
+    to the pool or fabric event that drained it.
+    """
+    module, qualname = _callback_names(callback)
+    prof.push(f"{module}:{qualname}", subsystem=module)
+    try:
+        callback()
+    finally:
+        prof.pop()
+
+
 class Event:
     """A scheduled callback.
 

@@ -22,15 +22,18 @@ a NIC scale, a partition or its heal, a group move -- marks the links
 it touches, and the rebalance re-runs progressive filling only over the
 *connected components* of unblocked flows reachable from them; flows
 elsewhere keep their rates, since max-min allocations of disjoint
-components are independent.  The component fill itself
-(:func:`maxmin_fill`) maintains per-link unfixed-flow counters instead
-of rescanning every link's user list each round, dropping a fill from
-O(F·L) per round to O(F + L·rounds) total.  Reading the component off
-the start-ordered flow table, progress advancement and the
-next-completion scan are O(live flows): the fluid model applies the same
-per-interval arithmetic to every flow with a nonzero rate, and replays
-must stay byte-identical (see docs/networking.md); stalled flows
-(partitioned, or starved by the fill) are skipped.
+components are independent.  The walk hands the fill the links it
+reached, each with its own flow set, ordered by the start order of each
+link's first unblocked flow (``Flow.seq``) -- the order a fill over the
+component's flows in start order would meet them -- so a rebalance
+costs the walk, a sort of the reached links and the fill, and never
+reads the flow table.  The fill (:func:`maxmin_fill`) maintains per-link
+unfixed-flow counters instead of rescanning every link's flows each
+round: O(F + L·rounds) in all.  Progress advancement and the
+next-completion scan stay O(live flows): the fluid model applies the
+same per-interval arithmetic to every flow with a nonzero rate, and
+replays must stay byte-identical (see docs/networking.md); stalled
+flows (partitioned, or starved by the fill) are skipped.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ from __future__ import annotations
 import math
 from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
-from repro.sim.engine import Event, Simulator
+from repro.sim.engine import Event, Simulator, _profiled_call
 
 _EPS = 1e-9
 
@@ -57,6 +60,7 @@ class Flow:
         "label",
         "is_loopback",
         "span",
+        "seq",
     )
 
     def __init__(
@@ -78,6 +82,9 @@ class Flow:
         self.label = label
         self.is_loopback = False
         self.span = None  # tracer span while tracing is enabled
+        #: start order among the fabric's cross-host flows; orders the
+        #: links of a rebalance's fill
+        self.seq = 0
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Flow({self.src}->{self.dst}, left={self.remaining:.1f}MB)"
@@ -113,65 +120,44 @@ class _HostLinks:
         self.loop_in: Dict[Flow, None] = {}
 
 
-def maxmin_fill(flows: List[Flow], links: Dict[str, _HostLinks]) -> List[float]:
-    """Progressive-filling max-min fair rates for cross-host flows.
+def maxmin_fill(component: List[tuple], links: Dict[str, _HostLinks]) -> None:
+    """Progressive-filling max-min fair rates for one rebalance's links.
 
-    Each flow crosses ``links[src].up`` and ``links[dst].down``.  Every
-    round fixes the flows of the most-constrained link (lowest fair
-    share, first wins within ``_EPS``) and charges their rate to their
-    other link.  Links get integer ids in first-occurrence order over
-    the flow list (src uplink before dst downlink per flow), and
-    per-link *unfixed counts* are maintained incrementally, so each
-    round costs O(links) instead of O(flows · links) and fixing flows
-    amortizes to O(flows) over the whole fill.
+    ``component`` holds one record ``(seq, direction, host, flows)`` per
+    link, as :meth:`NetworkFabric._component_links` builds them:
+    direction 0 is ``links[host].up``, 1 is ``links[host].down``, and
+    ``flows`` are the link's unblocked flows in start order.  Every flow
+    crosses one uplink and one downlink of the list.  Each round fixes
+    the unfixed flows of the most-constrained link (lowest fair share,
+    first in list order wins within ``_EPS``), sets their ``rate`` and
+    charges it to their other link.  A flow whose other link is already
+    done was fixed in an earlier round.  Per-link *unfixed counts* are
+    maintained incrementally, so each round costs O(links) and fixing
+    flows amortizes to O(flows) over the whole fill.
 
     The fill feeds completion-event timestamps, so it must stay
     bit-identical to the plain per-link oracle in ``tests/maxmin_oracle.py``;
     the property tests fuzz that on randomized topologies.
     """
-    n = len(flows)
-    rates = [0.0] * n
-    if n == 0:
-        return rates
-    # per-direction string-keyed id maps: str hashes are cached by the
-    # interpreter, so this avoids a tuple allocation + combined hash per
-    # flow per fill (the setup is the hot half of small fills)
+    # host -> link index per direction: str hashes are cached by the
+    # interpreter, so these lookups allocate nothing
     up_id: Dict[str, int] = {}
     down_id: Dict[str, int] = {}
     cap: List[float] = []
     active_n: List[int] = []
-    users: List[List[int]] = []
-    src_ids: List[int] = [0] * n
-    dst_ids: List[int] = [0] * n
-    up_get = up_id.get
-    down_get = down_id.get
-    for i, flow in enumerate(flows):
-        host = flow.src
-        k = up_get(host)
-        if k is None:
-            k = up_id[host] = len(cap)
-            host_links = links[host]
-            cap.append(host_links.up * host_links.nic_scale)
-            active_n.append(1)
-            users.append([i])
-        else:
-            active_n[k] += 1
-            users[k].append(i)
-        src_ids[i] = k
-        host = flow.dst
-        k = down_get(host)
-        if k is None:
-            k = down_id[host] = len(cap)
-            host_links = links[host]
+    remaining = 0
+    for k, (_, direction, host, flows) in enumerate(component):
+        host_links = links[host]
+        count = len(flows)
+        active_n.append(count)
+        if direction:
+            down_id[host] = k
             cap.append(host_links.down * host_links.nic_scale)
-            active_n.append(1)
-            users.append([i])
         else:
-            active_n[k] += 1
-            users[k].append(i)
-        dst_ids[i] = k
-    fixed = bytearray(n)
-    remaining = n
+            up_id[host] = k
+            cap.append(host_links.up * host_links.nic_scale)
+            remaining += count
+    done = bytearray(len(cap))
     link_range = range(len(cap))
     while remaining:
         best = -1
@@ -186,25 +172,21 @@ def maxmin_fill(flows: List[Flow], links: Dict[str, _HostLinks]) -> List[float]:
                 best = k
         if best < 0:
             break
-        for i in users[best]:
-            if fixed[i]:
+        done[best] = 1
+        _, direction, _, flows = component[best]
+        other_id = up_id if direction else down_id
+        for flow in flows:
+            k = other_id[flow.src if direction else flow.dst]
+            if done[k]:
                 continue
-            fixed[i] = 1
-            remaining -= 1
-            rates[i] = best_share
+            flow.rate = best_share
             # charge this flow's rate to its other link
-            k = src_ids[i]
-            if k != best:
-                residual = cap[k] - best_share
-                cap[k] = residual if residual > 0.0 else 0.0
+            residual = cap[k] - best_share
+            cap[k] = residual if residual > 0.0 else 0.0
             active_n[k] -= 1
-            k = dst_ids[i]
-            if k != best:
-                residual = cap[k] - best_share
-                cap[k] = residual if residual > 0.0 else 0.0
-            active_n[k] -= 1
+            remaining -= 1
+        active_n[best] = 0
         cap[best] = 0.0
-    return rates
 
 
 #: placeholder, not a fill: ``perfbench/layers.py`` patches this name and
@@ -222,6 +204,8 @@ class NetworkFabric:
         # iteration in start order (the order the old list gave)
         self._flows: Dict[Flow, None] = {}
         self._loop_flows: Dict[Flow, None] = {}
+        #: start counter of cross-host flows (``Flow.seq``)
+        self._flow_seq = 0
         self._last_update = sim.now
         self._completion_event: Optional[Event] = None
         self.bytes_transferred_mb = 0.0
@@ -447,6 +431,7 @@ class NetworkFabric:
             self._links[dst].loop_in[flow] = None
             self._dirty.add((src, "loop"))
         else:
+            flow.seq = self._flow_seq = self._flow_seq + 1
             self._flows[flow] = None
             self._links[src].up_flows[flow] = None
             self._links[dst].down_flows[flow] = None
@@ -558,6 +543,7 @@ class NetworkFabric:
         if not finished:
             return
         obs = self.sim.obs
+        prof = self.sim.prof
         for flow in finished:
             if flow.done:
                 # a sibling's completion callback in this same batch
@@ -573,76 +559,77 @@ class NetworkFabric:
                 obs.tracer.end(flow.span)
                 flow.span = None
             if flow.on_complete is not None:
-                flow.on_complete()
+                if prof is None:
+                    flow.on_complete()
+                else:
+                    _profiled_call(prof, flow.on_complete)
 
-    def _component_flows(self, seeds: Set[tuple]) -> List[Flow]:
-        """Unblocked cross-host flows connected to the seed links, in
-        start order.
+    def _component_links(self, seeds: Set[tuple]) -> List[tuple]:
+        """Fill records for the links of the connected components of
+        unblocked cross-host flows reachable from the seed links.
 
         Walks the per-link membership indexes: a flow joins the
         component when either of its links is reachable, and brings its
         other link with it.  A flow the active partition blocks connects
-        nothing; every blocked flow the walk meets is pinned at rate 0.
-        The component is then every flow whose uplink the walk reached,
-        read off the start-ordered flow table.  Loopback seeds are
-        handled separately (the loopback channel shares with nothing).
+        nothing, and every blocked flow on a reached link is pinned at
+        rate 0.  Each reached link that carries unblocked flows gives one
+        :func:`maxmin_fill` record ``(seq, direction, host, flows)``:
+        ``flows`` is the link's own flow dict (under a partition, the list
+        of its unblocked flows) and ``seq`` its first flow's.  Sorted,
+        the records list the links in order of first use over the
+        component's flows in start order, uplink before downlink within a
+        flow -- the order the fill's tie-break depends on
+        (docs/networking.md).  Loopback seeds are handled separately (the
+        loopback channel shares with nothing).
         """
         links = self._links
         partitioned = self._partition is not None
-        is_blocked = self.is_blocked
         up_stack = [h for (h, d) in seeds if d == "up"]
         down_stack = [h for (h, d) in seeds if d == "down"]
         seen_up = set(up_stack)
         seen_down = set(down_stack)
+        component = []
         while up_stack or down_stack:
             if up_stack:
-                for flow in links[up_stack.pop()].up_flows:
+                host = up_stack.pop()
+                flows = links[host].up_flows
+                if partitioned:
+                    flows = self._unblocked(flows)
+                for flow in flows:
                     dst = flow.dst
-                    if dst in seen_down:
-                        continue
-                    if partitioned and is_blocked(flow.src, dst):
-                        flow.rate = 0.0
-                        continue
-                    seen_down.add(dst)
-                    down_stack.append(dst)
+                    if dst not in seen_down:
+                        seen_down.add(dst)
+                        down_stack.append(dst)
+                if flows:
+                    component.append((next(iter(flows)).seq, 0, host, flows))
             else:
-                for flow in links[down_stack.pop()].down_flows:
+                host = down_stack.pop()
+                flows = links[host].down_flows
+                if partitioned:
+                    flows = self._unblocked(flows)
+                for flow in flows:
                     src = flow.src
-                    if src in seen_up:
-                        continue
-                    if partitioned and is_blocked(src, flow.dst):
-                        flow.rate = 0.0
-                        continue
-                    seen_up.add(src)
-                    up_stack.append(src)
-        component = []
-        for flow in self._flows:
-            if flow.src in seen_up:
-                if partitioned and is_blocked(flow.src, flow.dst):
-                    flow.rate = 0.0
-                else:
-                    component.append(flow)
+                    if src not in seen_up:
+                        seen_up.add(src)
+                        up_stack.append(src)
+                if flows:
+                    component.append((next(iter(flows)).seq, 1, host, flows))
+        # (seq, direction) is unique per link, so the sort never
+        # compares hosts or flow collections
+        component.sort()
         return component
 
-    def _fill(self, flows: List[Flow]) -> None:
-        """Set max-min fair rates on ``flows``, the connected components
-        of one rebalance.
-
-        Calls the module global :func:`maxmin_fill` on every call -- the
-        name external profilers and tests patch -- inside a
-        ``net.maxmin_fill`` profiler frame when one is attached.
-        """
-        prof = self.sim.prof
-        if prof is None:
-            rates = maxmin_fill(flows, self._links)
-        else:
-            prof.push("net.maxmin_fill", subsystem="repro.sim.network")
-            try:
-                rates = maxmin_fill(flows, self._links)
-            finally:
-                prof.pop()
-        for flow, rate in zip(flows, rates):
-            flow.rate = rate
+    def _unblocked(self, flows: Iterable[Flow]) -> List[Flow]:
+        """The flows the active partition does not block, in order; the
+        blocked ones are pinned at rate 0."""
+        is_blocked = self.is_blocked
+        unblocked = []
+        for flow in flows:
+            if is_blocked(flow.src, flow.dst):
+                flow.rate = 0.0
+            else:
+                unblocked.append(flow)
+        return unblocked
 
     def _rebalance(self) -> None:
         """Re-fill the components reachable from the dirty links.
@@ -654,12 +641,24 @@ class NetworkFabric:
         if dirty:
             prof = self.sim.prof
             self._dirty = set()
-            component = self._component_flows(dirty)
+            component = self._component_links(dirty)
+            # the fill is called through the module global, the name
+            # external profilers and tests patch
             if component:
-                if prof is not None:
+                if prof is None:
+                    maxmin_fill(component, self._links)
+                else:
                     prof.gauge("net.dirty_links", len(dirty))
-                    prof.gauge("net.rebalance_component_flows", len(component))
-                self._fill(component)
+                    # every flow crosses exactly one reached uplink
+                    prof.gauge(
+                        "net.rebalance_component_flows",
+                        sum(len(rec[3]) for rec in component if not rec[1]),
+                    )
+                    prof.push("net.maxmin_fill", subsystem="repro.sim.network")
+                    try:
+                        maxmin_fill(component, self._links)
+                    finally:
+                        prof.pop()
             # loopback channels are per-source-host and share with
             # nothing else: recompute only the touched hosts
             for host, direction in dirty:

@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 from typing import Callable, List, Optional
 
-from repro.sim.engine import Event, Simulator
+from repro.sim.engine import Event, Simulator, _profiled_call
 
 _EPS = 1e-9
 
@@ -347,10 +347,12 @@ class ResourcePool:
                 finished.append(entry)
         self.busy_integral += total * dt
         self._last_update = now
-        if finished:
-            # membership is about to change: any enclosing batch must
-            # rebalance to redistribute the freed capacity
-            self._batch_dirty = True
+        if not finished:
+            return
+        # membership is about to change: any enclosing batch must
+        # rebalance to redistribute the freed capacity
+        self._batch_dirty = True
+        prof = self.sim.prof
         for entry in finished:
             if entry.done:
                 # a sibling's completion callback in this same batch
@@ -361,7 +363,10 @@ class ResourcePool:
             entry.done = True
             entry.rate = 0.0
             if entry.on_complete is not None:
-                entry.on_complete()
+                if prof is None:
+                    entry.on_complete()
+                else:
+                    _profiled_call(prof, entry.on_complete)
 
     def _rebalance(self) -> None:
         """Recompute fair-share rates and schedule the next completion."""

@@ -7,12 +7,15 @@ but easy to check by eye, so the tests hold the indexed fill to it
 bit-for-bit.  The two share their tie-break (``share < best - EPS``,
 first link in insertion order wins) and their float operations, which
 is what makes exact equality the right assertion.
+
+:func:`fill_flow_list` runs the fill itself over a plain flow list, so
+the tests can hand both the same input.
 """
 
 import math
 from typing import Dict, List
 
-from repro.sim.network import _EPS
+from repro.sim.network import _EPS, maxmin_fill
 
 
 def maxmin_flow_rates(flows: List, links: Dict) -> List[float]:
@@ -61,3 +64,24 @@ def maxmin_flow_rates(flows: List, links: Dict) -> List[float]:
                     cap[key] = max(0.0, cap[key] - best_share)
         cap[best_key] = 0.0
     return rates
+
+
+def fill_flow_list(flows: List, links: Dict) -> List[float]:
+    """:func:`maxmin_fill` over ``flows`` taken as started in list order.
+
+    Builds the fill's link records the way the fabric's component walk
+    orders them: one record per link, in order of first use over the
+    list (a flow's uplink before its downlink), each holding the link's
+    flows in list order.  The fill sets ``flow.rate``; the rates come
+    back in list order.
+    """
+    records: Dict[tuple, tuple] = {}
+    for i, flow in enumerate(flows):
+        for host, direction in ((flow.src, 0), (flow.dst, 1)):
+            record = records.get((host, direction))
+            if record is None:
+                records[host, direction] = (i, direction, host, [flow])
+            else:
+                record[3].append(flow)
+    maxmin_fill(list(records.values()), links)
+    return [flow.rate for flow in flows]

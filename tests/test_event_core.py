@@ -23,8 +23,8 @@ from hypothesis import strategies as st
 from repro.obs.prof import Profiler
 from repro.sim import network
 from repro.sim.engine import Simulator
-from repro.sim.network import NetworkFabric, _HostLinks, maxmin_fill
-from tests.maxmin_oracle import maxmin_flow_rates
+from repro.sim.network import NetworkFabric, _HostLinks
+from tests.maxmin_oracle import fill_flow_list, maxmin_flow_rates
 from tests.queue_oracle import SortedListLoop
 
 
@@ -118,11 +118,12 @@ def test_queue_stats_reports_backend():
 # indexed max-min fill: bitwise identical to the oracle
 # ----------------------------------------------------------------------
 class _F:
-    __slots__ = ("src", "dst")
+    __slots__ = ("src", "dst", "rate")
 
     def __init__(self, src: str, dst: str) -> None:
         self.src = src
         self.dst = dst
+        self.rate = 0.0
 
 
 def _random_topology(rng: random.Random):
@@ -154,7 +155,7 @@ def test_vectorized_fill_bit_identical(seed):
     flows, links = _random_topology(random.Random(seed))
     # bitwise: the fill feeds completion-event timestamps, so even 1-ulp
     # drift would change digests
-    assert maxmin_fill(flows, links) == maxmin_flow_rates(flows, links)
+    assert fill_flow_list(flows, links) == maxmin_flow_rates(flows, links)
 
 
 def _fabric_scenario(rng: random.Random) -> None:
@@ -189,14 +190,22 @@ def _fabric_scenario(rng: random.Random) -> None:
 def test_maxmin_fill_dispatcher_matches_reference(seed):
     """The fabric dispatches every fill through the module global
     ``network.maxmin_fill`` (the name a profiler patch wraps), and each
-    dispatched fill returns the oracle's rates for its component."""
+    dispatched fill sets the oracle's rates on its component's flows,
+    taken in start (``seq``) order."""
     fill = network.maxmin_fill
     checked = []
 
-    def spy(flows, links):
-        rates = fill(flows, links)
-        checked.append(rates == maxmin_flow_rates(flows, links))
-        return rates
+    def spy(component, links):
+        fill(component, links)
+        # every flow of the component crosses exactly one of its uplinks
+        flows = sorted(
+            (flow for _, direction, _, link_flows in component if direction == 0
+             for flow in link_flows),
+            key=lambda flow: flow.seq,
+        )
+        checked.append(
+            [flow.rate for flow in flows] == maxmin_flow_rates(flows, links)
+        )
 
     with mock.patch.object(network, "maxmin_fill", spy):
         _fabric_scenario(random.Random(seed))

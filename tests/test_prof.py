@@ -16,6 +16,8 @@ from repro.obs.prof import (
     write_speedscope,
 )
 from repro.sim.engine import Simulator, _callback_names
+from repro.sim.network import NetworkFabric
+from repro.sim.pool import ResourcePool
 
 
 class FakeClock:
@@ -140,6 +142,40 @@ def test_engine_profiles_events_and_samples_gauges():
     sim.schedule(1.0, lambda: None)
     sim.run()
     assert prof.events == 3  # detached: no further attribution
+
+
+def test_completion_callbacks_are_billed_to_their_module():
+    """Pools and the fabric call completion callbacks directly, inside
+    their own completion events.  Each call runs in a frame billed to the
+    callback's module, so the work of a flow's and a pool entry's
+    callback lands in this module's subsystem, not in the fabric's or the
+    pool's."""
+    clock = FakeClock()
+    prof = Profiler(clock=clock)
+    sim = Simulator(seed=1)
+    sim.enable_profiling(prof)
+    fabric = NetworkFabric(sim)
+    fabric.register_host("a")
+    fabric.register_host("b")
+    pool = ResourcePool(sim, 10.0)
+
+    def flow_done():
+        clock.advance(2.0)
+
+    def entry_done():
+        clock.advance(3.0)
+
+    fabric.start_flow("a", "b", 119.0, on_complete=flow_done)
+    pool.add(20.0, on_complete=entry_done)
+    sim.run()
+    subsystems = prof.subsystem_table()
+    assert subsystems[__name__]["self_s"] == pytest.approx(5.0)
+    assert subsystems["repro.sim.network"]["self_s"] == pytest.approx(0.0)
+    assert subsystems["repro.sim.pool"]["self_s"] == pytest.approx(0.0)
+    frames = prof.snapshot()["frames"]
+    for callback, self_s in ((flow_done, 2.0), (entry_done, 3.0)):
+        frame = frames[":".join(_callback_names(callback))]
+        assert (frame["count"], frame["self_s"]) == (1, pytest.approx(self_s))
 
 
 def test_compaction_is_attributed_when_profiled():

@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 from repro.interference.models import ExponentialModel, LinearModel, PiecewiseLinearModel
 from repro.interference.regression import fit_line, r_squared
 from repro.sim.engine import Simulator
-from repro.sim.network import _HostLinks, maxmin_fill
+from repro.sim.network import _HostLinks
 from repro.sim.pool import ResourcePool, waterfill
 from repro.sim.trace import Trace
-from tests.maxmin_oracle import maxmin_flow_rates
+from tests.maxmin_oracle import fill_flow_list, maxmin_flow_rates
 
 finite = st.floats(min_value=0.1, max_value=1e4, allow_nan=False)
 
@@ -77,6 +77,7 @@ class _F:
     def __init__(self, src, dst):
         self.src = src
         self.dst = dst
+        self.rate = 0.0
 
 
 @given(
@@ -98,7 +99,7 @@ def test_maxmin_never_oversubscribes_links(n_hosts, pairs, cap):
     if not flows:
         return
     links = {h: _HostLinks(cap, cap, 2000.0, h) for h in hosts}
-    rates = maxmin_fill(flows, links)
+    rates = fill_flow_list(flows, links)
     assert all(r >= -1e-9 for r in rates)
     up = {h: 0.0 for h in hosts}
     down = {h: 0.0 for h in hosts}
@@ -209,7 +210,7 @@ def test_maxmin_fast_is_bit_identical_to_reference(n_hosts, pairs, caps, scales)
         links[h] = _HostLinks(caps[i], caps[(i + 1) % 6], 2000.0, h)
         links[h].nic_scale = scales[i]
     reference = maxmin_flow_rates(flows, links)
-    fast = maxmin_fill(flows, links)
+    fast = fill_flow_list(flows, links)
     assert fast == reference  # bit-for-bit, not approx
 
 

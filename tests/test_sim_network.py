@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.sim.network import NetworkFabric, maxmin_fill
+from repro.sim.network import NetworkFabric
+from tests.maxmin_oracle import fill_flow_list, maxmin_flow_rates
 
 
 def make_fabric(sim, hosts=("a", "b", "c"), cap=100.0):
@@ -123,6 +124,7 @@ class _FakeFlow:
     def __init__(self, src, dst):
         self.src = src
         self.dst = dst
+        self.rate = 0.0
 
 
 class _Links:
@@ -135,7 +137,7 @@ class _Links:
 def test_maxmin_bottleneck_is_shared_link():
     flows = [_FakeFlow("a", "b"), _FakeFlow("a", "c")]
     links = {"a": _Links(100, 100), "b": _Links(100, 100), "c": _Links(100, 100)}
-    rates = maxmin_fill(flows, links)
+    rates = fill_flow_list(flows, links)
     assert rates == [pytest.approx(50.0), pytest.approx(50.0)]
 
 
@@ -143,13 +145,13 @@ def test_maxmin_unequal_links():
     # a->b limited by b's 30 downlink; a->c then gets the leftover 70
     flows = [_FakeFlow("a", "b"), _FakeFlow("a", "c")]
     links = {"a": _Links(100, 100), "b": _Links(100, 30), "c": _Links(100, 100)}
-    rates = maxmin_fill(flows, links)
+    rates = fill_flow_list(flows, links)
     assert rates[0] == pytest.approx(30.0)
     assert rates[1] == pytest.approx(70.0)
 
 
 def test_maxmin_no_flows():
-    assert maxmin_fill([], {}) == []
+    assert fill_flow_list([], {}) == []
 
 
 # ----------------------------------------------------------------------
@@ -286,3 +288,59 @@ def test_group_move_under_partition_refills_the_freed_link(sim):
     assert (to_h1.rate, to_h2.rate) == (100.0, 0.0)
     fabric.set_group("h2", "h0")
     assert (to_h1.rate, to_h2.rate) == (50.0, 50.0)
+
+
+# ----------------------------------------------------------------------
+# the fill's link order: first use over the live, unblocked flows
+# ----------------------------------------------------------------------
+def _assert_oracle_rates(fabric):
+    """Every live cross-host flow the partition does not block has the
+    oracle's rate over those flows in start order, bit for bit."""
+    live = [f for f in fabric._flows if not fabric.is_blocked(f.src, f.dst)]
+    assert [f.rate for f in live] == maxmin_flow_rates(live, fabric._links)
+
+
+def test_link_order_follows_the_first_live_flow_after_a_cancel(sim):
+    """Cancelling h0->h1, the earliest flow on h0's uplink, moves that link
+    behind h2's downlink, whose first flow h1->h2 started before h0->h2.
+    h2's downlink (share 0.9999999997) and h0's uplink (1.0) tie within
+    the fill's 1e-9 window, so the first of them in link order fixes
+    both flows.  Found by a seed search over near-tie capacities."""
+    fabric = NetworkFabric(sim)
+    for host, up, down in (
+        ("h0", 1.0, 3.0),
+        ("h1", 1.9999999994, 1.9999999982),
+        ("h2", 1.9999999994, 1.9999999994),
+    ):
+        fabric.register_host(host, up_mbps=up, down_mbps=down)
+    earliest = fabric.start_flow("h0", "h1", 1000.0)
+    fabric.start_flow("h1", "h2", 1000.0)
+    fabric.start_flow("h0", "h2", 1000.0)
+    _assert_oracle_rates(fabric)
+    fabric.cancel_flow(earliest)
+    _assert_oracle_rates(fabric)
+    assert [f.rate for f in fabric._flows] == [0.9999999997, 0.9999999997]
+
+
+def test_link_order_under_a_partition_skips_blocked_flows(sim):
+    """The partition blocks h2->h1, the earliest flow on h1's downlink, so
+    that link's position comes from h3->h1, its first unblocked flow: it
+    sorts behind h3's uplink.  Their shares (1.0 and 0.9999999997) tie
+    within 1e-9, so h3's uplink fixes both of its flows at 1.0.  Found by
+    the same seed search."""
+    fabric = NetworkFabric(sim)
+    for host, up, down in (
+        ("h0", 100.0, 100.0),
+        ("h1", 1.9999999994, 0.9999999997),
+        ("h2", 100.0, 1.9999999988),
+        ("h3", 2.0, 1.9999999982),
+    ):
+        fabric.register_host(host, up_mbps=up, down_mbps=down)
+    blocked = fabric.start_flow("h2", "h1", 1000.0)
+    fabric.start_flow("h3", "h2", 1000.0)
+    fabric.start_flow("h3", "h1", 1000.0)
+    _assert_oracle_rates(fabric)
+    fabric.partition(["h0", "h2"], ["h1"])
+    assert blocked.rate == 0.0
+    _assert_oracle_rates(fabric)
+    assert [f.rate for f in fabric._flows][1:] == [1.0, 1.0]
