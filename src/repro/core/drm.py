@@ -4,9 +4,9 @@ Architecture mirrors the paper (and MROrchestrator [31]):
 
 - Each virtual node has a **Local Resource Manager** (LRM) with a
   *Resource Profiler* (samples each running attempt's CPU/disk rates,
-  memory footprint and progress every epoch) and an *Estimator*
-  (online regression models predicting a task's progress rate as a
-  function of its CPU/IO allocation, plus completion-time estimates).
+  memory footprint and progress every epoch) and an *Estimator* (an
+  EWMA of each attempt's progress rate, from which it estimates the
+  attempt's completion time).
 - The **Global Resource Manager** (GRM) runs a *Contention Detector*
   (classifies tasks/VMs as resource-deficit or resource-hogging from
   the LRM feedback) and a *Performance Balancer* that actuates:
@@ -28,7 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
-from repro.interference.models import LinearModel
 from repro.mapreduce.jobtracker import JobTracker
 from repro.mapreduce.task import TaskAttempt, TaskKind
 from repro.sim.engine import Simulator
@@ -71,8 +70,6 @@ class LocalResourceManager:
         self.samples: List[TaskUsageSample] = []
         self._last_progress: Dict[int, tuple] = {}  # attempt -> (time, progress)
         self._rate_ewma: Dict[int, float] = {}
-        #: progress-rate-vs-cpu-allocation model, refreshed from samples
-        self.cpu_model = LinearModel()
 
     # -- Resource Profiler ------------------------------------------------
     def sample(self, now: float, attempts: List[TaskAttempt]) -> List[TaskUsageSample]:
@@ -136,17 +133,6 @@ class LocalResourceManager:
         progress = attempt.progress()
         eta = (1.0 - progress) / rate if rate > 1e-9 else float("inf")
         return CompletionEstimate(attempt.attempt_id, progress, rate, eta)
-
-    def refresh_models(self) -> None:
-        """Refit the progress-rate-vs-CPU model from recent samples."""
-        xs, ys = [], []
-        for sample in self.samples[-200:]:
-            rate = self._rate_ewma.get(sample.attempt_id)
-            if rate is not None and sample.cpu_rate > 0:
-                xs.append(sample.cpu_rate)
-                ys.append(rate)
-        if len(xs) >= 4:
-            self.cpu_model.fit(xs, ys)
 
 
 class DynamicResourceManager:
@@ -220,9 +206,7 @@ class DynamicResourceManager:
             if isinstance(ctx, VirtualMachine) and ctx.name in by_vm:
                 by_vm[ctx.name].append(attempt)
         for vm in self.vms:
-            lrm = self.lrms[vm.name]
-            lrm.sample(self.sim.now, by_vm[vm.name])
-            lrm.refresh_models()
+            self.lrms[vm.name].sample(self.sim.now, by_vm[vm.name])
         # GRM phase: detect contention and rebalance
         if self.manage_cpu:
             self._balance_cpu(by_vm)

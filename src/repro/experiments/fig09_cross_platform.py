@@ -122,8 +122,11 @@ def _run_design(
     # steady state: each benchmark resubmits itself on completion and
     # the design runs for a fixed horizon, so energy reflects how many
     # servers the design keeps powered around the clock -- the paper's
-    # data-center framing -- rather than one burst's duration.
-    horizon_s = 1500.0
+    # data-center framing -- rather than one burst's duration.  The
+    # horizon must outlast every design's slowest job: at paper inputs
+    # the virtual design's Twitter takes 1,779 s (seed 1), so it grows
+    # with the input size -- 1,500 s up to medium, 3,000 s at paper.
+    horizon_s = max(1500.0, 3000.0 * scale.input_fraction)
     completed: Dict[str, List[float]] = {spec.name: [] for spec in specs}
     counters: Dict[str, int] = {spec.name: 0 for spec in specs}
 

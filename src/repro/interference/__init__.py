@@ -1,10 +1,9 @@
 """Statistical interference and performance models (Section III-B).
 
-The Phase II scheduler's Estimator builds regression models of task
-run-time performance as a function of resource usage/allocation:
-linear for CPU, piece-wise linear for memory, exponential for I/O --
-the same model families the paper adopts from MROrchestrator [31] and
-TRACON [13].
+Regression models of task run-time performance as a function of
+resource usage/allocation: linear for CPU, piece-wise linear for
+memory, exponential for I/O -- the model families the paper adopts
+from MROrchestrator [31] and TRACON [13].
 """
 
 from repro.interference.models import (

@@ -9,8 +9,9 @@ slowdown as:
 - **I/O**: exponential in collocated I/O rate (Figure 6(c)).
 
 Each model exposes ``fit(x, y)`` / ``predict(x)``; fits are closed-form
-least squares (:mod:`repro.interference.regression`), cheap enough for
-the Phase II scheduler to refresh models online every epoch.
+least squares (:mod:`repro.interference.regression`).  The Phase II
+DRM does not fit them: its Estimator predicts completion from a
+progress-rate EWMA (:mod:`repro.core.drm`).
 """
 
 from __future__ import annotations

@@ -8,7 +8,12 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.hdfs.filesystem import HDFS
 from repro.mapreduce.job import Job, JobSpec, JobState
-from repro.mapreduce.schedulers import SKIP_JOB, FairScheduler, SlotScheduler
+from repro.mapreduce.schedulers import (
+    SKIP_JOB,
+    ClusterView,
+    FairScheduler,
+    SlotScheduler,
+)
 from repro.mapreduce.task import Task, TaskAttempt, TaskKind
 from repro.mapreduce.tracker import TaskTracker
 from repro.sim.engine import Simulator
@@ -363,21 +368,18 @@ class JobTracker:
         The *tracker* is chosen first -- the free one on the least
         loaded physical machine, like the next node to heartbeat in a
         lightly loaded cluster (see :meth:`_pick_tracker`) -- and then
-        the best task *for it*: node-local, then host-local, then any
-        pending task.  Choosing the tracker first spreads work across
-        machines instead of packing every task onto the few nodes that
-        hold replicas.  ``state`` is the round ``_dispatch`` is running.
+        the scheduler picks the task *for it*, job by job in its order
+        (by default node-local, then host-local, then any pending task;
+        see :meth:`SlotScheduler.pick_task`).  Choosing the tracker
+        first spreads work across machines instead of packing every
+        task onto the few nodes that hold replicas.  ``state`` is the
+        round ``_dispatch`` is running.
         """
         tracker = self._pick_tracker(kind, state)
         if tracker is None:
             return False
         scheduler = self.scheduler
-        view = None
-        if scheduler.policy_aware:
-            # built lazily: legacy orderings never pay for the snapshot
-            from repro.zoo.policy import ClusterView
-
-            view = ClusterView(self, kind)
+        view = ClusterView(self, kind)
         runnable = state.runnable
         for job in scheduler.order(self.active_jobs, view):
             cache_key = (job.job_id, kind)
@@ -390,38 +392,25 @@ class JobTracker:
                 tasks[:] = [t for t in tasks if not t.scheduled]
             if not tasks:
                 continue
-            task = None
-            if view is not None:
-                task = scheduler.pick_task(job, tasks, tracker, kind, view)
-                if task is SKIP_JOB:
-                    # the policy declines this offer (e.g. delay
-                    # scheduling waiting for locality): next job in order
-                    self._policy_skipped = True
-                    continue
-            if task is None:
-                task = self._pick_task_for(tracker, tasks, kind)
+            task = scheduler.pick_task(job, tasks, tracker, kind, view)
+            if task is SKIP_JOB:
+                # the policy declines this offer (e.g. delay scheduling
+                # waiting for locality): next job in order
+                self._policy_skipped = True
+                continue
             self._launch(task, tracker)
             pm_key = id(tracker.context.pm)
             state.load_by_pm[pm_key] = state.load_by_pm.get(pm_key, 0) + 1
             return True
         return False
 
-    def _pick_task_for(
-        self, tracker: TaskTracker, tasks: List[Task], kind: TaskKind
-    ) -> Task:
-        """Best pending task for this tracker (locality preference)."""
-        if kind is TaskKind.MAP:
-            task = self.local_task(tracker, tasks)
-            if task is not None:
-                return task
-        return tasks[0]
-
     def local_task(self, tracker: TaskTracker, tasks: List[Task]) -> Optional[Task]:
         """The first of the map ``tasks`` whose input has a replica on
         ``tracker``'s context (node-local), else the first with one on
         its physical machine (host-local), else ``None``.
 
-        The one locality rule: the default pick and the zoo's locality
+        The one locality rule: the default pick
+        (:meth:`SlotScheduler.pick_task`) and the zoo's locality
         policies (delay scheduling, job-driven maps) all ask it.
         """
         host_local: Optional[Task] = None

@@ -1,15 +1,14 @@
 """repro.zoo: the scheduler zoo.
 
-A pluggable policy framework over the JobTracker's slot-ordering seam
-(:class:`~repro.zoo.policy.SchedulingPolicy` + the string-keyed
-:mod:`~repro.zoo.registry`), a set of policies beyond FIFO/Fair/Capacity
-(delay scheduling, DRF, SRTF, the job-driven map/reduce algorithms of
-arXiv 1808.08040), and a head-to-head study runner
+Policies beyond FIFO/Fair/Capacity for the JobTracker's one slot seam,
+:class:`~repro.mapreduce.schedulers.SlotScheduler` (delay scheduling,
+DRF, SRTF, the job-driven map/reduce algorithms of arXiv 1808.08040),
+a string-keyed registry that builds any scheduler from a spec
+(:mod:`~repro.zoo.registry`), and a head-to-head study runner
 (:mod:`~repro.zoo.study`) that races every registered policy over fixed
 workload cells and explains the wins with critical-path blame.
 """
 
-from repro.zoo.policy import ClusterView, SchedulingPolicy
 from repro.zoo.registry import (
     create_policy,
     parse_policy_spec,
@@ -27,8 +26,6 @@ from repro.zoo.study import (
 )
 
 __all__ = [
-    "ClusterView",
-    "SchedulingPolicy",
     "create_policy",
     "parse_policy_spec",
     "policy_names",

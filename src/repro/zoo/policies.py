@@ -13,30 +13,30 @@ here as specs so every study races them too), this module implements:
   classification with eager small-job placement for the map side, and
   shuffle-readiness ranking for the reduce side.
 
-All policies are deterministic: pure functions of the round's
-:class:`~repro.zoo.policy.ClusterView` plus bounded internal counters
-(delay budgets), so same-seed replays are byte-identical.
+Every policy is a :class:`~repro.mapreduce.schedulers.SlotScheduler`
+(``delay`` and ``jobdriven-reduce`` through ``FairScheduler``, whose
+ordering they use) and is deterministic: a pure function of the offer's
+:class:`~repro.mapreduce.schedulers.ClusterView` plus bounded internal
+counters (delay budgets), so same-seed replays are byte-identical.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, List, Sequence
 
 from repro.mapreduce.schedulers import (
     SKIP_JOB,
     CapacityScheduler,
+    ClusterView,
     FairScheduler,
     FIFOScheduler,
     SlotScheduler,
-    running_task_counts,
 )
-from repro.zoo.policy import ClusterView, SchedulingPolicy
+from repro.mapreduce.task import TaskKind
 from repro.zoo.registry import register_policy
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.mapreduce.job import Job
-    from repro.mapreduce.task import Task, TaskKind
-    from repro.mapreduce.tracker import TaskTracker
 
 __all__ = [
     "DelayScheduler",
@@ -47,28 +47,15 @@ __all__ = [
 ]
 
 
-def _fair_order(
-    jobs: Sequence["Job"], view: Optional[ClusterView]
-) -> List["Job"]:
-    """Fewest-running-tasks-first with FIFO tiebreak (shared helper)."""
-    if view is not None:
-        running = {j.job_id: view.running_tasks(j) for j in jobs}
-    else:
-        running = running_task_counts(jobs)
-    return sorted(
-        jobs, key=lambda j: (running[j.job_id], j.submit_time, j.job_id)
-    )
-
-
-class DelayScheduler(SchedulingPolicy):
+class DelayScheduler(FairScheduler):
     """Delay scheduling: trade a short wait for map-input locality.
 
     Jobs are ordered fairly; per map offer the policy launches a node-
     or host-local task when one exists, and otherwise *declines* the
     slot (``SKIP_JOB``) until the job has been skipped ``skip_budget``
     times, at which point it accepts a remote task and resets the
-    budget.  Reduce offers always defer to the default placement
-    (reduces have no input locality).
+    budget.  Reduce offers take the default pick (reduces have no input
+    locality).
     """
 
     name = "delay"
@@ -80,17 +67,15 @@ class DelayScheduler(SchedulingPolicy):
         #: job_id -> consecutive non-local offers declined
         self._skips: Dict[int, int] = {}
 
-    def order(self, jobs: Sequence["Job"], view=None) -> List["Job"]:
+    def order(self, jobs: Sequence["Job"], view: ClusterView) -> List["Job"]:
         # drop counters for jobs that left the active set
         alive = {j.job_id for j in jobs}
         self._skips = {k: v for k, v in self._skips.items() if k in alive}
-        return _fair_order(jobs, view)
+        return super().order(jobs, view)
 
     def pick_task(self, job, tasks, tracker, kind, view):
-        from repro.mapreduce.task import TaskKind
-
         if kind is not TaskKind.MAP:
-            return None
+            return super().pick_task(job, tasks, tracker, kind, view)
         local = view.jt.local_task(tracker, tasks)
         if local is not None:
             self._skips.pop(job.job_id, None)
@@ -104,7 +89,7 @@ class DelayScheduler(SchedulingPolicy):
         return tasks[0]
 
 
-class DRFScheduler(SchedulingPolicy):
+class DRFScheduler(SlotScheduler):
     """Dominant-resource fairness over (slots, cpu, mem).
 
     Each job's demand vector comes from its benchmark profile (CPU
@@ -117,16 +102,14 @@ class DRFScheduler(SchedulingPolicy):
 
     name = "drf"
 
-    def order(self, jobs: Sequence["Job"], view=None) -> List["Job"]:
-        if view is None:
-            return _fair_order(jobs, view)
+    def order(self, jobs: Sequence["Job"], view: ClusterView) -> List["Job"]:
         return sorted(
             jobs,
             key=lambda j: (view.dominant_share(j), j.submit_time, j.job_id),
         )
 
 
-class SRTFScheduler(SchedulingPolicy):
+class SRTFScheduler(SlotScheduler):
     """Shortest-remaining-work-first: the size-aware baseline.
 
     Ranks jobs by structural remaining work (incomplete map input MB
@@ -136,12 +119,7 @@ class SRTFScheduler(SchedulingPolicy):
 
     name = "srtf"
 
-    def order(self, jobs: Sequence["Job"], view=None) -> List["Job"]:
-        if view is None:
-            return sorted(
-                jobs,
-                key=lambda j: (j.spec.input_mb, j.submit_time, j.job_id),
-            )
+    def order(self, jobs: Sequence["Job"], view: ClusterView) -> List["Job"]:
         return sorted(
             jobs,
             key=lambda j: (
@@ -152,7 +130,7 @@ class SRTFScheduler(SchedulingPolicy):
         )
 
 
-class JobDrivenMapScheduler(SchedulingPolicy):
+class JobDrivenMapScheduler(SlotScheduler):
     """Job-driven map-task scheduling (after arXiv 1808.08040).
 
     Jobs are classified by size against one *wave* of cluster map
@@ -172,15 +150,11 @@ class JobDrivenMapScheduler(SchedulingPolicy):
         self.large_job_skip_budget = large_job_skip_budget
         self._skips: Dict[int, int] = {}
 
-    def _is_small(self, job: "Job", view: Optional[ClusterView]) -> bool:
-        if view is None:
-            return False
-        from repro.mapreduce.task import TaskKind
-
+    def _is_small(self, job: "Job", view: ClusterView) -> bool:
         wave = max(1, view.total_slots(TaskKind.MAP))
         return len(job.map_tasks) <= wave
 
-    def order(self, jobs: Sequence["Job"], view=None) -> List["Job"]:
+    def order(self, jobs: Sequence["Job"], view: ClusterView) -> List["Job"]:
         alive = {j.job_id for j in jobs}
         self._skips = {k: v for k, v in self._skips.items() if k in alive}
         return sorted(
@@ -193,10 +167,8 @@ class JobDrivenMapScheduler(SchedulingPolicy):
         )
 
     def pick_task(self, job, tasks, tracker, kind, view):
-        from repro.mapreduce.task import TaskKind
-
         if kind is not TaskKind.MAP:
-            return None
+            return super().pick_task(job, tasks, tracker, kind, view)
         if self._is_small(job, view):
             return tasks[0]
         local = view.jt.local_task(tracker, tasks)
@@ -211,14 +183,14 @@ class JobDrivenMapScheduler(SchedulingPolicy):
         return tasks[0]
 
 
-class JobDrivenReduceScheduler(SchedulingPolicy):
+class JobDrivenReduceScheduler(FairScheduler):
     """Job-driven reduce-task scheduling (after arXiv 1808.08040).
 
     Reduce slots go to the job whose pending reduces have the most
     shuffle output already waiting (largest accumulated backlog first):
     launching those reduces overlaps their copy phase with the maps
     still running, while a reduce with no backlog would only occupy the
-    slot idling.  Map rounds fall back to fair ordering.
+    slot idling.  Map offers keep the FairScheduler ordering.
     """
 
     name = "jobdriven-reduce"
@@ -236,11 +208,9 @@ class JobDrivenReduceScheduler(SchedulingPolicy):
                 best = backlog
         return best
 
-    def order(self, jobs: Sequence["Job"], view=None) -> List["Job"]:
-        from repro.mapreduce.task import TaskKind
-
-        if view is None or view.kind is not TaskKind.REDUCE:
-            return _fair_order(jobs, view)
+    def order(self, jobs: Sequence["Job"], view: ClusterView) -> List["Job"]:
+        if view.kind is not TaskKind.REDUCE:
+            return super().order(jobs, view)
         return sorted(
             jobs,
             key=lambda j: (-self._readiness(j), j.submit_time, j.job_id),

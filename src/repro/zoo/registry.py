@@ -76,14 +76,7 @@ def create_policy(spec) -> SlotScheduler:
         raise KeyError(
             f"unknown policy {name!r}; choose from {policy_names()}"
         )
-    policy = factory(**kwargs)
-    # record the construction spec so reports can reproduce the instance
-    if kwargs and getattr(policy, "spec_kwargs", None) is not None:
-        try:
-            policy.spec_kwargs = dict(kwargs)
-        except AttributeError:  # pragma: no cover - frozen instances
-            pass
-    return policy
+    return factory(**kwargs)
 
 
 def _ensure_builtin() -> None:

@@ -74,7 +74,7 @@ def _fake_job(job_id, name, submit=0.0, running=0):
     from repro.mapreduce.job import Job
 
     job = Job(job_id, make_job("Sort", input_gb=1, name=name), submit)
-    # running_task_counts reads the counter TaskAttempt transitions
+    # Fair and Capacity read the counter TaskAttempt transitions
     # maintain; fakes set it directly
     job.running_attempt_count = running
     return job
