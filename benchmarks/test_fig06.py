@@ -2,7 +2,7 @@
 
 from conftest import emit, run_once
 
-from repro.experiments.fig06_models import fig6a, fig6b, fig6c
+from repro.experiments.fig06_models import fig6a, fig6b, fig6c, fit_curves
 from repro.metrics.report import format_series, format_table
 
 
@@ -35,10 +35,16 @@ def test_fig6b_cpu_interference(benchmark):
 
 def test_fig6c_io_interference(benchmark):
     result = run_once(benchmark, fig6c)
+    fits = fit_curves(fig6c_curves=result)["fig6c"]
     emit(
         "Figure 6(c): normalized JCT vs collocated I/O rate "
         "(paper: Sort grows exponentially, PiEst flat)",
-        "\n".join(format_series(k, v) for k, v in result.items()),
+        "\n".join(format_series(k, v) for k, v in result.items())
+        + "\nexponential fit R²: "
+        + ", ".join(f"{k} {v['r2']:.3f}" for k, v in fits.items()),
     )
     assert result["Sort"][60] > 1.3
     assert result["PiEst"][60] < 1.15
+    # the paper's I/O model: Sort's slowdown is exponential in the
+    # collocated I/O rate
+    assert fits["Sort"]["r2"] >= 0.95

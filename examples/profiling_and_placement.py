@@ -56,12 +56,16 @@ def main() -> None:
         make_job("Wcount", input_gb=1.0, name="log-counts", desired_jct_s=45.0),
     ]
     for spec in submissions:
-        placement = phase1.place_batch(spec)
-        decision = phase1.decisions[-1]
+        placement, inputs = phase1.place_batch(spec)
         deadline = f"{spec.desired_jct_s:.0f}s" if spec.desired_jct_s else "none"
+        estimates = ", ".join(
+            f"{side} {inputs[key]:.0f}s"
+            for side, key in (("virtual", "jct_virtual_s"), ("native", "jct_native_s"))
+            if key in inputs
+        )
         print(
             f"  {spec.name:12s} (deadline {deadline:>5s}) -> "
-            f"{placement.value:8s}  [{decision.reason}]"
+            f"{placement.value:8s}  [{inputs['reason']}; est. {estimates}]"
         )
 
 

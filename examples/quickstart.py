@@ -3,7 +3,8 @@
 
 Builds the paper's hybrid shape (native Hadoop nodes plus batch VMs
 collocated with an interactive service), submits a few jobs through the
-HybridMR scheduler and prints what happened.
+HybridMR scheduler and prints what happened, reading each job's side
+and the IPS's interventions from the decision log (``sim.obs.decisions``).
 
 Run:  python examples/quickstart.py
 """
@@ -50,8 +51,9 @@ def main() -> None:
     meter.stop()
 
     print(f"simulated {sim.now:.0f} s on {cluster.powered_servers()} servers\n")
+    sides = {d.target: d.action for d in sim.obs.decisions if d.loop == "phase1"}
     for job in jobs:
-        placement = scheduler.placements[job.job_id].value
+        placement = sides[job.spec.name]
         print(
             f"  {job.spec.name:12s} -> {placement:8s} "
             f"JCT={job.jct:7.1f}s  (map {job.map_phase_time:.1f}s, "
@@ -64,10 +66,13 @@ def main() -> None:
         f"{100 * rubis.violation_fraction():.1f}% of epochs)"
     )
     print(f"  cluster energy: {meter.energy_kwh:.3f} kWh")
-    if scheduler.ips is not None and scheduler.ips.actions:
-        print(f"  IPS interventions: {len(scheduler.ips.actions)}")
-        for action in scheduler.ips.actions[:5]:
-            print(f"    t={action.time:6.0f}s {action.action:8s} {action.vm_name}")
+    drm = [d for d in sim.obs.decisions if d.loop == "drm"]
+    print(f"  DRM actuations: {len(drm)}")
+    ips = [d for d in sim.obs.decisions if d.loop == "ips"]
+    if ips:
+        print(f"  IPS interventions: {len(ips)}")
+        for decision in ips[:5]:
+            print(f"    t={decision.time:6.0f}s {decision.action:8s} {decision.target}")
     scheduler.stop()
 
 

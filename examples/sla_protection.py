@@ -53,11 +53,19 @@ def main() -> None:
         bar = "  <-- SLA violated" if max(r, w) > rubis.sla_ms else ""
         print(f"{t:6d}-{t + 120:<6d}s  {r:9.0f}  {w:9.0f}{bar}")
 
-    print("\nIPS interventions:")
-    for action in scheduler.ips.actions:
+    print("\nIPS interventions (the decision log's \"ips\" loop):")
+    for decision in sim.obs.decisions:
+        if decision.loop != "ips":
+            continue
+        inputs = dict(decision.inputs)
+        service = inputs.pop("service")
+        detail = " ".join(
+            f"{key}={value:.3g}" if isinstance(value, float) else f"{key}={value}"
+            for key, value in inputs.items()
+        )
         print(
-            f"  t={action.time:7.0f}s [{action.service}] "
-            f"{action.action:8s} {action.vm_name}  {action.detail}"
+            f"  t={decision.time:7.0f}s [{service}] "
+            f"{decision.action:8s} {decision.target}  {detail}"
         )
     if scheduler.ips.migrations:
         print("\nlive migrations:")

@@ -3,9 +3,12 @@
 The :class:`ChaosInjector` walks a :class:`~repro.chaos.faults.FaultSchedule`
 and applies each fault through the simulation's public control surfaces:
 ``MapReduceCluster.fail_node``/``repair_node`` for crashes,
-``ExecutionContext.set_degradation`` (via the cgroups controller, so
-actions land in the actuation audit log) for CPU/disk faults, and
+``ExecutionContext.set_degradation`` for CPU/disk faults (marked, when
+tracing, by a ``cgroup.degrade:<context>`` instant), and
 ``NetworkFabric.set_nic_scale``/``partition`` for network faults.
+Faults are not decisions: what happened to each is a
+:class:`FaultRecord` in :attr:`ChaosInjector.records`, not an entry of
+the decision log on ``sim.obs``.
 
 Safety guards keep chaos runs *completable*: the blast radius for
 concurrent crashes defaults to ``replication - 1`` nodes, a crash is
@@ -23,7 +26,6 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 from repro.chaos.faults import FaultSchedule, FaultSpec
 from repro.mapreduce.cluster import MapReduceCluster
 from repro.sim.engine import Simulator
-from repro.virt.throttle import CgroupController
 
 
 @dataclass
@@ -66,13 +68,11 @@ class ChaosInjector:
         sim: Simulator,
         mr: MapReduceCluster,
         schedule: FaultSchedule,
-        controller: Optional[CgroupController] = None,
         max_concurrent_crashes: Optional[int] = None,
     ) -> None:
         self.sim = sim
         self.mr = mr
         self.schedule = schedule
-        self.controller = controller or CgroupController(sim)
         if max_concurrent_crashes is None:
             max_concurrent_crashes = max(1, mr.fs.replication - 1)
         self.max_concurrent_crashes = max_concurrent_crashes
@@ -269,7 +269,17 @@ class ChaosInjector:
         for c, d in self._degradations.get(ctx.name, []):
             cpu *= c
             disk *= d
-        self.controller.set_degradation(ctx, cpu=cpu, disk=disk)
+        ctx.set_degradation(cpu=cpu, disk=disk)
+        obs = self.sim.obs
+        if obs.tracer.enabled:
+            obs.tracer.instant(
+                f"cgroup.degrade:{ctx.name}",
+                category="virt",
+                track="virt",
+                target=ctx.name,
+                cpu=cpu,
+                disk=disk,
+            )
 
     def _degrade(
         self, spec: FaultSpec, record: FaultRecord, cpu: float, disk: float

@@ -21,7 +21,7 @@ from repro.core.profiling import (
 )
 from repro.core.placement import PhaseOneScheduler, Placement
 from repro.core.drm import DynamicResourceManager, LocalResourceManager, TaskUsageSample
-from repro.core.ips import InterferencePreventionSystem, Arbiter, ArbiterAction
+from repro.core.ips import InterferencePreventionSystem, Arbiter
 from repro.core.scheduler import HybridMRScheduler, HybridMRConfig
 
 __all__ = [
@@ -36,7 +36,6 @@ __all__ = [
     "TaskUsageSample",
     "InterferencePreventionSystem",
     "Arbiter",
-    "ArbiterAction",
     "HybridMRScheduler",
     "HybridMRConfig",
 ]

@@ -2,11 +2,10 @@
 
 Architecture mirrors the paper (and MROrchestrator [31]):
 
-- Each virtual node has a **Local Resource Manager** (LRM) with a
-  *Resource Profiler* (samples each running attempt's CPU/disk rates,
-  memory footprint and progress every epoch) and an *Estimator* (an
-  EWMA of each attempt's progress rate, from which it estimates the
-  attempt's completion time).
+- Each virtual node has a **Local Resource Manager** (LRM), a
+  *Resource Profiler* that samples each running attempt's CPU, disk and
+  network rates, memory footprint and progress every epoch; the IPS
+  ranks co-located VMs by these samples (:meth:`interference_score`).
 - The **Global Resource Manager** (GRM) runs a *Contention Detector*
   (classifies tasks/VMs as resource-deficit or resource-hogging from
   the LRM feedback) and a *Performance Balancer* that actuates:
@@ -18,6 +17,13 @@ Architecture mirrors the paper (and MROrchestrator [31]):
     to VMs paging under pressure on the same host.
   - **I/O**: blkio weight boosts for tail tasks (a job's last wave) and
     for I/O-deficit VMs sharing a disk with streaming hogs.
+  - **Stragglers**: an attempt whose ``duration / progress`` projection
+    runs past 1.3x its phase's mean completed duration gets its guest
+    uncapped and its blkio weight raised, in place.
+
+Every actuation is a :class:`~repro.obs.Decision` of loop ``"drm"`` on
+``sim.obs`` (one of ``cpu-uncap``, ``cpu-recap``, ``balloon``,
+``io-weight``, ``straggler-cpu``, ``straggler-io``; target the VM).
 
 Each dimension can be enabled independently, which is exactly the
 CPU / Memory / I/O / CPU+Memory+I/O ablation of Figures 8(b), 8(c).
@@ -25,11 +31,11 @@ CPU / Memory / I/O / CPU+Memory+I/O ablation of Figures 8(b), 8(c).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
 from repro.mapreduce.jobtracker import JobTracker
-from repro.mapreduce.task import TaskAttempt, TaskKind
+from repro.mapreduce.task import TaskAttempt
 from repro.sim.engine import Simulator
 from repro.virt.vm import VirtualMachine
 
@@ -49,29 +55,13 @@ class TaskUsageSample:
     progress: float
 
 
-@dataclass
-class CompletionEstimate:
-    """Estimator output for one attempt."""
-
-    attempt_id: int
-    progress: float
-    progress_rate: float  # fraction per second (EWMA)
-    eta_s: float
-
-
 class LocalResourceManager:
-    """Profiler + Estimator for one virtual node."""
+    """The Resource Profiler of one virtual node."""
 
-    def __init__(self, vm: VirtualMachine, ewma_alpha: float = 0.4) -> None:
-        if not 0 < ewma_alpha <= 1:
-            raise ValueError("ewma_alpha must be in (0, 1]")
+    def __init__(self, vm: VirtualMachine) -> None:
         self.vm = vm
-        self.ewma_alpha = ewma_alpha
         self.samples: List[TaskUsageSample] = []
-        self._last_progress: Dict[int, tuple] = {}  # attempt -> (time, progress)
-        self._rate_ewma: Dict[int, float] = {}
 
-    # -- Resource Profiler ------------------------------------------------
     def sample(self, now: float, attempts: List[TaskAttempt]) -> List[TaskUsageSample]:
         out = []
         for attempt in attempts:
@@ -105,34 +95,9 @@ class LocalResourceManager:
             )
             self.samples.append(sample)
             out.append(sample)
-            self._update_rate(now, attempt)
         if len(self.samples) > 10_000:
             del self.samples[: len(self.samples) - 10_000]
         return out
-
-    def _update_rate(self, now: float, attempt: TaskAttempt) -> None:
-        key = attempt.attempt_id
-        progress = attempt.progress()
-        if key in self._last_progress:
-            t0, p0 = self._last_progress[key]
-            dt = now - t0
-            if dt > 0:
-                inst = max(0.0, (progress - p0) / dt)
-                prev = self._rate_ewma.get(key)
-                self._rate_ewma[key] = (
-                    inst
-                    if prev is None
-                    else self.ewma_alpha * inst + (1 - self.ewma_alpha) * prev
-                )
-        self._last_progress[key] = (now, progress)
-
-    # -- Estimator ---------------------------------------------------------
-    def estimate(self, attempt: TaskAttempt) -> CompletionEstimate:
-        """Completion estimate from the progress-rate EWMA."""
-        rate = self._rate_ewma.get(attempt.attempt_id, 0.0)
-        progress = attempt.progress()
-        eta = (1.0 - progress) / rate if rate > 1e-9 else float("inf")
-        return CompletionEstimate(attempt.attempt_id, progress, rate, eta)
 
 
 class DynamicResourceManager:
@@ -166,11 +131,7 @@ class DynamicResourceManager:
         self.lrms: Dict[str, LocalResourceManager] = {
             vm.name: LocalResourceManager(vm) for vm in self.vms
         }
-        self.actions: List[str] = []
         self._cancel: Optional[Callable[[], None]] = None
-        self._nominal_mem: Dict[str, float] = {
-            vm.name: vm.mem_capacity_mb for vm in self.vms
-        }
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -217,17 +178,6 @@ class DynamicResourceManager:
         if self.manage_cpu or self.manage_io:
             self._boost_stragglers(by_vm)
 
-    def _act(self, kind: str, message: str) -> None:
-        """Record one Performance Balancer actuation everywhere at once:
-        the legacy ``actions`` log, the metrics registry, and (when
-        tracing) an instant event on the DRM track."""
-        self.actions.append(message)
-        obs = self.sim.obs
-        obs.metrics.counter(f"drm.actions.{kind}").inc()
-        if obs.tracer.enabled:
-            obs.tracer.instant(kind, category="scheduler", track="drm",
-                               detail=message)
-
     # -- CPU: work-conserving uncapping -----------------------------------
     def _balance_cpu(self, by_vm: Dict[str, List[TaskAttempt]]) -> None:
         pms = {vm.pm for vm in self.vms}
@@ -248,20 +198,18 @@ class DynamicResourceManager:
                     )
                     if starved and vm.cpu_fraction < 2.0:
                         vm.set_cpu_fraction(2.0)
-                        self._act(
-                            "cpu-uncap",
-                            f"{self.sim.now:.0f}s cpu-uncap {vm.name} "
-                            f"-> {vm.cpu_fraction:.2f}",
+                        self.sim.obs.decide(
+                            "drm", "cpu-uncap", vm.name,
+                            cpu_fraction=vm.cpu_fraction,
                         )
             else:
                 # host saturated: converge back to fair 1.0 caps
                 for vm in batch_vms:
                     if vm.cpu_fraction > 1.0:
                         vm.set_cpu_fraction(max(1.0, vm.cpu_fraction - 0.25))
-                        self._act(
-                            "cpu-recap",
-                            f"{self.sim.now:.0f}s cpu-recap {vm.name} "
-                            f"-> {vm.cpu_fraction:.2f}",
+                        self.sim.obs.decide(
+                            "drm", "cpu-recap", vm.name,
+                            cpu_fraction=vm.cpu_fraction,
                         )
 
     # -- Memory: ballooning -------------------------------------------------
@@ -287,10 +235,8 @@ class DynamicResourceManager:
                     continue
                 donor.balloon_to(donor.mem_capacity_mb - step)
                 needy.balloon_to(needy.mem_capacity_mb + step)
-                self._act(
-                    "balloon",
-                    f"{self.sim.now:.0f}s balloon {step:.0f}MB "
-                    f"{donor.name} -> {needy.name}",
+                self.sim.obs.decide(
+                    "drm", "balloon", needy.name, mb=step, donor=donor.name
                 )
 
     # -- I/O: blkio weights for tails and deficits ---------------------------
@@ -313,10 +259,7 @@ class DynamicResourceManager:
             target = self.io_boost if vm.name in tail_vms else 1.0
             if abs(vm.io_weight - target) > 1e-9:
                 vm.set_io_weight(target)
-                self._act(
-                    "io-weight",
-                    f"{self.sim.now:.0f}s io-weight {vm.name} -> {target:g}",
-                )
+                self.sim.obs.decide("drm", "io-weight", vm.name, io_weight=target)
             # tail tasks also deserve spare CPU to finish the job sooner
             if self.manage_cpu and vm.name in tail_vms and vm.cpu_fraction < 2.0:
                 slack = vm.pm.spec.cpu_cores - vm.pm.cpu_pool.total_rate
@@ -327,10 +270,12 @@ class DynamicResourceManager:
     def _boost_stragglers(self, by_vm: Dict[str, List[TaskAttempt]]) -> None:
         """Give projected-late attempts extra CPU/IO on their own host.
 
-        This is the Estimator-driven bottleneck mitigation of Section
-        III-B1: instead of waiting for speculative re-execution, the
-        deficit task's guest is uncapped (CPU) and its blkio weight
-        raised (I/O), which usually resolves the straggler where it is.
+        The bottleneck mitigation of Section III-B1: an attempt whose
+        ``duration / progress`` projection exceeds 1.3x the mean duration
+        of its phase's completed tasks is a straggler.  Instead of
+        waiting for speculative re-execution, its guest is uncapped
+        (CPU) and its blkio weight raised (I/O), which usually resolves
+        the straggler where it is.
         """
         for job in self.jt.active_jobs:
             for kind_tasks in (job.map_tasks, job.reduce_tasks):
@@ -354,29 +299,22 @@ class DynamicResourceManager:
                             continue
                         if self.manage_cpu and ctx.cpu_fraction < 2.0:
                             ctx.set_cpu_fraction(2.0)
-                            self._act(
-                                "straggler-cpu",
-                                f"{self.sim.now:.0f}s straggler-cpu {ctx.name} "
-                                f"({attempt.task.name})",
+                            self.sim.obs.decide(
+                                "drm", "straggler-cpu", ctx.name,
+                                task=attempt.task.name,
+                                projected_s=projected, mean_s=mean,
                             )
                         if self.manage_io and ctx.io_weight < self.io_boost:
                             ctx.set_io_weight(self.io_boost)
-                            self._act(
-                                "straggler-io",
-                                f"{self.sim.now:.0f}s straggler-io {ctx.name} "
-                                f"({attempt.task.name})",
+                            self.sim.obs.decide(
+                                "drm", "straggler-io", ctx.name,
+                                task=attempt.task.name,
+                                projected_s=projected, mean_s=mean,
                             )
 
     # ------------------------------------------------------------------
-    # queries used by the IPS and experiments
+    # the query the IPS ranks by
     # ------------------------------------------------------------------
-    def estimate_attempt(self, attempt: TaskAttempt) -> CompletionEstimate:
-        ctx = attempt.tracker.context
-        lrm = self.lrms.get(getattr(ctx, "name", ""))
-        if lrm is None:
-            return CompletionEstimate(attempt.attempt_id, attempt.progress(), 0.0, float("inf"))
-        return lrm.estimate(attempt)
-
     def interference_score(self, attempt: TaskAttempt) -> float:
         """How much I/O+CPU pressure this attempt puts on its host.
 

@@ -7,12 +7,18 @@ SLA, the Arbiter (Algorithm 3) mitigates:
 1. rank the map/reduce tasks collocated with the suffering service by
    the DRM's interference estimate;
 2. escalate through an actuation ladder on the hosting VMs --
-   **throttle** (cgroups I/O limit + CPU cap), then **pause**, then
-   **live-migrate** the offending VM to the best-fit host (BestFit
-   bin-packing over spare capacity; Min-Min ordering so the
-   least-interfering work keeps running in place);
+   **throttle** (a blkio-style I/O limit plus a CPU cap, set on the VM
+   directly), then **pause**, then **live-migrate** the offending VM to
+   the best-fit host (BestFit bin-packing over spare capacity; Min-Min
+   ordering so the least-interfering work keeps running in place);
 3. once the service stays healthy for ``cooldown_polls`` consecutive
    polls, de-escalate and return resources to the batch jobs.
+
+Every rung is a :class:`~repro.obs.Decision` of loop ``"ips"`` on
+``sim.obs`` (``throttle``, ``pause``, ``migrate`` or ``release``; target
+the VM; inputs the violating ``service``, the VM's ``score`` and the
+limits or destination).  The release that follows a finished migration
+is not logged: it undoes the migrated VM's limits as bookkeeping.
 
 Pausing or migrating never breaks MapReduce correctness: stalled tasks
 simply look like stragglers and speculative execution re-runs them
@@ -21,7 +27,6 @@ elsewhere if needed, exactly as the paper argues.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Set
 
 from repro.cluster.machine import PhysicalMachine
@@ -31,19 +36,7 @@ from repro.interactive.sla import SLAEvent, SLAMonitor
 from repro.mapreduce.jobtracker import JobTracker
 from repro.sim.engine import Simulator
 from repro.virt.migration import LiveMigration, MigrationRecord
-from repro.virt.throttle import CgroupController
 from repro.virt.vm import VirtualMachine
-
-
-@dataclass
-class ArbiterAction:
-    """Audit record of one mitigation step."""
-
-    time: float
-    service: str
-    action: str  # "throttle" | "pause" | "migrate" | "release"
-    vm_name: str
-    detail: str = ""
 
 
 class Arbiter:
@@ -139,7 +132,6 @@ class InterferencePreventionSystem:
         drm: DynamicResourceManager,
         jt: JobTracker,
         pms: List[PhysicalMachine],
-        cgroups: Optional[CgroupController] = None,
         throttle_io_mbps: float = 8.0,
         throttle_cpu_fraction: float = 0.4,
         cooldown_polls: int = 3,
@@ -154,14 +146,12 @@ class InterferencePreventionSystem:
         self.drm = drm
         self.jt = jt
         self.pms = list(pms)
-        self.cgroups = cgroups or CgroupController(sim)
         self.throttle_io_mbps = throttle_io_mbps
         self.throttle_cpu_fraction = throttle_cpu_fraction
         self.cooldown_polls = cooldown_polls
         self.max_migrations = max_migrations
         self.datanode_payload = datanode_payload or (lambda vm: 0.0)
         self.placement_heuristic = placement_heuristic
-        self.actions: List[ArbiterAction] = []
         self.migrations: List[MigrationRecord] = []
         self._throttled: Set[str] = set()
         self._paused: Set[str] = set()
@@ -209,25 +199,21 @@ class InterferencePreventionSystem:
         # the least-interfering ones keep running in place
         for score, vm in reversed(scored):
             if vm.name not in self._throttled:
-                self.cgroups.set_io_limit(vm, self.throttle_io_mbps)
-                self.cgroups.set_cpu_limit(vm, self.throttle_cpu_fraction)
+                vm.set_io_limit(self.throttle_io_mbps)
+                vm.set_cpu_fraction(self.throttle_cpu_fraction)
                 self._throttled.add(vm.name)
-                self.actions.append(
-                    ArbiterAction(
-                        self.sim.now, service.name, "throttle", vm.name,
-                        f"score={score:.3f} io<={self.throttle_io_mbps}MB/s",
-                    )
+                self.sim.obs.decide(
+                    "ips", "throttle", vm.name, service=service.name,
+                    score=score, io_mbps=self.throttle_io_mbps,
+                    cpu_fraction=self.throttle_cpu_fraction,
                 )
                 return
         for score, vm in reversed(scored):
             if vm.name not in self._paused:
-                self.cgroups.pause(vm)
+                vm.pause()
                 self._paused.add(vm.name)
-                self.actions.append(
-                    ArbiterAction(
-                        self.sim.now, service.name, "pause", vm.name,
-                        f"score={score:.3f}",
-                    )
+                self.sim.obs.decide(
+                    "ips", "pause", vm.name, service=service.name, score=score
                 )
                 return
         # everything nearby is already throttled and paused: migrate the
@@ -252,7 +238,7 @@ class InterferencePreventionSystem:
         self._migrating.add(vm.name)
         if vm.paused:
             # resume so pre-copy can converge; the throttle stays on
-            self.cgroups.resume(vm)
+            vm.resume()
             self._paused.discard(vm.name)
 
         def finished(record: MigrationRecord) -> None:
@@ -269,11 +255,9 @@ class InterferencePreventionSystem:
             on_complete=finished,
             extra_data_mb=self.datanode_payload(vm),
         )
-        self.actions.append(
-            ArbiterAction(
-                self.sim.now, service.name, "migrate", vm.name,
-                f"score={score:.3f} -> {target.name}",
-            )
+        self.sim.obs.decide(
+            "ips", "migrate", vm.name, service=service.name, score=score,
+            destination=target.name,
         )
 
     # ------------------------------------------------------------------
@@ -292,26 +276,26 @@ class InterferencePreventionSystem:
             # service per tick (gentle, so we do not re-trigger)
             for vm in self._batch_vms_near(service):
                 if vm.name in self._paused:
-                    self.cgroups.resume(vm)
+                    vm.resume()
                     self._paused.discard(vm.name)
-                    self.actions.append(
-                        ArbiterAction(self.sim.now, name, "release", vm.name, "resume")
+                    self.sim.obs.decide(
+                        "ips", "release", vm.name, service=name, lifted="pause"
                     )
                     self._healthy_polls[name] = 0
                     return
             for vm in self._batch_vms_near(service):
                 if vm.name in self._throttled:
                     self._release(vm)
-                    self.actions.append(
-                        ArbiterAction(self.sim.now, name, "release", vm.name, "unthrottle")
+                    self.sim.obs.decide(
+                        "ips", "release", vm.name, service=name, lifted="throttle"
                     )
                     self._healthy_polls[name] = 0
                     return
 
     def _release(self, vm: VirtualMachine) -> None:
-        self.cgroups.set_io_limit(vm, None)
-        self.cgroups.set_cpu_limit(vm, 1.0)
+        vm.set_io_limit(None)
+        vm.set_cpu_fraction(1.0)
         if vm.paused:
-            self.cgroups.resume(vm)
+            vm.resume()
         self._throttled.discard(vm.name)
         self._paused.discard(vm.name)

@@ -13,27 +13,15 @@ deemed virtualization-hostile and kept native.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import List, Optional
+from typing import Dict, Tuple
 
-from repro.core.profiling import JCTEstimate, ProfileDatabase
+from repro.core.profiling import ProfileDatabase
 from repro.mapreduce.job import JobSpec
 
 
 class Placement(enum.Enum):
     PHYSICAL = "physical"
     VIRTUAL = "virtual"
-
-
-@dataclass
-class PlacementDecision:
-    """Audit record of one Phase I decision."""
-
-    spec: JobSpec
-    placement: Placement
-    estimate_virtual: Optional[JCTEstimate]
-    estimate_native: Optional[JCTEstimate]
-    reason: str
 
 
 class PhaseOneScheduler:
@@ -52,10 +40,14 @@ class PhaseOneScheduler:
         self.physical_cluster_size = physical_cluster_size
         self.virtual_cluster_size = virtual_cluster_size
         self.overhead_threshold = overhead_threshold
-        self.decisions: List[PlacementDecision] = []
 
-    def place_batch(self, spec: JobSpec) -> Placement:
-        """Algorithm 2, lines 4-11, for one batch job."""
+    def place_batch(self, spec: JobSpec) -> Tuple[Placement, Dict[str, object]]:
+        """Algorithm 2, lines 4-11, for one batch job.
+
+        Returns the placement and the decision's inputs: its ``reason``
+        plus the JCT estimates it consulted (``jct_virtual_s``,
+        ``jct_native_s``).
+        """
         benchmark = spec.profile.name
         try:
             est_virtual = self.db.estimate(
@@ -64,20 +56,15 @@ class PhaseOneScheduler:
         except KeyError:
             # no profile at all: the paper would train first; be
             # conservative and use the physical cluster
-            decision = PlacementDecision(
-                spec, Placement.PHYSICAL, None, None, "unprofiled"
-            )
-            self.decisions.append(decision)
-            return decision.placement
+            return Placement.PHYSICAL, {"reason": "unprofiled"}
+        jct_virtual = est_virtual.jct_s
 
         if spec.desired_jct_s is not None:
-            if est_virtual.jct_s >= spec.desired_jct_s:
+            if jct_virtual >= spec.desired_jct_s:
                 placement, reason = Placement.PHYSICAL, "deadline-miss-on-virtual"
             else:
                 placement, reason = Placement.VIRTUAL, "deadline-met-on-virtual"
-            decision = PlacementDecision(spec, placement, est_virtual, None, reason)
-            self.decisions.append(decision)
-            return placement
+            return placement, {"reason": reason, "jct_virtual_s": jct_virtual}
 
         # no deadline: classify by expected virtualization overhead
         try:
@@ -85,15 +72,12 @@ class PhaseOneScheduler:
                 benchmark, False, self.physical_cluster_size, spec.input_gb
             )
         except KeyError:
-            decision = PlacementDecision(
-                spec, Placement.VIRTUAL, est_virtual, None, "no-native-profile"
-            )
-            self.decisions.append(decision)
-            return decision.placement
+            return Placement.VIRTUAL, {
+                "reason": "no-native-profile", "jct_virtual_s": jct_virtual,
+            }
+        jct_native = est_native.jct_s
         overhead = (
-            (est_virtual.jct_s - est_native.jct_s) / est_native.jct_s
-            if est_native.jct_s > 0
-            else 0.0
+            (jct_virtual - jct_native) / jct_native if jct_native > 0 else 0.0
         )
         if overhead > self.overhead_threshold:
             placement, reason = (
@@ -105,9 +89,11 @@ class PhaseOneScheduler:
                 Placement.VIRTUAL,
                 f"virt-overhead {overhead:.0%} acceptable",
             )
-        decision = PlacementDecision(spec, placement, est_virtual, est_native, reason)
-        self.decisions.append(decision)
-        return placement
+        return placement, {
+            "reason": reason,
+            "jct_virtual_s": jct_virtual,
+            "jct_native_s": jct_native,
+        }
 
     def place_transactional(self, name: str) -> Placement:
         """Algorithm 2, line 2-3: interactive work is always virtual."""

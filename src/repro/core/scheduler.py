@@ -29,7 +29,6 @@ from repro.mapreduce.cluster import MapReduceCluster
 from repro.mapreduce.job import Job, JobSpec
 from repro.sim.engine import Simulator
 from repro.sim.network import NetworkFabric
-from repro.virt.throttle import CgroupController
 from repro.virt.vm import VirtualMachine
 
 
@@ -92,7 +91,6 @@ class HybridMRScheduler:
             overhead_threshold=self.config.overhead_threshold,
         )
         self._rng = random.Random(self.config.random_placement_seed)
-        self.cgroups = CgroupController(sim)
         self.drm: Optional[DynamicResourceManager] = None
         self.monitor: Optional[SLAMonitor] = None
         self.ips: Optional[InterferencePreventionSystem] = None
@@ -115,10 +113,8 @@ class HybridMRScheduler:
                         self.drm,
                         self.virtual_mr.jt,
                         self.pms,
-                        cgroups=self.cgroups,
                         datanode_payload=self._datanode_payload,
                     )
-        self.placements: Dict[int, Placement] = {}
         self._started = False
 
     def _datanode_payload(self, vm: VirtualMachine) -> float:
@@ -166,8 +162,8 @@ class HybridMRScheduler:
         spec: JobSpec,
         on_complete: Optional[Callable[[Job], None]] = None,
     ) -> Tuple[Placement, Job]:
-        """Place (Phase I) and submit a batch job."""
-        placement = self._decide_placement(spec)
+        """Place (Phase I), submit a batch job and log the decision."""
+        placement, inputs = self._decide_placement(spec)
         mr = self.native_mr if placement is Placement.PHYSICAL else self.virtual_mr
         assert mr is not None
 
@@ -178,19 +174,9 @@ class HybridMRScheduler:
                 on_complete(job)
 
         job = mr.submit(spec, finished)
-        self.placements[job.job_id] = placement
-        obs = self.sim.obs
-        obs.metrics.counter(
-            f"phase1.placements.{placement.name.lower()}"
-        ).inc()
-        if obs.tracer.enabled:
-            obs.tracer.instant(
-                f"place:{spec.name}",
-                category="scheduler",
-                track="phase1",
-                placement=placement.name,
-                job_id=job.job_id,
-            )
+        self.sim.obs.decide(
+            "phase1", placement.value, spec.name, job_id=job.job_id, **inputs
+        )
         return placement, job
 
     def _record_online_profile(
@@ -220,20 +206,18 @@ class HybridMRScheduler:
         except RuntimeError:
             pass  # killed jobs carry no usable timings
 
-    def _decide_placement(self, spec: JobSpec) -> Placement:
+    def _decide_placement(self, spec: JobSpec) -> Tuple[Placement, Dict[str, object]]:
         if self.native_mr is None:
-            return Placement.VIRTUAL
+            return Placement.VIRTUAL, {"reason": "virtual-only"}
         if self.virtual_mr is None:
-            return Placement.PHYSICAL
+            return Placement.PHYSICAL, {"reason": "physical-only"}
         if not self.config.phase1_enabled:
             # baseline: random (first-come-first-served) placement
-            return (
+            placement = (
                 Placement.PHYSICAL if self._rng.random() < 0.5 else Placement.VIRTUAL
             )
-        try:
-            return self.phase1.place_batch(spec)
-        except KeyError:
-            return Placement.VIRTUAL
+            return placement, {"reason": "random"}
+        return self.phase1.place_batch(spec)
 
     # ------------------------------------------------------------------
     # convenience runner for experiments

@@ -6,16 +6,22 @@
   linear for the CPU-bound job, flat for the I/O-bound one;
 - **6(c)**: normalized JCT vs collocated I/O rate -- exponential for
   the I/O-bound job.
+
+:func:`fit_curves` fits the paper's two interference models to the
+measured curves: a :class:`~repro.interference.models.LinearModel` per
+benchmark on 6(b), an :class:`~repro.interference.models.ExponentialModel`
+per benchmark on 6(c), each with its R².
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.cluster.cluster import Cluster
 from repro.cluster.resources import Resources
 from repro.core.profiling import JobProfiler
+from repro.interference.models import ExponentialModel, LinearModel
 from repro.mapreduce.cluster import MapReduceCluster
 from repro.sim.engine import Simulator
 from repro.workloads.specs import make_job
@@ -162,12 +168,40 @@ def fig6c(
     return out
 
 
+def _fit(curves: Dict[str, Dict[float, float]], model_cls, params) -> Dict:
+    out: Dict[str, Dict[str, float]] = {}
+    for bench, curve in curves.items():
+        xs, ys = list(curve), list(curve.values())
+        model = model_cls().fit(xs, ys)
+        out[bench] = {p: getattr(model, p) for p in params}
+        out[bench]["r2"] = model.score(xs, ys)
+    return out
+
+
+def fit_curves(
+    fig6b_curves: Optional[Dict[str, Dict[float, float]]] = None,
+    fig6c_curves: Optional[Dict[str, Dict[float, float]]] = None,
+) -> Dict[str, Dict]:
+    """The paper's interference models fitted to measured curves.
+
+    6(b): ``y = slope * x + intercept`` per benchmark (x in % of one
+    core); 6(c): ``y = a * exp(b * x) + c`` per benchmark (x in MB/s).
+    Each fit carries its R² on the points it was fitted to.
+    """
+    fits: Dict[str, Dict] = {}
+    if fig6b_curves is not None:
+        fits["fig6b"] = _fit(fig6b_curves, LinearModel, ("slope", "intercept"))
+    if fig6c_curves is not None:
+        fits["fig6c"] = _fit(fig6c_curves, ExponentialModel, ("a", "b", "c"))
+    return fits
+
+
 def run(
     scale=None,
     seed: int = 7,
     parts: Sequence[str] = ("fig6a", "fig6b", "fig6c"),
 ) -> Dict[str, Dict]:
-    """Sweep cell: profiling accuracy + interference curves.
+    """Sweep cell: profiling accuracy + interference curves and fits.
 
     The interference study runs on a fixed quad-core host (as in the
     paper), so ``scale`` is accepted but unused; fig6a's profiling grid
@@ -187,4 +221,6 @@ def run(
         out["fig6b"] = fig6b(seed=seed)
     if "fig6c" in parts:
         out["fig6c"] = fig6c(seed=seed)
+    if "fig6b" in out or "fig6c" in out:
+        out["fits"] = fit_curves(out.get("fig6b"), out.get("fig6c"))
     return out

@@ -255,7 +255,7 @@ def fig9a(
         "rubis_trace": list(rubis.latency_trace),
         "tpcw_trace": list(tpcw.latency_trace),
         "sla_ms": rubis.sla_ms,
-        "ips_actions": list(scheduler.ips.actions) if scheduler.ips else [],
+        "ips_actions": [d for d in sim.obs.decisions if d.loop == "ips"],
         "migrations": list(scheduler.ips.migrations) if scheduler.ips else [],
     }
     scheduler.stop()

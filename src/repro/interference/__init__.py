@@ -1,24 +1,18 @@
 """Statistical interference and performance models (Section III-B).
 
 Regression models of task run-time performance as a function of
-resource usage/allocation: linear for CPU, piece-wise linear for
-memory, exponential for I/O -- the model families the paper adopts
-from MROrchestrator [31] and TRACON [13].
+collocated load: linear for CPU, exponential for I/O -- the model
+families the paper adopts from MROrchestrator [31] and TRACON [13] and
+fits in Figures 6(b) and 6(c).  ``fig06`` fits them to its measured
+curves; Phase I fits its profile lines with :func:`fit_line`.
 """
 
-from repro.interference.models import (
-    LinearModel,
-    PiecewiseLinearModel,
-    ExponentialModel,
-    InterferenceModelSet,
-)
+from repro.interference.models import LinearModel, ExponentialModel
 from repro.interference.regression import fit_line, r_squared
 
 __all__ = [
     "LinearModel",
-    "PiecewiseLinearModel",
     "ExponentialModel",
-    "InterferenceModelSet",
     "fit_line",
     "r_squared",
 ]

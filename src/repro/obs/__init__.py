@@ -10,6 +10,10 @@ Every :class:`~repro.sim.engine.Simulator` owns an
   disabled overhead is negligible.
 - ``sim.obs.metrics`` -- a :class:`~repro.obs.metrics.MetricsRegistry`
   of counters, gauges and histograms, always on (plain dict appends).
+- ``sim.obs.decisions`` -- the decision log: one :class:`Decision` per
+  Phase I placement, DRM actuation and IPS mitigation, always on,
+  appended by :meth:`Observability.decide`, which also derives the
+  loop's counter and (when tracing) its instant.
 
 Call :meth:`Observability.enable_tracing` (or pass ``--trace`` to
 ``repro run``) to record spans; :mod:`repro.obs.export` then renders
@@ -28,7 +32,8 @@ experiment results with tracing on or off.
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Union
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Optional, Union
 
 from repro.obs.capture import (
     MetricsCapture,
@@ -44,13 +49,31 @@ from repro.obs.tracer import NULL_SPAN, NULL_TRACER, NullTracer, Span, Tracer
 TracerLike = Union[Tracer, NullTracer]
 
 
+@dataclass(frozen=True)
+class Decision:
+    """One decision of a HybridMR control loop.
+
+    ``loop`` is ``"phase1"`` (``action`` is the side, ``target`` the
+    job), ``"drm"`` (a Performance Balancer kind, on a VM) or ``"ips"``
+    (``throttle``/``pause``/``migrate``/``release``, on a VM);
+    ``inputs`` holds what the loop consulted or set.
+    """
+
+    time: float
+    loop: str
+    action: str
+    target: str
+    inputs: Dict[str, object]
+
+
 class Observability:
-    """Tracer + metrics registry sharing one virtual clock."""
+    """Tracer + metrics registry + decision log on one virtual clock."""
 
     def __init__(self, clock: Optional[Callable[[], float]] = None) -> None:
         self.clock: Callable[[], float] = clock or (lambda: 0.0)
         self.metrics = MetricsRegistry(self.clock)
         self.tracer: TracerLike = NULL_TRACER
+        self.decisions: List[Decision] = []
 
     @property
     def tracing(self) -> bool:
@@ -71,9 +94,22 @@ class Observability:
     def now(self) -> float:
         return self.clock()
 
+    def decide(self, loop: str, action: str, target: str, **inputs: object) -> None:
+        """Log one decision, count it as ``<loop>.actions.<action>`` and,
+        when tracing, mark it with a ``decision`` instant on the loop's
+        track."""
+        self.decisions.append(Decision(self.clock(), loop, action, target, inputs))
+        self.metrics.counter(f"{loop}.actions.{action}").inc()
+        if self.tracer.enabled:
+            self.tracer.instant(
+                f"{loop}.{action}:{target}", category="decision", track=loop,
+                **inputs,
+            )
+
 
 __all__ = [
     "Observability",
+    "Decision",
     "Tracer",
     "NullTracer",
     "NULL_TRACER",

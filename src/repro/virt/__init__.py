@@ -11,14 +11,17 @@ evaluation depends on:
   quasi-native context of Figure 2(c).
 - :mod:`repro.virt.migration` -- pre-copy live migration with workload-
   dependent migration time and downtime (Figures 10(b), 10(c)).
-- :mod:`repro.virt.throttle` -- the cgroups-style CPU/IO actuators the
-  Phase II scheduler uses to squeeze batch work.
+
+The Phase II actuators are the VM's own knobs: ``set_cpu_fraction``
+(a Xen credit cap), ``set_io_limit`` and ``set_io_weight`` (the cgroups
+blkio throttle and weight), ``balloon_to``, ``pause`` and ``resume``.
+The DRM and IPS call them directly and log each decision on
+``sim.obs``.
 """
 
 from repro.virt.overheads import OverheadModel, DEFAULT_OVERHEADS
 from repro.virt.vm import VirtualMachine, Dom0Context
 from repro.virt.migration import LiveMigration, MigrationRecord
-from repro.virt.throttle import CgroupController
 
 __all__ = [
     "OverheadModel",
@@ -27,5 +30,4 @@ __all__ = [
     "Dom0Context",
     "LiveMigration",
     "MigrationRecord",
-    "CgroupController",
 ]

@@ -47,6 +47,30 @@ __all__ = [
 ]
 
 
+def _alive_skips(skips: Dict[int, int], jobs: Sequence["Job"]) -> Dict[int, int]:
+    """``skips`` without the counters of jobs that left the active set."""
+    alive = {j.job_id for j in jobs}
+    return {k: v for k, v in skips.items() if k in alive}
+
+
+def _local_or_wait(skips: Dict[int, int], budget: int, job, tasks, tracker, view):
+    """The skip-budget map offer: a node- or host-local task when one
+    exists; otherwise decline (``SKIP_JOB``) until ``job`` has been
+    skipped ``budget`` times in a row, then launch ``tasks[0]`` remotely
+    and start a fresh wait.  ``skips`` (job_id -> consecutive declines)
+    is updated in place."""
+    local = view.jt.local_task(tracker, tasks)
+    if local is not None:
+        skips.pop(job.job_id, None)
+        return local
+    skipped = skips.get(job.job_id, 0)
+    if skipped < budget:
+        skips[job.job_id] = skipped + 1
+        return SKIP_JOB
+    skips.pop(job.job_id, None)
+    return tasks[0]
+
+
 class DelayScheduler(FairScheduler):
     """Delay scheduling: trade a short wait for map-input locality.
 
@@ -68,25 +92,15 @@ class DelayScheduler(FairScheduler):
         self._skips: Dict[int, int] = {}
 
     def order(self, jobs: Sequence["Job"], view: ClusterView) -> List["Job"]:
-        # drop counters for jobs that left the active set
-        alive = {j.job_id for j in jobs}
-        self._skips = {k: v for k, v in self._skips.items() if k in alive}
+        self._skips = _alive_skips(self._skips, jobs)
         return super().order(jobs, view)
 
     def pick_task(self, job, tasks, tracker, kind, view):
         if kind is not TaskKind.MAP:
             return super().pick_task(job, tasks, tracker, kind, view)
-        local = view.jt.local_task(tracker, tasks)
-        if local is not None:
-            self._skips.pop(job.job_id, None)
-            return local
-        skipped = self._skips.get(job.job_id, 0)
-        if skipped < self.skip_budget:
-            self._skips[job.job_id] = skipped + 1
-            return SKIP_JOB
-        # budget exhausted: launch remotely and start a fresh wait
-        self._skips.pop(job.job_id, None)
-        return tasks[0]
+        return _local_or_wait(
+            self._skips, self.skip_budget, job, tasks, tracker, view
+        )
 
 
 class DRFScheduler(SlotScheduler):
@@ -155,8 +169,7 @@ class JobDrivenMapScheduler(SlotScheduler):
         return len(job.map_tasks) <= wave
 
     def order(self, jobs: Sequence["Job"], view: ClusterView) -> List["Job"]:
-        alive = {j.job_id for j in jobs}
-        self._skips = {k: v for k, v in self._skips.items() if k in alive}
+        self._skips = _alive_skips(self._skips, jobs)
         return sorted(
             jobs,
             key=lambda j: (
@@ -171,16 +184,9 @@ class JobDrivenMapScheduler(SlotScheduler):
             return super().pick_task(job, tasks, tracker, kind, view)
         if self._is_small(job, view):
             return tasks[0]
-        local = view.jt.local_task(tracker, tasks)
-        if local is not None:
-            self._skips.pop(job.job_id, None)
-            return local
-        skipped = self._skips.get(job.job_id, 0)
-        if skipped < self.large_job_skip_budget:
-            self._skips[job.job_id] = skipped + 1
-            return SKIP_JOB
-        self._skips.pop(job.job_id, None)
-        return tasks[0]
+        return _local_or_wait(
+            self._skips, self.large_job_skip_budget, job, tasks, tracker, view
+        )
 
 
 class JobDrivenReduceScheduler(FairScheduler):

@@ -2,8 +2,12 @@
 
 import pytest
 
+from repro.cluster.cluster import Cluster
 from repro.core.placement import PhaseOneScheduler, Placement
 from repro.core.profiling import JobProfiler, ProfileDatabase, ProfileRecord
+from repro.core.scheduler import HybridMRScheduler
+from repro.obs import Decision
+from repro.sim.engine import Simulator
 from repro.workloads.specs import make_job
 
 
@@ -100,12 +104,12 @@ def test_transactional_always_virtual(db):
 
 def test_deadline_miss_goes_physical(db):
     spec = make_job("Sort", input_gb=2.0, desired_jct_s=50.0)  # est_v = 100
-    assert scheduler_with(db).place_batch(spec) is Placement.PHYSICAL
+    assert scheduler_with(db).place_batch(spec)[0] is Placement.PHYSICAL
 
 
 def test_deadline_met_stays_virtual(db):
     spec = make_job("Sort", input_gb=2.0, desired_jct_s=500.0)
-    assert scheduler_with(db).place_batch(spec) is Placement.VIRTUAL
+    assert scheduler_with(db).place_batch(spec)[0] is Placement.VIRTUAL
 
 
 def test_overhead_threshold_classification(db):
@@ -113,22 +117,41 @@ def test_overhead_threshold_classification(db):
     db.add(record(virtual=False, jct=60.0, m=40.0, r=20.0))
     spec = make_job("Sort", input_gb=2.0)  # no deadline
     sched = scheduler_with(db)
-    assert sched.place_batch(spec) is Placement.PHYSICAL
+    placement, inputs = sched.place_batch(spec)
+    assert placement is Placement.PHYSICAL
+    assert inputs == {
+        "reason": "virt-overhead 67% > 15%",
+        "jct_virtual_s": pytest.approx(100.0),
+        "jct_native_s": pytest.approx(60.0),
+    }
     lax = scheduler_with(db, threshold=1.0)
-    assert lax.place_batch(spec) is Placement.VIRTUAL
+    assert lax.place_batch(spec)[0] is Placement.VIRTUAL
 
 
 def test_unprofiled_job_defaults_physical(db):
     spec = make_job("Kmeans", input_gb=1.0, desired_jct_s=100.0)
     sched = scheduler_with(db)
-    assert sched.place_batch(spec) is Placement.PHYSICAL
-    assert sched.decisions[-1].reason == "unprofiled"
+    assert sched.place_batch(spec) == (Placement.PHYSICAL, {"reason": "unprofiled"})
 
 
 def test_decisions_are_audited(db):
-    sched = scheduler_with(db)
-    sched.place_batch(make_job("Sort", input_gb=2.0, desired_jct_s=50.0))
-    assert len(sched.decisions) == 1
-    decision = sched.decisions[0]
-    assert decision.placement is Placement.PHYSICAL
-    assert decision.estimate_virtual is not None
+    """A submitted job's placement lands in the decision log with the
+    estimate Algorithm 2 consulted."""
+    sim = Simulator(seed=1)
+    cluster = Cluster.hybrid(sim, 2, 2, 2)  # 4 VMs: the 4-node profile
+    scheduler = HybridMRScheduler(
+        sim, cluster.fabric, cluster.native_contexts(), list(cluster.vms),
+        cluster.pms, profile_db=db,
+    )
+    placement, job = scheduler.submit(
+        make_job("Sort", input_gb=2.0, desired_jct_s=50.0, name="late")
+    )
+    assert placement is Placement.PHYSICAL
+    assert sim.obs.decisions == [
+        Decision(0.0, "phase1", "physical", "late", {
+            "job_id": job.job_id,
+            "reason": "deadline-miss-on-virtual",
+            "jct_virtual_s": db.estimate("Sort", True, 4, 2.0).jct_s,
+        })
+    ]
+    assert sim.obs.metrics.counter("phase1.actions.physical").value == 1

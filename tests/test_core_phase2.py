@@ -1,6 +1,7 @@
 """Tests for Phase II: DRM, IPS and the HybridMR facade."""
 
 import math
+from collections import Counter
 
 import pytest
 
@@ -44,7 +45,7 @@ def test_drm_uncaps_starved_vms(sim, virtual_cluster, virtual_mr):
     # fewer tasks than VMs: hosts keep slack the DRM should grant
     virtual_mr.jt.submit(make_job("Kmeans", input_gb=0.25, num_reducers=2))
     sim.run(until=30.0)
-    assert any("cpu-uncap" in a for a in drm.actions)
+    assert any(d.action == "cpu-uncap" for d in sim.obs.decisions)
     drm.stop()
     virtual_mr.jt.shutdown()
 
@@ -61,7 +62,10 @@ def test_drm_memory_ballooning_moves_capacity(sim, virtual_cluster, virtual_mr):
     sim.run(until=20.0)
     assert needy.mem_capacity_mb > 1024.0
     assert donor.mem_capacity_mb < 1024.0
-    assert any("balloon" in a for a in drm.actions)
+    assert any(
+        (d.action, d.target, d.inputs["donor"]) == ("balloon", needy.name, donor.name)
+        for d in sim.obs.decisions
+    )
     drm.stop()
     virtual_mr.jt.shutdown()
 
@@ -74,7 +78,7 @@ def test_drm_io_weight_boosts_tail(sim, virtual_cluster, virtual_mr):
     drm.start()
     virtual_mr.jt.submit(make_job("Sort", input_gb=0.5, num_reducers=4))
     sim.run(until=6.0)  # mid-run: tail boost active
-    assert any("io-weight" in a for a in drm.actions)
+    assert any(d.action == "io-weight" for d in sim.obs.decisions)
     assert any(vm.io_weight > 1.0 for vm in virtual_cluster.vms)
     sim.run(until=60.0)  # job done: weights return to fair
     drm.stop()
@@ -102,15 +106,11 @@ def test_drm_ablation_improves_jct(sim):
     assert run(True) < run(False)
 
 
-def test_lrm_estimates_progress_rates(sim, virtual_cluster, virtual_mr):
+def test_lrm_profiles_running_attempts(sim, virtual_cluster, virtual_mr):
     drm = DynamicResourceManager(sim, virtual_mr.jt, list(virtual_cluster.vms))
     drm.start()
     virtual_mr.jt.submit(make_job("Kmeans", input_gb=0.5, num_reducers=2))
     sim.run(until=30.0)
-    attempts = virtual_mr.jt.running_attempts()
-    if attempts:
-        est = drm.estimate_attempt(attempts[0])
-        assert 0.0 <= est.progress <= 1.0
     lrm = next(iter(drm.lrms.values()))
     assert isinstance(lrm, LocalResourceManager)
     assert lrm.samples
@@ -173,11 +173,15 @@ def build_ips_world(seed=5, ips_on=True):
     return sim, cluster, service, scheduler
 
 
+def ips_actions(sim):
+    return [d.action for d in sim.obs.decisions if d.loop == "ips"]
+
+
 def test_ips_throttles_interfering_vms():
     sim, cluster, service, scheduler = build_ips_world()
     scheduler.submit(make_job("Sort", input_gb=2.0, num_reducers=8))
     sim.run(until=120.0)
-    actions = [a.action for a in scheduler.ips.actions]
+    actions = ips_actions(sim)
     assert "throttle" in actions
     scheduler.stop()
 
@@ -199,17 +203,19 @@ def test_ips_releases_after_recovery():
     sim, cluster, service, scheduler = build_ips_world()
     scheduler.submit(make_job("Sort", input_gb=1.0, num_reducers=8))
     sim.run(until=400.0)
-    actions = [a.action for a in scheduler.ips.actions]
+    actions = ips_actions(sim)
     if "throttle" in actions:
         assert "release" in actions
     scheduler.stop()
 
 
-def build_ladder_world():
+def build_ladder_world(trace=False):
     """RUBiS alone on pm00's first VM, a Sort on its two batch VMs and an
     empty pm02: throttling and pausing cannot save the SLA, so IPS
     climbs to the migrate rung (Algorithm 3's last resort)."""
     sim = Simulator(seed=3)
+    if trace:
+        sim.obs.enable_tracing()
     cluster = Cluster.virtual(sim, 2, 3)
     spare = cluster.add_pm()
     vms = {vm.name: vm for vm in cluster.vms}
@@ -233,7 +239,9 @@ def test_ips_ladder_throttles_pauses_then_migrates():
     sim, cluster, spare, vms, scheduler, job = build_ladder_world()
     sim.run(until=600.0)
     ips = scheduler.ips
-    assert [(a.time, a.action, a.vm_name) for a in ips.actions] == [
+    assert [
+        (d.time, d.action, d.target) for d in sim.obs.decisions if d.loop == "ips"
+    ] == [
         (5.0, "throttle", "vm02"),
         (10.0, "throttle", "vm01"),
         (15.0, "pause", "vm02"),
@@ -262,6 +270,43 @@ def test_ips_ladder_throttles_pauses_then_migrates():
     assert not cluster.fabric.colocated("vm01", "vm00")
     assert job.done
     scheduler.stop()
+
+
+def test_decision_log_is_the_one_record():
+    """Phase I, DRM and IPS decisions land in one log on ``sim.obs``;
+    each loop's counters and trace instants are derived from it, and
+    tracing leaves it unchanged."""
+    logs = []
+    for trace in (False, True):
+        sim, cluster, spare, vms, scheduler, job = build_ladder_world(trace)
+        sim.run(until=600.0)
+        scheduler.stop()
+        decisions = sim.obs.decisions
+        logs.append(decisions)
+        assert Counter(d.loop for d in decisions) == {
+            "phase1": 1, "drm": 40, "ips": 6,
+        }
+        # every <loop>.actions.<action> counter is its count in the log
+        counted = {
+            name: value
+            for name, value in sim.obs.metrics.counters().items()
+            if ".actions." in name
+        }
+        assert counted == Counter(f"{d.loop}.actions.{d.action}" for d in decisions)
+        rungs = ("throttle", "pause", "migrate")
+        assert [counted[f"ips.actions.{rung}"] for rung in rungs] == [2, 2, 2]
+        if trace:
+            # one decision instant per decision, on its loop's track
+            instants = [
+                (i["name"], i["track"], i["ts"], i["args"])
+                for i in sim.obs.tracer.instants
+                if i["cat"] == "decision"
+            ]
+            assert instants == [
+                (f"{d.loop}.{d.action}:{d.target}", d.loop, d.time, d.inputs)
+                for d in decisions
+            ]
+    assert logs[0] == logs[1]
 
 
 def test_migration_moves_inflight_entries_with_their_owners(monkeypatch):
@@ -329,6 +374,26 @@ def test_facade_routes_without_native_side(sim, virtual_cluster):
     assert placement.value == "virtual"
     sim.run(until=200.0)
     assert job.done
+    scheduler.stop()
+
+
+def test_random_placements_are_logged_per_job():
+    """Each side's JobTracker numbers its jobs from 1, so two jobs can
+    share a ``job_id``; the log keeps one entry per submission."""
+    sim = Simulator(seed=1)
+    cluster = Cluster.hybrid(sim, 2, 2, 2)
+    scheduler = HybridMRScheduler(
+        sim, cluster.fabric, cluster.native_contexts(), list(cluster.vms),
+        cluster.pms,
+        config=HybridMRConfig(phase1_enabled=False, random_placement_seed=1),
+    )
+    for name in ("a", "b", "c"):
+        scheduler.submit(make_job("Sort", input_gb=0.25, num_reducers=2, name=name))
+    assert [
+        (d.action, d.target, d.inputs["job_id"])
+        for d in sim.obs.decisions
+        if d.loop == "phase1"
+    ] == [("physical", "a", 1), ("virtual", "b", 1), ("virtual", "c", 2)]
     scheduler.stop()
 
 

@@ -88,7 +88,7 @@ def test_online_profiling_populates_database():
     ])
     assert len(scheduler.phase1.db) == 2
     # the recorded profiles are immediately usable for estimation
-    side = scheduler.placements[1].value
+    side = next(d.action for d in sim.obs.decisions if d.target == "a")
     est = scheduler.phase1.db.estimate(
         "Sort", side == "virtual",
         len((scheduler.virtual_mr if side == "virtual" else scheduler.native_mr).trackers),

@@ -5,12 +5,7 @@ import random
 
 import pytest
 
-from repro.interference.models import (
-    ExponentialModel,
-    InterferenceModelSet,
-    LinearModel,
-    PiecewiseLinearModel,
-)
+from repro.interference.models import ExponentialModel, LinearModel
 from repro.interference.regression import fit_line, r_squared
 from repro.workloads.generator import WorkloadGenerator
 from repro.workloads.mixes import ALL_MIXES, WMIX_1, WMIX_2, WorkloadMix
@@ -49,21 +44,6 @@ def test_linear_model_fit_predict():
     assert model.score([0, 1, 2], [1.0, 1.5, 2.0]) == pytest.approx(1.0)
 
 
-def test_piecewise_finds_breakpoint():
-    xs = list(range(20))
-    ys = [1.0] * 10 + [1.0 + 0.5 * (x - 9) for x in range(10, 20)]
-    model = PiecewiseLinearModel().fit(xs, ys)
-    assert 7 <= model.breakpoint <= 11
-    assert model.predict(5) == pytest.approx(1.0, abs=0.05)
-    assert model.predict(19) == pytest.approx(6.0, abs=0.3)
-
-
-def test_piecewise_degenerates_with_few_points():
-    model = PiecewiseLinearModel().fit([0, 1, 2], [1, 2, 3])
-    assert model.fitted
-    assert model.predict(1.5) == pytest.approx(2.5, abs=0.01)
-
-
 def test_exponential_model_recovers_curve():
     xs = [float(x) for x in range(0, 60, 5)]
     ys = [1.0 + 0.2 * math.exp(0.05 * x) for x in xs]
@@ -72,22 +52,6 @@ def test_exponential_model_recovers_curve():
     preds = [model.predict(x) for x in xs]
     assert preds == sorted(preds)
     assert model.predict(55) == pytest.approx(ys[-1], rel=0.35)
-
-
-def test_model_set_slowdown_composition():
-    models = InterferenceModelSet()
-    assert models.slowdown(cpu_util=1.0, io_rate=10.0) == 1.0  # unfitted
-    models.cpu.fit([0, 1, 2], [1.0, 1.5, 2.0])
-    models.io.fit([0, 10, 20, 30], [1.0, 1.2, 1.6, 2.5])
-    combined = models.slowdown(cpu_util=2.0, io_rate=30.0)
-    assert combined >= 2.0  # both factors multiply
-    assert models.slowdown() == 1.0
-
-
-def test_model_set_never_speeds_up():
-    models = InterferenceModelSet()
-    models.cpu.fit([0, 1], [0.1, 0.2])  # predicts < 1
-    assert models.slowdown(cpu_util=0.5) == 1.0
 
 
 # ----------------------------------------------------------------------

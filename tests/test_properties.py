@@ -5,7 +5,6 @@ import math
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.interference.models import ExponentialModel, LinearModel, PiecewiseLinearModel
 from repro.interference.regression import fit_line, r_squared
 from repro.sim.engine import Simulator
 from repro.sim.network import _HostLinks
@@ -150,19 +149,6 @@ def test_fit_line_recovers_exact_lines(slope, intercept, xs):
     assert abs(got_slope - slope) < 1e-6 + 1e-6 * abs(slope)
     assert abs(got_icpt - intercept) < 1e-4 + 1e-6 * abs(intercept)
     assert r_squared(ys, [got_slope * x + got_icpt for x in xs]) > 1 - 1e-9
-
-
-@given(
-    xs=st.lists(st.floats(min_value=0, max_value=100), min_size=6, max_size=40, unique=True),
-)
-def test_piecewise_never_worse_than_single_line(xs):
-    xs = sorted(xs)
-    ys = [0.5 * x + 1 for x in xs]
-    single = LinearModel().fit(xs, ys)
-    piece = PiecewiseLinearModel().fit(xs, ys)
-    err_single = sum((single.predict(x) - y) ** 2 for x, y in zip(xs, ys))
-    err_piece = sum((piece.predict(x) - y) ** 2 for x, y in zip(xs, ys))
-    assert err_piece <= err_single + 1e-6
 
 
 @given(

@@ -7,7 +7,6 @@ import pytest
 from repro.cluster.cluster import Cluster
 from repro.virt.migration import LiveMigration
 from repro.virt.overheads import DEFAULT_OVERHEADS, OverheadModel
-from repro.virt.throttle import CgroupController
 
 
 # ----------------------------------------------------------------------
@@ -267,24 +266,6 @@ def test_paused_vm_freezes_page_cache_io_started_while_paused(sim):
     sim.run()
     # 100 MB through the page cache at 400 MB/s, 95% efficient in a guest
     assert done == [pytest.approx(10.0 + 100.0 / (400.0 * 0.95))]
-
-
-# ----------------------------------------------------------------------
-# CgroupController
-# ----------------------------------------------------------------------
-def test_cgroups_audit_log(sim, virtual_cluster):
-    vm = virtual_cluster.vms[0]
-    cg = CgroupController(sim)
-    cg.set_io_limit(vm, 10.0)
-    cg.set_cpu_limit(vm, 0.5)
-    cg.pause(vm)
-    cg.resume(vm)
-    cg.release_all(vm)
-    knobs = [e.knob for e in cg.actions_for(vm.name)]
-    assert knobs == ["io", "cpu", "pause", "resume", "release"]
-    assert vm.io_limit_mbps is None
-    assert vm.cpu_fraction == 1.0
-    assert not vm.paused
 
 
 # ----------------------------------------------------------------------
