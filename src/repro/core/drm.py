@@ -4,8 +4,11 @@ Architecture mirrors the paper (and MROrchestrator [31]):
 
 - Each virtual node has a **Local Resource Manager** (LRM), a
   *Resource Profiler* that samples each running attempt's CPU, disk and
-  network rates, memory footprint and progress every epoch; the IPS
-  ranks co-located VMs by these samples (:meth:`interference_score`).
+  network rates every epoch and keeps the last :data:`SAMPLE_WINDOW`
+  samples; the IPS ranks co-located VMs by them
+  (:meth:`DynamicResourceManager.interference_score`).  The GRM reads a
+  VM's attempts straight off the VM's own TaskTrackers
+  (:meth:`DynamicResourceManager.attempts_on`), never the whole fleet.
 - The **Global Resource Manager** (GRM) runs a *Contention Detector*
   (classifies tasks/VMs as resource-deficit or resource-hogging from
   the LRM feedback) and a *Performance Balancer* that actuates:
@@ -31,28 +34,28 @@ CPU / Memory / I/O / CPU+Memory+I/O ablation of Figures 8(b), 8(c).
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Deque, Dict, List, Optional
 
 from repro.mapreduce.jobtracker import JobTracker
-from repro.mapreduce.task import TaskAttempt
+from repro.mapreduce.task import TaskAttempt, peer_mean_duration
+from repro.mapreduce.tracker import TaskTracker
 from repro.sim.engine import Simulator
 from repro.virt.vm import VirtualMachine
+
+#: samples an LRM keeps: the window :meth:`interference_score` ranks over
+SAMPLE_WINDOW = 50
 
 
 @dataclass
 class TaskUsageSample:
     """One Resource Profiler observation of a running attempt."""
 
-    time: float
     attempt_id: int
-    task_name: str
-    vm_name: str
     cpu_rate: float
     disk_rate: float
     net_rate: float
-    mem_mb: float
-    progress: float
 
 
 class LocalResourceManager:
@@ -60,10 +63,10 @@ class LocalResourceManager:
 
     def __init__(self, vm: VirtualMachine) -> None:
         self.vm = vm
-        self.samples: List[TaskUsageSample] = []
+        #: the last SAMPLE_WINDOW samples, oldest first
+        self.samples: Deque[TaskUsageSample] = deque(maxlen=SAMPLE_WINDOW)
 
-    def sample(self, now: float, attempts: List[TaskAttempt]) -> List[TaskUsageSample]:
-        out = []
+    def sample(self, attempts: List[TaskAttempt]) -> None:
         for attempt in attempts:
             cpu_rate = sum(
                 e.rate for e in attempt._handles
@@ -82,22 +85,9 @@ class LocalResourceManager:
                 h.rate for h in attempt._handles
                 if hasattr(h, "src") and not h.done
             )
-            sample = TaskUsageSample(
-                time=now,
-                attempt_id=attempt.attempt_id,
-                task_name=attempt.task.name,
-                vm_name=self.vm.name,
-                cpu_rate=cpu_rate,
-                disk_rate=disk_rate,
-                net_rate=net_rate,
-                mem_mb=attempt._mem_mb,
-                progress=attempt.progress(),
+            self.samples.append(
+                TaskUsageSample(attempt.attempt_id, cpu_rate, disk_rate, net_rate)
             )
-            self.samples.append(sample)
-            out.append(sample)
-        if len(self.samples) > 10_000:
-            del self.samples[: len(self.samples) - 10_000]
-        return out
 
 
 class DynamicResourceManager:
@@ -131,6 +121,15 @@ class DynamicResourceManager:
         self.lrms: Dict[str, LocalResourceManager] = {
             vm.name: LocalResourceManager(vm) for vm in self.vms
         }
+        #: each VM's TaskTrackers in fleet order; a tracker never changes
+        #: context and a migrating VM keeps its identity, so this holds
+        self._trackers: Dict[str, List[TaskTracker]] = {
+            vm.name: [] for vm in self.vms
+        }
+        for tracker in jt.trackers:
+            ctx = tracker.context
+            if isinstance(ctx, VirtualMachine) and ctx.name in self._trackers:
+                self._trackers[ctx.name].append(tracker)
         self._cancel: Optional[Callable[[], None]] = None
 
     # ------------------------------------------------------------------
@@ -159,24 +158,26 @@ class DynamicResourceManager:
         with obs.tracer.span("drm.epoch", category="scheduler", track="drm"):
             self._run_epoch()
 
+    def attempts_on(self, vm: VirtualMachine) -> List[TaskAttempt]:
+        """The attempts running on ``vm``'s TaskTrackers, in fleet order."""
+        return [a for t in self._trackers[vm.name] for a in t.running]
+
     def _run_epoch(self) -> None:
-        # LRM phase: profile everything running
-        by_vm: Dict[str, List[TaskAttempt]] = {vm.name: [] for vm in self.vms}
-        for attempt in self.jt.running_attempts():
-            ctx = attempt.tracker.context
-            if isinstance(ctx, VirtualMachine) and ctx.name in by_vm:
-                by_vm[ctx.name].append(attempt)
+        # LRM phase: profile everything running.  The snapshot serves
+        # the whole epoch: _balance_cpu's actuations can complete
+        # attempts at this instant, and a re-read would see fewer.
+        by_vm = {vm.name: self.attempts_on(vm) for vm in self.vms}
         for vm in self.vms:
-            self.lrms[vm.name].sample(self.sim.now, by_vm[vm.name])
+            self.lrms[vm.name].sample(by_vm[vm.name])
         # GRM phase: detect contention and rebalance
         if self.manage_cpu:
             self._balance_cpu(by_vm)
         if self.manage_memory:
             self._balance_memory()
         if self.manage_io:
-            self._balance_io(by_vm)
+            self._balance_io()
         if self.manage_cpu or self.manage_io:
-            self._boost_stragglers(by_vm)
+            self._boost_stragglers()
 
     # -- CPU: work-conserving uncapping -----------------------------------
     def _balance_cpu(self, by_vm: Dict[str, List[TaskAttempt]]) -> None:
@@ -240,7 +241,7 @@ class DynamicResourceManager:
                 )
 
     # -- I/O: blkio weights for tails and deficits ---------------------------
-    def _balance_io(self, by_vm: Dict[str, List[TaskAttempt]]) -> None:
+    def _balance_io(self) -> None:
         tail_vms = set()
         for job in self.jt.active_jobs:
             for kind_tasks in (job.map_tasks, job.reduce_tasks):
@@ -267,26 +268,22 @@ class DynamicResourceManager:
                     vm.set_cpu_fraction(2.0)
 
     # -- stragglers: accelerate resource-deficit tasks in place ------------
-    def _boost_stragglers(self, by_vm: Dict[str, List[TaskAttempt]]) -> None:
+    def _boost_stragglers(self) -> None:
         """Give projected-late attempts extra CPU/IO on their own host.
 
         The bottleneck mitigation of Section III-B1: an attempt whose
-        ``duration / progress`` projection exceeds 1.3x the mean duration
-        of its phase's completed tasks is a straggler.  Instead of
+        projected duration exceeds 1.3x the mean duration of its phase's
+        completed tasks is a straggler (the projection and the mean are
+        the speculation rule's, :mod:`repro.mapreduce.task`).  Instead of
         waiting for speculative re-execution, its guest is uncapped
         (CPU) and its blkio weight raised (I/O), which usually resolves
         the straggler where it is.
         """
         for job in self.jt.active_jobs:
             for kind_tasks in (job.map_tasks, job.reduce_tasks):
-                durations = [
-                    t.winning_attempt.duration
-                    for t in kind_tasks
-                    if t.completed and t.winning_attempt is not None
-                ]
-                if len(durations) < 3:
+                mean = peer_mean_duration(kind_tasks)
+                if mean is None:
                     continue
-                mean = sum(durations) / len(durations)
                 for task in kind_tasks:
                     for attempt in task.running_attempts:
                         ctx = attempt.tracker.context
@@ -294,7 +291,7 @@ class DynamicResourceManager:
                             continue
                         if ctx.name not in self.lrms:
                             continue
-                        projected = attempt.duration / max(attempt.progress(), 0.05)
+                        projected = attempt.projected_duration()
                         if projected <= 1.3 * mean:
                             continue
                         if self.manage_cpu and ctx.cpu_fraction < 2.0:
@@ -325,11 +322,7 @@ class DynamicResourceManager:
         lrm = self.lrms.get(getattr(ctx, "name", ""))
         if lrm is None:
             return 0.0
-        recent = [
-            s
-            for s in lrm.samples[-50:]
-            if s.attempt_id == attempt.attempt_id
-        ]
+        recent = [s for s in lrm.samples if s.attempt_id == attempt.attempt_id]
         if not recent:
             return 0.0
         pm = ctx.pm

@@ -1,11 +1,13 @@
 """Phase II Interference Prevention System (Section III-B2).
 
 The IPS watches interactive services through the
-:class:`~repro.interactive.sla.SLAMonitor`.  When latency breaches the
-SLA, the Arbiter (Algorithm 3) mitigates:
+:class:`~repro.interactive.sla.SLAMonitor`, which hands it each service
+found above its SLA.  The Arbiter (Algorithm 3) then mitigates:
 
-1. rank the map/reduce tasks collocated with the suffering service by
-   the DRM's interference estimate;
+1. rank the batch VMs collocated with the suffering service by the
+   DRM's interference score of the attempts running on them
+   (:meth:`~repro.core.drm.DynamicResourceManager.attempts_on`, the
+   VM's own TaskTrackers);
 2. escalate through an actuation ladder on the hosting VMs --
    **throttle** (a blkio-style I/O limit plus a CPU cap, set on the VM
    directly), then **pause**, then **live-migrate** the offending VM to
@@ -32,18 +34,16 @@ from typing import Callable, Dict, List, Optional, Set
 from repro.cluster.machine import PhysicalMachine
 from repro.core.drm import DynamicResourceManager
 from repro.interactive.service import InteractiveService
-from repro.interactive.sla import SLAEvent, SLAMonitor
-from repro.mapreduce.jobtracker import JobTracker
+from repro.interactive.sla import SLAMonitor
 from repro.sim.engine import Simulator
 from repro.virt.migration import LiveMigration, MigrationRecord
 from repro.virt.vm import VirtualMachine
 
 
 class Arbiter:
-    """Placement heuristics of Algorithm 3.
-
-    BestFit is the paper's choice [12]; FirstFit and WorstFit are here
-    for the ablation DESIGN.md calls out (see benchmarks/test_ablations).
+    """Placement and ordering of Algorithm 3: BestFit bin-packing [12]
+    and Min-Min order.  FirstFit and WorstFit, for comparison, live in
+    the bin-packing ablation (``benchmarks/test_ablations.py``).
     """
 
     @staticmethod
@@ -78,42 +78,6 @@ class Arbiter:
         return min(feasible, key=lambda pair: (pair[0], pair[1].name))[1]
 
     @staticmethod
-    def first_fit(
-        vm: VirtualMachine,
-        candidates: List[PhysicalMachine],
-        forbidden: Set[str],
-    ) -> Optional[PhysicalMachine]:
-        """FirstFit: the first allowed host the VM fits on."""
-        feasible = Arbiter._feasible(vm, candidates, forbidden)
-        return feasible[0][1] if feasible else None
-
-    @staticmethod
-    def worst_fit(
-        vm: VirtualMachine,
-        candidates: List[PhysicalMachine],
-        forbidden: Set[str],
-    ) -> Optional[PhysicalMachine]:
-        """WorstFit: the allowed host with the most leftover capacity."""
-        feasible = Arbiter._feasible(vm, candidates, forbidden)
-        if not feasible:
-            return None
-        return max(feasible, key=lambda pair: (pair[0], pair[1].name))[1]
-
-    HEURISTICS = {"best_fit": "best_fit", "first_fit": "first_fit", "worst_fit": "worst_fit"}
-
-    @classmethod
-    def place(
-        cls,
-        heuristic: str,
-        vm: VirtualMachine,
-        candidates: List[PhysicalMachine],
-        forbidden: Set[str],
-    ) -> Optional[PhysicalMachine]:
-        if heuristic not in cls.HEURISTICS:
-            raise ValueError(f"unknown placement heuristic {heuristic!r}")
-        return getattr(cls, heuristic)(vm, candidates, forbidden)
-
-    @staticmethod
     def min_min_order(scored: List[tuple]) -> List[tuple]:
         """Min-Min: handle the least-interfering entries first so the
         cheapest mitigations are tried before drastic ones.
@@ -130,28 +94,22 @@ class InterferencePreventionSystem:
         sim: Simulator,
         monitor: SLAMonitor,
         drm: DynamicResourceManager,
-        jt: JobTracker,
         pms: List[PhysicalMachine],
         throttle_io_mbps: float = 8.0,
         throttle_cpu_fraction: float = 0.4,
         cooldown_polls: int = 3,
         max_migrations: int = 50,
         datanode_payload: Optional[Callable[[VirtualMachine], float]] = None,
-        placement_heuristic: str = "best_fit",
     ) -> None:
-        if placement_heuristic not in Arbiter.HEURISTICS:
-            raise ValueError(f"unknown placement heuristic {placement_heuristic!r}")
         self.sim = sim
         self.monitor = monitor
         self.drm = drm
-        self.jt = jt
         self.pms = list(pms)
         self.throttle_io_mbps = throttle_io_mbps
         self.throttle_cpu_fraction = throttle_cpu_fraction
         self.cooldown_polls = cooldown_polls
         self.max_migrations = max_migrations
         self.datanode_payload = datanode_payload or (lambda vm: 0.0)
-        self.placement_heuristic = placement_heuristic
         self.migrations: List[MigrationRecord] = []
         self._throttled: Set[str] = set()
         self._paused: Set[str] = set()
@@ -178,7 +136,7 @@ class InterferencePreventionSystem:
         return batch
 
     def _vm_interference(self, vm: VirtualMachine) -> float:
-        attempts = self.jt.attempts_on_context(vm)
+        attempts = self.drm.attempts_on(vm)
         if not attempts:
             # idle guests still hold memory but exert no rate pressure
             return 0.0
@@ -187,7 +145,7 @@ class InterferencePreventionSystem:
     # ------------------------------------------------------------------
     # the mitigation ladder
     # ------------------------------------------------------------------
-    def _on_violation(self, service: InteractiveService, event: SLAEvent) -> None:
+    def _on_violation(self, service: InteractiveService) -> None:
         self._healthy_polls[service.name] = 0
         batch = self._batch_vms_near(service)
         if not batch:
@@ -222,7 +180,7 @@ class InterferencePreventionSystem:
             return
         forbidden = {vm.pm.name for vm in service.vms}
         for score, vm in reversed(scored):
-            target = Arbiter.place(self.placement_heuristic, vm, self.pms, forbidden)
+            target = Arbiter.best_fit(vm, self.pms, forbidden)
             if target is None:
                 continue
             self._begin_migration(service, vm, target, score)

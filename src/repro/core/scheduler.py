@@ -111,7 +111,6 @@ class HybridMRScheduler:
                         sim,
                         self.monitor,
                         self.drm,
-                        self.virtual_mr.jt,
                         self.pms,
                         datanode_payload=self._datanode_payload,
                     )

@@ -109,9 +109,7 @@ def _run_design(
         drm = DynamicResourceManager(sim, mr.jt, batch_vms)
         drm.start()
         monitor = SLAMonitor(sim, [service])
-        ips = InterferencePreventionSystem(
-            sim, monitor, drm, mr.jt, cluster.pms
-        )
+        ips = InterferencePreventionSystem(sim, monitor, drm, cluster.pms)
         monitor.start()
     else:
         raise ValueError(f"unknown design {design!r}")

@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable, List, Optional
 
 from repro.cluster.machine import ExecutionContext
 from repro.hdfs.block import Block
 from repro.hdfs.datanode import DataNode
 from repro.hdfs.namenode import NameNode
-from repro.sim.engine import Simulator
+from repro.sim.engine import Simulator, _profiled_call
 from repro.sim.network import NetworkFabric
 from repro.sim.sequence import chain, join
 
@@ -153,10 +154,15 @@ class HDFS:
         """
         replication = replication or self.replication
         blocks = self.namenode.allocate_file(name, size_mb, self.block_size_mb)
-        arms = join(len(blocks), on_complete) if blocks else []
         if not blocks:
             self.sim.schedule(0.0, on_complete)
-        for block, arm in zip(blocks, arms):
+            return blocks
+        prof = self.sim.prof
+        if prof is not None:
+            # the last block write ends inside a DataNode closure; bill
+            # the writer's continuation to the writer, in a frame of its own
+            on_complete = partial(_profiled_call, prof, on_complete)
+        for block, arm in zip(blocks, join(len(blocks), on_complete)):
             targets = self.namenode.choose_targets(
                 block, replication, preferred_pm=writer.pm, reserve=True
             )

@@ -1,28 +1,18 @@
 """SLA monitoring across interactive services.
 
-The IPS (Phase II) subscribes to this monitor: whenever a service's
-latency crosses its SLA the registered handlers fire, carrying enough
-context for the Arbiter to act.
+The IPS (Phase II) subscribes to this monitor: on every poll that finds
+a service's latency above its SLA, the registered handlers fire with
+that service.  Each such poll counts one ``sla.violations`` and, when
+tracing, leaves an ``sla:<service>`` instant; the monitor keeps no log
+of its own.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, List, Optional
 
 from repro.interactive.service import InteractiveService
 from repro.sim.engine import Simulator
-
-
-@dataclass
-class SLAEvent:
-    """One observed SLA state change."""
-
-    time: float
-    service_name: str
-    latency_ms: float
-    sla_ms: float
-    violated: bool
 
 
 class SLAMonitor:
@@ -39,14 +29,10 @@ class SLAMonitor:
         self.sim = sim
         self.services = list(services)
         self.poll_s = poll_s
-        self.events: List[SLAEvent] = []
-        self._handlers: List[Callable[[InteractiveService, SLAEvent], None]] = []
-        self._violating = {s.name: False for s in self.services}
+        self._handlers: List[Callable[[InteractiveService], None]] = []
         self._cancel: Optional[Callable[[], None]] = None
 
-    def on_violation(
-        self, handler: Callable[[InteractiveService, SLAEvent], None]
-    ) -> None:
+    def on_violation(self, handler: Callable[[InteractiveService], None]) -> None:
         """Register a handler fired on every poll while a service is
         above its SLA (the IPS wants continuous pressure, not an edge)."""
         self._handlers.append(handler)
@@ -63,47 +49,17 @@ class SLAMonitor:
 
     def _poll(self) -> None:
         for service in self.services:
-            violated = service.sla_violated
-            was = self._violating[service.name]
-            if violated or was != violated:
-                event = SLAEvent(
-                    time=self.sim.now,
-                    service_name=service.name,
+            if not service.sla_violated:
+                continue
+            obs = self.sim.obs
+            obs.metrics.counter("sla.violations").inc()
+            if obs.tracer.enabled:
+                obs.tracer.instant(
+                    f"sla:{service.name}",
+                    category="sla",
+                    track="sla",
                     latency_ms=service.current_latency_ms,
                     sla_ms=service.sla_ms,
-                    violated=violated,
                 )
-                self.events.append(event)
-                if violated:
-                    obs = self.sim.obs
-                    obs.metrics.counter("sla.violations").inc()
-                    if obs.tracer.enabled:
-                        obs.tracer.instant(
-                            f"sla:{service.name}",
-                            category="sla",
-                            track="sla",
-                            latency_ms=event.latency_ms,
-                            sla_ms=event.sla_ms,
-                        )
-                    for handler in self._handlers:
-                        handler(service, event)
-            self._violating[service.name] = violated
-
-    def violations(self) -> List[SLAEvent]:
-        return [e for e in self.events if e.violated]
-
-    def summary(
-        self, window_s: Optional[float] = None, now: Optional[float] = None
-    ) -> dict:
-        """Per-service latency summaries keyed by service name.
-
-        Delegates to each service's
-        :meth:`~repro.interactive.service.InteractiveService.latency_summary`,
-        so a window with no completed requests is well-defined (count 0,
-        all-zero statistics, never NaN) instead of degenerate
-        percentiles.
-        """
-        return {
-            service.name: service.latency_summary(window_s=window_s, now=now)
-            for service in self.services
-        }
+            for handler in self._handlers:
+                handler(service)

@@ -14,7 +14,7 @@ from repro.mapreduce.schedulers import (
     FairScheduler,
     SlotScheduler,
 )
-from repro.mapreduce.task import Task, TaskAttempt, TaskKind
+from repro.mapreduce.task import Task, TaskAttempt, TaskKind, peer_mean_duration
 from repro.mapreduce.tracker import TaskTracker
 from repro.sim.engine import Simulator
 from repro.sim.network import NetworkFabric
@@ -678,14 +678,9 @@ class JobTracker:
         tasks = job.map_tasks if kind is TaskKind.MAP else job.reduce_tasks
         if any(not t.scheduled and not t.completed for t in tasks):
             return  # still have pending work; no spare capacity for copies
-        durations = [
-            t.winning_attempt.duration
-            for t in tasks
-            if t.completed and t.winning_attempt is not None
-        ]
-        if len(durations) < 3:
+        mean = peer_mean_duration(tasks)
+        if mean is None:
             return
-        mean = sum(durations) / len(durations)
         threshold = self.speculation_factor * mean
         free = self._free_trackers(kind)
         if not free:
@@ -697,8 +692,7 @@ class JobTracker:
             # progress-based straggler test (as in Hadoop): compare the
             # attempt's projected total duration against the mean of
             # completed peers
-            projected = attempt.duration / max(attempt.progress(), 0.05)
-            if projected < threshold:
+            if attempt.projected_duration() < threshold:
                 continue
             others = [t for t in free if t.host != attempt.tracker.host] or free
             tracker = min(others, key=lambda t: (len(t.running), t.name))
@@ -708,15 +702,8 @@ class JobTracker:
                 return
 
     # ------------------------------------------------------------------
-    # introspection for the Phase II scheduler
+    # introspection
     # ------------------------------------------------------------------
-    def attempts_on_context(self, context) -> List[TaskAttempt]:
-        out: List[TaskAttempt] = []
-        for tracker in self.trackers:
-            if tracker.context is context:
-                out.extend(tracker.running)
-        return out
-
     def running_attempts(self) -> List[TaskAttempt]:
         out: List[TaskAttempt] = []
         for tracker in self.trackers:

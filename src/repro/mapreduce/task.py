@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 import math
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 from repro.hdfs.block import Block
 from repro.sim.sequence import chain
@@ -25,6 +25,27 @@ if TYPE_CHECKING:  # pragma: no cover
 class TaskKind(enum.Enum):
     MAP = "map"
     REDUCE = "reduce"
+
+
+def skew_io_penalty(work_factor: float) -> float:
+    """Disk efficiency penalty of a slow or skewed attempt: its read,
+    spill and merge stages lose 0.25 per unit of excess work factor."""
+    return 0.25 * max(0.0, work_factor - 1.0)
+
+
+def peer_mean_duration(tasks: List["Task"]) -> Optional[float]:
+    """Mean duration of the completed tasks' winning attempts, the
+    baseline both straggler tests (speculation, the DRM's boost) hold a
+    running attempt's :meth:`TaskAttempt.projected_duration` against;
+    ``None`` below three completed peers."""
+    durations = [
+        t.winning_attempt.duration
+        for t in tasks
+        if t.completed and t.winning_attempt is not None
+    ]
+    if len(durations) < 3:
+        return None
+    return sum(durations) / len(durations)
 
 
 class Task:
@@ -309,7 +330,7 @@ class TaskAttempt:
         return end - self.started_at
 
     # ------------------------------------------------------------------
-    # progress estimation (used by speculation and the Phase II LRM)
+    # progress estimation (used by speculation and the DRM's straggler boost)
     # ------------------------------------------------------------------
     def progress(self) -> float:
         """Fraction of the attempt's stage-weighted work completed."""
@@ -317,6 +338,11 @@ class TaskAttempt:
             return 1.0 if not self.killed else 0.0
         total = sum(self._stage_weights) or 1.0
         return min(1.0, self._progress_done / total)
+
+    def projected_duration(self) -> float:
+        """Total duration if the attempt keeps its pace so far (Hadoop's
+        progress-based straggler test; progress floored at 5%)."""
+        return self.duration / max(self.progress(), 0.05)
 
     def _begin_stages(self, weights: List[float], names: List[str]) -> None:
         self._stage_weights = weights
@@ -404,7 +430,7 @@ class TaskAttempt:
             )
             self._track(entry)
 
-        read_penalty = self._io_penalty() + 0.25 * max(0.0, self.work_factor - 1.0)
+        read_penalty = self._io_penalty() + skew_io_penalty(self.work_factor)
 
         def read_stage(done: Callable[[], None]) -> None:
             source = self.jt.fs.pick_replica(block, self.tracker.context)
@@ -479,15 +505,23 @@ class TaskAttempt:
     # ------------------------------------------------------------------
     # reduce execution: shuffle -> merge -> reduce -> write output
     # ------------------------------------------------------------------
-    def _run_reduce(self) -> None:
-        task = self.task
-        job = task.job
+    def _reduce_sizes(self) -> Tuple[float, float, float]:
+        """``(shuffle_mb, cpu_work, out_mb)``: this reducer's share of
+        the map output, its reduce CPU work and its output."""
+        job = self.task.job
         n_reduces = max(1, len(job.reduce_tasks))
         shuffle_mb = job.map_output_mb / n_reduces
-        profile = job.spec.profile
+        cpu_work = shuffle_mb * job.spec.profile.reduce_cpu_per_mb * self.work_factor
+        return shuffle_mb, cpu_work, job.output_mb / n_reduces
+
+    def _run_reduce(self) -> None:
+        task = self.task
+        shuffle_mb, cpu_work, out_mb = self._reduce_sizes()
+        # the merge stage's progress weight counts merge_io_factor passes
+        # over the shuffled bytes, but _merge_phase moves them through
+        # the disk once, so progress() weights the merge as more work
+        # than it does
         merge_mb = shuffle_mb * self.jt.merge_io_factor
-        cpu_work = shuffle_mb * profile.reduce_cpu_per_mb * self.work_factor
-        out_mb = job.output_mb / n_reduces
         self._begin_stages(
             [self.jt.task_startup_cpu_s, shuffle_mb, merge_mb, cpu_work, out_mb],
             ["init", "shuffle", "merge", "cpu", "output"],
@@ -641,22 +675,16 @@ class TaskAttempt:
     def _merge_phase(self) -> None:
         task = self.task
         job = task.job
-        n_reduces = max(1, len(job.reduce_tasks))
-        merge_mb = job.map_output_mb / n_reduces
-        profile = job.spec.profile
-        cpu_work = merge_mb * profile.reduce_cpu_per_mb * self.work_factor
-        out_mb = job.output_mb / n_reduces
+        shuffle_mb, cpu_work, out_mb = self._reduce_sizes()
 
         def merge_stage(done: Callable[[], None]) -> None:
-            if merge_mb <= 1e-9:
+            if shuffle_mb <= 1e-9:
                 done()
                 return
             # slow-node/skew factor degrades this attempt's I/O too
-            merge_penalty = self._io_penalty() + 0.25 * max(
-                0.0, self.work_factor - 1.0
-            )
+            merge_penalty = self._io_penalty() + skew_io_penalty(self.work_factor)
             entry = self.tracker.context.run_disk(
-                merge_mb,
+                shuffle_mb,
                 on_complete=done,
                 label=f"{task.name}:merge",
                 efficiency_penalty=merge_penalty,

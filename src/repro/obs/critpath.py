@@ -47,6 +47,8 @@ from __future__ import annotations
 import json
 from typing import Dict, List, Optional, Tuple
 
+from repro.mapreduce.task import skew_io_penalty
+
 #: blame categories, in report order
 CATEGORIES: Tuple[str, ...] = (
     "compute",
@@ -63,10 +65,6 @@ CATEGORIES: Tuple[str, ...] = (
 REPORT_SCHEMA = "repro.critpath/1"
 
 _EPS = 1e-9
-
-#: disk-stage skew penalty per unit of excess work factor (mirrors the
-#: ``0.25 * max(0, work_factor - 1)`` read/merge penalty in task.py)
-_SKEW_IO_COEFF = 0.25
 
 #: stages whose duration scales with the disk (vs cpu / network)
 _DISK_STAGES = frozenset({"read", "spill", "merge", "output"})
@@ -179,7 +177,7 @@ def _split_stage(
         add("compute", rest - virt)
     elif name in _DISK_STAGES:
         # the output stage carries no skew surcharge in task.py
-        p_s = 0.0 if name == "output" else _SKEW_IO_COEFF * max(0.0, wf - 1.0)
+        p_s = 0.0 if name == "output" else skew_io_penalty(wf)
         denom = 1.0 + p_v + p_s
         add("virt_overhead", d * p_v / denom)
         add("straggler_slack", d * p_s / denom)

@@ -6,7 +6,7 @@ from collections import Counter
 import pytest
 
 from repro.cluster.cluster import Cluster
-from repro.core.drm import DynamicResourceManager, LocalResourceManager
+from repro.core.drm import SAMPLE_WINDOW, DynamicResourceManager, LocalResourceManager
 from repro.core.ips import Arbiter, InterferencePreventionSystem
 from repro.core.scheduler import HybridMRConfig, HybridMRScheduler
 from repro.interactive.loadgen import ConstantLoad
@@ -269,6 +269,32 @@ def test_ips_ladder_throttles_pauses_then_migrates():
     assert cluster.fabric.colocated("vm01", "vm02")
     assert not cluster.fabric.colocated("vm01", "vm00")
     assert job.done
+    scheduler.stop()
+
+
+def test_drm_reads_its_vms_trackers_across_migration():
+    """The DRM (and the IPS through it) reads a VM's attempts off that
+    VM's own TaskTrackers.  The map it builds once still holds after both
+    batch VMs live-migrate, and each LRM keeps only the window the IPS
+    ranks over."""
+    sim, cluster, spare, vms, scheduler, job = build_ladder_world()
+    drm = scheduler.drm
+    trackers = scheduler.virtual_mr.jt.trackers
+    busy_after_migration = 0
+    # both migrations finish by 92.8 s; the job by 252 s, when both
+    # LRMs have filled their windows
+    for step in range(1, 61):
+        sim.run(until=5.0 * step)
+        for name in ("vm01", "vm02"):
+            vm = vms[name]
+            expected = [a for t in trackers if t.context is vm for a in t.running]
+            assert drm.attempts_on(vm) == expected
+            if vm.pm is spare and expected:
+                busy_after_migration += 1
+    assert [r.vm_name for r in scheduler.ips.migrations] == ["vm02", "vm01"]
+    assert busy_after_migration > 0
+    assert job.done
+    assert [len(lrm.samples) for lrm in drm.lrms.values()] == [SAMPLE_WINDOW] * 2
     scheduler.stop()
 
 

@@ -1,5 +1,5 @@
 """Tests for the extension features: iterative/in-memory engines,
-online profiling, Arbiter placement heuristics and the CLI."""
+online profiling, the Arbiter's BestFit and the CLI."""
 
 import pytest
 
@@ -113,45 +113,15 @@ def test_online_profiling_can_be_disabled():
 
 
 # ----------------------------------------------------------------------
-# Arbiter placement heuristics
+# Arbiter BestFit
 # ----------------------------------------------------------------------
-def test_placement_heuristics_differ(sim):
+def test_best_fit_prefers_the_tighter_feasible_host(sim):
     cluster = Cluster.virtual(sim, 1, 1)
     vm = cluster.vms[0]
     near_full = cluster.add_pm("nearfull")
     Cluster.add_vm(cluster, near_full)  # 1 of 2 cores used
     empty = cluster.add_pm("empty")
-    candidates = [near_full, empty]
-    assert Arbiter.best_fit(vm, candidates, set()) is near_full
-    assert Arbiter.worst_fit(vm, candidates, set()) is empty
-    assert Arbiter.first_fit(vm, candidates, set()) is near_full
-
-
-def test_place_dispatch_and_validation(sim):
-    cluster = Cluster.virtual(sim, 1, 1)
-    vm = cluster.vms[0]
-    empty = cluster.add_pm("empty")
-    assert Arbiter.place("worst_fit", vm, [empty], set()) is empty
-    with pytest.raises(ValueError):
-        Arbiter.place("magic_fit", vm, [empty], set())
-
-
-def test_ips_rejects_unknown_heuristic(sim):
-    from repro.core.drm import DynamicResourceManager
-    from repro.core.ips import InterferencePreventionSystem
-    from repro.interactive.loadgen import ConstantLoad
-    from repro.interactive.service import RUBIS, InteractiveService
-    from repro.interactive.sla import SLAMonitor
-
-    cluster = Cluster.virtual(sim, 2, 2)
-    mr = MapReduceCluster(sim, cluster.fabric, list(cluster.vms))
-    drm = DynamicResourceManager(sim, mr.jt, list(cluster.vms))
-    service = InteractiveService(sim, "s", RUBIS, cluster.vms[:1], ConstantLoad(10))
-    monitor = SLAMonitor(sim, [service])
-    with pytest.raises(ValueError):
-        InterferencePreventionSystem(
-            sim, monitor, drm, mr.jt, cluster.pms, placement_heuristic="nope"
-        )
+    assert Arbiter.best_fit(vm, [near_full, empty], set()) is near_full
 
 
 # ----------------------------------------------------------------------

@@ -158,12 +158,12 @@ def test_monitor_fires_on_violation(sim, virtual_cluster):
     svc.start()
     monitor = SLAMonitor(sim, [svc], poll_s=5.0)
     seen = []
-    monitor.on_violation(lambda service, event: seen.append(event))
+    monitor.on_violation(seen.append)
     monitor.start()
     sim.run(until=30.0)
     assert seen
-    assert all(e.violated for e in seen)
-    assert monitor.violations()
+    assert all(service is svc for service in seen)
+    assert sim.obs.metrics.counter("sla.violations").value == len(seen)
 
 
 def test_monitor_quiet_when_healthy(sim, virtual_cluster):
@@ -171,7 +171,7 @@ def test_monitor_quiet_when_healthy(sim, virtual_cluster):
     svc.start()
     monitor = SLAMonitor(sim, [svc], poll_s=5.0)
     seen = []
-    monitor.on_violation(lambda service, event: seen.append(event))
+    monitor.on_violation(seen.append)
     monitor.start()
     sim.run(until=60.0)
     assert seen == []

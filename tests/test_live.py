@@ -262,19 +262,6 @@ def test_latency_summary_windowing(sim, virtual_cluster):
         service.latency_summary(window_s=0.0)
 
 
-def test_sla_monitor_summary(sim, virtual_cluster):
-    from repro.interactive.sla import SLAMonitor
-
-    service = _service(sim, virtual_cluster)
-    monitor = SLAMonitor(sim, [service])
-    summary = monitor.summary()
-    assert summary["rubis"]["count"] == 0
-    service.start()
-    monitor.start()
-    sim.run(until=50.0)
-    assert monitor.summary(window_s=10.0, now=50.0)["rubis"]["count"] > 0
-
-
 def test_sla_latency_summary_table_has_count_column(sim, virtual_cluster):
     from repro.metrics.report import sla_latency_summary
 

@@ -6,6 +6,8 @@ import tracemalloc
 
 import pytest
 
+from repro.cluster.cluster import Cluster
+from repro.hdfs.filesystem import HDFS
 from repro.obs.bench import compare_reports, result_digest, run_bench
 from repro.obs.capture import SimCapture
 from repro.obs.prof import (
@@ -176,6 +178,29 @@ def test_completion_callbacks_are_billed_to_their_module():
     for callback, self_s in ((flow_done, 2.0), (entry_done, 3.0)):
         frame = frames[":".join(_callback_names(callback))]
         assert (frame["count"], frame["self_s"]) == (1, pytest.approx(self_s))
+
+
+def test_block_write_continuation_is_billed_to_the_writer():
+    """An HDFS write ends inside a DataNode closure that the pipeline's
+    chain of legs calls.  The writer's callback still runs in one frame
+    of its own, named after it, so its work is billed to its module."""
+    prof = Profiler()
+    sim = Simulator(seed=1)
+    sim.enable_profiling(prof)
+    cluster = Cluster.native(sim, 3)
+    fs = HDFS(sim, cluster.fabric)
+    for ctx in cluster.native_contexts():
+        fs.add_datanode(ctx)
+    written = []
+
+    def on_written():
+        written.append(sim.now)
+
+    blocks = fs.create_file("out", 100.0, cluster.native_contexts()[0], on_written)
+    sim.run()
+    assert len(blocks) == 2 and len(written) == 1
+    frames = prof.snapshot()["frames"]
+    assert frames[":".join(_callback_names(on_written))]["count"] == 1
 
 
 def test_compaction_is_attributed_when_profiled():
