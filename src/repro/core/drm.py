@@ -46,6 +46,10 @@ from repro.virt.vm import VirtualMachine
 
 #: samples an LRM keeps: the window :meth:`interference_score` ranks over
 SAMPLE_WINDOW = 50
+#: blkio weight a tail or straggling attempt's VM gets (fair is 1.0)
+IO_BOOST = 5.0
+#: most guest memory one balloon move shifts between co-located VMs
+BALLOON_STEP_MB = 128.0
 
 
 @dataclass
@@ -103,8 +107,6 @@ class DynamicResourceManager:
         manage_io: bool = True,
         epoch_s: float = 5.0,
         tail_fraction: float = 0.25,
-        io_boost: float = 5.0,
-        balloon_step_mb: float = 128.0,
     ) -> None:
         if epoch_s <= 0:
             raise ValueError("epoch must be positive")
@@ -116,8 +118,6 @@ class DynamicResourceManager:
         self.manage_io = manage_io
         self.epoch_s = epoch_s
         self.tail_fraction = tail_fraction
-        self.io_boost = io_boost
-        self.balloon_step_mb = balloon_step_mb
         self.lrms: Dict[str, LocalResourceManager] = {
             vm.name: LocalResourceManager(vm) for vm in self.vms
         }
@@ -231,7 +231,7 @@ class DynamicResourceManager:
                     break
                 donor = max(donors, key=lambda v: v.mem_capacity_mb - v.mem_used_mb)
                 headroom = donor.mem_capacity_mb - donor.mem_used_mb
-                step = min(self.balloon_step_mb, headroom * 0.5)
+                step = min(BALLOON_STEP_MB, headroom * 0.5)
                 if step < 16:
                     continue
                 donor.balloon_to(donor.mem_capacity_mb - step)
@@ -257,7 +257,7 @@ class DynamicResourceManager:
                             if isinstance(ctx, VirtualMachine):
                                 tail_vms.add(ctx.name)
         for vm in self.vms:
-            target = self.io_boost if vm.name in tail_vms else 1.0
+            target = IO_BOOST if vm.name in tail_vms else 1.0
             if abs(vm.io_weight - target) > 1e-9:
                 vm.set_io_weight(target)
                 self.sim.obs.decide("drm", "io-weight", vm.name, io_weight=target)
@@ -301,8 +301,8 @@ class DynamicResourceManager:
                                 task=attempt.task.name,
                                 projected_s=projected, mean_s=mean,
                             )
-                        if self.manage_io and ctx.io_weight < self.io_boost:
-                            ctx.set_io_weight(self.io_boost)
+                        if self.manage_io and ctx.io_weight < IO_BOOST:
+                            ctx.set_io_weight(IO_BOOST)
                             self.sim.obs.decide(
                                 "drm", "straggler-io", ctx.name,
                                 task=attempt.task.name,

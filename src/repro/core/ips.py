@@ -13,7 +13,7 @@ found above its SLA.  The Arbiter (Algorithm 3) then mitigates:
    directly), then **pause**, then **live-migrate** the offending VM to
    the best-fit host (BestFit bin-packing over spare capacity; Min-Min
    ordering so the least-interfering work keeps running in place);
-3. once the service stays healthy for ``cooldown_polls`` consecutive
+3. once the service stays healthy for :data:`COOLDOWN_POLLS` consecutive
    polls, de-escalate and return resources to the batch jobs.
 
 Every rung is a :class:`~repro.obs.Decision` of loop ``"ips"`` on
@@ -38,6 +38,12 @@ from repro.interactive.sla import SLAMonitor
 from repro.sim.engine import Simulator
 from repro.virt.migration import LiveMigration, MigrationRecord
 from repro.virt.vm import VirtualMachine
+
+#: the throttle rung: a batch VM's I/O limit and CPU cap
+THROTTLE_IO_MBPS = 8.0
+THROTTLE_CPU_FRACTION = 0.4
+#: consecutive healthy SLA polls before one restriction is released
+COOLDOWN_POLLS = 3
 
 
 class Arbiter:
@@ -95,9 +101,6 @@ class InterferencePreventionSystem:
         monitor: SLAMonitor,
         drm: DynamicResourceManager,
         pms: List[PhysicalMachine],
-        throttle_io_mbps: float = 8.0,
-        throttle_cpu_fraction: float = 0.4,
-        cooldown_polls: int = 3,
         max_migrations: int = 50,
         datanode_payload: Optional[Callable[[VirtualMachine], float]] = None,
     ) -> None:
@@ -105,9 +108,6 @@ class InterferencePreventionSystem:
         self.monitor = monitor
         self.drm = drm
         self.pms = list(pms)
-        self.throttle_io_mbps = throttle_io_mbps
-        self.throttle_cpu_fraction = throttle_cpu_fraction
-        self.cooldown_polls = cooldown_polls
         self.max_migrations = max_migrations
         self.datanode_payload = datanode_payload or (lambda vm: 0.0)
         self.migrations: List[MigrationRecord] = []
@@ -157,13 +157,13 @@ class InterferencePreventionSystem:
         # the least-interfering ones keep running in place
         for score, vm in reversed(scored):
             if vm.name not in self._throttled:
-                vm.set_io_limit(self.throttle_io_mbps)
-                vm.set_cpu_fraction(self.throttle_cpu_fraction)
+                vm.set_io_limit(THROTTLE_IO_MBPS)
+                vm.set_cpu_fraction(THROTTLE_CPU_FRACTION)
                 self._throttled.add(vm.name)
                 self.sim.obs.decide(
                     "ips", "throttle", vm.name, service=service.name,
-                    score=score, io_mbps=self.throttle_io_mbps,
-                    cpu_fraction=self.throttle_cpu_fraction,
+                    score=score, io_mbps=THROTTLE_IO_MBPS,
+                    cpu_fraction=THROTTLE_CPU_FRACTION,
                 )
                 return
         for score, vm in reversed(scored):
@@ -228,7 +228,7 @@ class InterferencePreventionSystem:
                 self._healthy_polls[name] = 0
                 continue
             self._healthy_polls[name] = self._healthy_polls.get(name, 0) + 1
-            if self._healthy_polls[name] < self.cooldown_polls:
+            if self._healthy_polls[name] < COOLDOWN_POLLS:
                 continue
             # healthy long enough: release one restriction near this
             # service per tick (gentle, so we do not re-trigger)

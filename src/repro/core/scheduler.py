@@ -8,8 +8,10 @@ supervising the virtual side.
 
 Ablation switches in :class:`HybridMRConfig` drive the paper's
 experiments: Phase I on/off (Figure 8(a) compares against random/FCFS
-placement), the DRM's CPU/Memory/IO dimensions (Figures 8(b), 8(c)),
-and the IPS (Figures 8(d), 9(a)).
+placement) and the IPS (Figures 8(d), 9(a)).  The DRM always manages
+all three dimensions here; the CPU/Memory/IO ablation of Figures 8(b),
+8(c) sets them on a :class:`~repro.core.drm.DynamicResourceManager`
+built directly (:mod:`repro.experiments.fig08_hybridmr_benefits`).
 """
 
 from __future__ import annotations
@@ -31,22 +33,19 @@ from repro.sim.engine import Simulator
 from repro.sim.network import NetworkFabric
 from repro.virt.vm import VirtualMachine
 
+#: the DRM's control period over the virtual cluster
+DRM_EPOCH_S = 10.0
+
 
 @dataclass
 class HybridMRConfig:
     """Feature switches and tunables."""
 
     phase1_enabled: bool = True
-    manage_cpu: bool = True
-    manage_memory: bool = True
-    manage_io: bool = True
     ips_enabled: bool = True
     #: feed every completed production job back into the profile DB
     #: (the online-profiling extension the paper points at [12], [33])
     online_profiling: bool = True
-    overhead_threshold: float = 0.15
-    drm_epoch_s: float = 10.0
-    sla_poll_s: float = 5.0
     #: used by the random-placement baseline when phase1 is disabled
     random_placement_seed: int = 99
 
@@ -88,7 +87,6 @@ class HybridMRScheduler:
             profile_db or ProfileDatabase(),
             physical_cluster_size=len(native_contexts),
             virtual_cluster_size=len(batch_vms),
-            overhead_threshold=self.config.overhead_threshold,
         )
         self._rng = random.Random(self.config.random_placement_seed)
         self.drm: Optional[DynamicResourceManager] = None
@@ -96,16 +94,10 @@ class HybridMRScheduler:
         self.ips: Optional[InterferencePreventionSystem] = None
         if self.virtual_mr is not None:
             self.drm = DynamicResourceManager(
-                sim,
-                self.virtual_mr.jt,
-                list(batch_vms),
-                manage_cpu=self.config.manage_cpu,
-                manage_memory=self.config.manage_memory,
-                manage_io=self.config.manage_io,
-                epoch_s=self.config.drm_epoch_s,
+                sim, self.virtual_mr.jt, list(batch_vms), epoch_s=DRM_EPOCH_S
             )
             if self.services:
-                self.monitor = SLAMonitor(sim, self.services, self.config.sla_poll_s)
+                self.monitor = SLAMonitor(sim, self.services)
                 if self.config.ips_enabled:
                     self.ips = InterferencePreventionSystem(
                         sim,
@@ -131,9 +123,7 @@ class HybridMRScheduler:
         self._started = True
         for service in self.services:
             service.start()
-        if self.drm is not None and (
-            self.config.manage_cpu or self.config.manage_memory or self.config.manage_io
-        ):
+        if self.drm is not None:
             self.drm.start()
         if self.monitor is not None:
             self.monitor.start()

@@ -19,6 +19,7 @@ Interactive services occupy 1/4 of the nodes' capacity in every design
 
 from __future__ import annotations
 
+import gc
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.cluster.cluster import Cluster
@@ -187,6 +188,11 @@ def fig9b_9c(
     jcts: Dict[str, Dict[str, float]] = {}
     reports: List[EnergyReport] = []
     for design in DESIGNS:
+        # each design is one cyclic object graph: collect the previous
+        # one before building the next, so peak memory is one design's
+        # rather than whatever the collector's cadence leaves alive (no
+        # object defines a finalizer, so results cannot change)
+        gc.collect()
         design_jcts, report = _run_design(
             design, scale, benchmarks, clients_per_service_node, seed
         )

@@ -54,18 +54,26 @@ def _run_config(
     seed: int,
 ) -> ConfigResult:
     sim = Simulator(seed=seed)
-    cluster = Cluster.hybrid(sim, n_native, n_virt_pms, vms_per_pm)
-    vms = cluster.vms
-    # one interactive VM per virtualized host; the rest take batch work
-    service_vms = [vm for i, vm in enumerate(vms) if i % vms_per_pm == 0]
-    batch_vms = [vm for vm in vms if vm not in service_vms]
-    if service_vms:
+    service = None
+    if n_virt_pms == 0:
+        # all-native (the paper's C17 analogue): interactive services
+        # require dedicated machines when nothing is virtualized, so
+        # half the fleet sits over-provisioned
+        cluster = Cluster.native(sim, n_native)
+        for pm in cluster.pms[: n_native // 2]:
+            pm.native.run_cpu(float("inf"), cap=0.35, label="svc")
+        contexts = [pm.native for pm in cluster.pms[n_native // 2:]]
+    else:
+        cluster = Cluster.hybrid(sim, n_native, n_virt_pms, vms_per_pm)
+        # one interactive VM per virtualized host; the rest take batch work
+        service_vms = [vm for i, vm in enumerate(cluster.vms) if i % vms_per_pm == 0]
+        batch_vms = [vm for vm in cluster.vms if vm not in service_vms]
         service = InteractiveService(
             sim, "rubis", RUBIS, service_vms,
             ConstantLoad(120 * len(service_vms)),
         )
         service.start()
-    contexts = cluster.native_contexts() + batch_vms
+        contexts = cluster.native_contexts() + batch_vms
     if not contexts:
         raise ValueError(f"{label}: no batch capacity")
     meter = cluster.start_metering()
@@ -94,14 +102,14 @@ def _run_config(
     sim.run(until=horizon_s)
     meter.stop()
     mr.jt.shutdown()
-    if service_vms:
+    if service is not None:
         service.stop()
     if not completed:
         raise RuntimeError(f"{label}: no jobs completed within horizon")
     return ConfigResult(
         label=label,
         n_native_pms=n_native,
-        n_vms=len(vms),
+        n_vms=len(cluster.vms),
         servers=cluster.powered_servers(),
         mean_jct_s=mean(completed),
         energy_joules=meter.energy_joules,
@@ -137,61 +145,10 @@ def fig11(
     for i, (native, virt, density) in enumerate(configs, start=1):
         if virt == 0 and native == 0:
             continue
-        label = f"C{i}"
-        if virt == 0:
-            # all-native configuration (the paper's C17 analogue)
-            sim_result = _run_all_native(native, label, horizon_s, scale, seed)
-            results.append(sim_result)
-        else:
-            results.append(
-                _run_config(native, virt, density, label, horizon_s, scale, seed)
-            )
+        results.append(
+            _run_config(native, virt, density, f"C{i}", horizon_s, scale, seed)
+        )
     return results
-
-
-def _run_all_native(
-    n_pms: int, label: str, horizon_s: float, scale: Scale, seed: int
-) -> ConfigResult:
-    sim = Simulator(seed=seed)
-    cluster = Cluster.native(sim, n_pms)
-    # interactive services require dedicated machines when nothing is
-    # virtualized: half the fleet sits over-provisioned
-    service_pms = cluster.pms[: n_pms // 2]
-    for pm in service_pms:
-        pm.native.run_cpu(float("inf"), cap=0.35, label="svc")
-    contexts = [pm.native for pm in cluster.pms[n_pms // 2:]]
-    meter = cluster.start_metering()
-    mr = MapReduceCluster(sim, cluster.fabric, contexts)
-    completed: List[float] = []
-    counter = itertools.count(1)
-
-    def resubmit(bench: str) -> None:
-        if sim.now >= horizon_s:
-            return
-        spec = make_job(
-            bench,
-            input_gb=scale.input_gb(bench),
-            num_reducers=max(1, len(contexts) // 2),
-            name=f"{bench.lower()}-{next(counter)}",
-        )
-        mr.jt.submit(
-            spec, on_complete=lambda j: (completed.append(j.jct), resubmit(bench))
-        )
-
-    for bench in ("Sort", "Wcount", "PiEst", "Kmeans"):
-        resubmit(bench)
-    sim.run(until=horizon_s)
-    meter.stop()
-    mr.jt.shutdown()
-    return ConfigResult(
-        label=label,
-        n_native_pms=n_pms,
-        n_vms=0,
-        servers=n_pms,
-        mean_jct_s=mean(completed),
-        energy_joules=meter.energy_joules,
-        utilization=cluster.mean_cpu_utilization(),
-    )
 
 
 def best_and_worst(results: List[ConfigResult]) -> Tuple[ConfigResult, ConfigResult]:

@@ -14,11 +14,26 @@ from repro.mapreduce.schedulers import (
     FairScheduler,
     SlotScheduler,
 )
-from repro.mapreduce.task import Task, TaskAttempt, TaskKind, peer_mean_duration
+from repro.mapreduce.task import (
+    MERGE_IO_FACTOR,
+    Task,
+    TaskAttempt,
+    TaskKind,
+    peer_mean_duration,
+)
 from repro.mapreduce.tracker import TaskTracker
 from repro.sim.engine import Simulator
 from repro.sim.network import NetworkFabric
 from repro.virt.overheads import DEFAULT_OVERHEADS, OverheadModel
+
+#: fraction of a job's maps that must complete before its reduces may
+#: launch (Hadoop's mapred.reduce.slowstart.completed.maps)
+SLOWSTART = 0.05
+#: delay from a slot release or submission to the dispatch round it
+#: triggers: the heartbeat latency of the real system
+DISPATCH_DELAY_S = 0.1
+#: half-width of the uniform spread in every attempt's work multiplier
+JITTER = 0.18
 
 
 class _Round:
@@ -41,7 +56,7 @@ class JobTracker:
     """Central coordinator, as in Hadoop 0.22 (pre-YARN).
 
     Event-driven rather than heartbeat-driven: every slot release or
-    submission triggers a dispatch round after ``dispatch_delay``
+    submission triggers a dispatch round after :data:`DISPATCH_DELAY_S`
     seconds, which stands in for the heartbeat latency of the real
     system while keeping the simulation deterministic.
     """
@@ -54,21 +69,14 @@ class JobTracker:
         trackers: List[TaskTracker],
         scheduler: Optional[SlotScheduler] = None,
         overheads: OverheadModel = DEFAULT_OVERHEADS,
-        slowstart: float = 0.05,
         speculation: bool = True,
         speculation_factor: float = 1.5,
         speculation_interval: float = 15.0,
-        max_parallel_fetches: int = 5,
-        dispatch_delay: float = 0.1,
         task_startup_cpu_s: float = 1.5,
-        merge_io_factor: float = 2.0,
         straggler_prob: float = 0.06,
-        jitter: float = 0.18,
     ) -> None:
         if not trackers:
             raise ValueError("need at least one TaskTracker")
-        if not 0.0 <= slowstart <= 1.0:
-            raise ValueError("slowstart must be in [0, 1]")
         self.sim = sim
         self.fs = fs
         self.fabric = fabric
@@ -83,11 +91,8 @@ class JobTracker:
         self._releases = 0
         self.scheduler = scheduler or FairScheduler()
         self.overheads = overheads
-        self.slowstart = slowstart
         self.speculation = speculation
         self.speculation_factor = speculation_factor
-        self.max_parallel_fetches = max_parallel_fetches
-        self.dispatch_delay = dispatch_delay
         #: JVM spawn + task-init CPU cost charged to every attempt
         self.task_startup_cpu_s = task_startup_cpu_s
         #: stock Hadoop reserves a fixed child-JVM heap per slot
@@ -100,9 +105,6 @@ class JobTracker:
         #: it draws an extra 1.5-2.5x straggler factor.  This is what
         #: speculation and the DRM's tail boosts push against.
         self.straggler_prob = straggler_prob
-        self.jitter = jitter
-        #: merge passes move shuffle bytes through the disk this many times
-        self.merge_io_factor = merge_io_factor
         self._io_cached: Dict[int, bool] = {}
         self.active_jobs: List[Job] = []
         self.finished_jobs: List[Job] = []
@@ -156,10 +158,10 @@ class JobTracker:
             task.maps_pending = len(job.map_tasks)
         # blame bookkeeping: maps are runnable from submission; reduces
         # only once the slowstart fraction of maps completes (see
-        # ``_on_map_done``), except when nothing gates them
+        # ``_on_map_done``), except when there are no maps to wait for
         for task in job.map_tasks:
             task.runnable_since = self.sim.now
-        if not job.map_tasks or self.slowstart <= 0.0:
+        if not job.map_tasks:
             for task in job.reduce_tasks:
                 task.runnable_since = self.sim.now
         job.state = JobState.RUNNING
@@ -236,7 +238,7 @@ class JobTracker:
         import random as _random
 
         rng = _random.Random(f"{task_name}:{attempt_index}:skew")
-        factor = 1.0 + self.jitter * (2.0 * rng.random() - 1.0)
+        factor = 1.0 + JITTER * (2.0 * rng.random() - 1.0)
         if rng.random() < self.straggler_prob:
             factor *= 1.5 + rng.random()
         return max(0.3, factor)
@@ -262,7 +264,7 @@ class JobTracker:
         pms = {t.context.pm for t in self.trackers}
         budget = min(pm.cache_budget_mb for pm in pms)
         footprint_mb = (
-            job.map_output_mb * (1.0 + self.merge_io_factor)
+            job.map_output_mb * (1.0 + MERGE_IO_FACTOR)
             + job.output_mb * self.fs.replication
         )
         cached = footprint_mb / max(1, len(pms)) <= budget
@@ -276,7 +278,7 @@ class JobTracker:
         if self._dispatch_pending:
             return
         self._dispatch_pending = True
-        self.sim.schedule(self.dispatch_delay, self._dispatch)
+        self.sim.schedule(DISPATCH_DELAY_S, self._dispatch)
 
     def _dispatch(self) -> None:
         """One dispatch round: assign tasks until no kind makes progress.
@@ -313,7 +315,7 @@ class JobTracker:
     def _runnable_tasks(self, job: Job, kind: TaskKind) -> List[Task]:
         if kind is TaskKind.MAP:
             return [t for t in job.map_tasks if not t.scheduled]
-        if job.map_progress() + 1e-12 < self.slowstart and job.map_tasks:
+        if job.map_progress() + 1e-12 < SLOWSTART and job.map_tasks:
             return []
         return [t for t in job.reduce_tasks if not t.scheduled]
 
@@ -496,7 +498,7 @@ class JobTracker:
         if (
             job.reduce_tasks
             and job.reduce_tasks[0].runnable_since is None
-            and job.map_progress() + 1e-12 >= self.slowstart
+            and job.map_progress() + 1e-12 >= SLOWSTART
         ):
             for reduce_task in job.reduce_tasks:
                 reduce_task.runnable_since = self.sim.now

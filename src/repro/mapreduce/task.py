@@ -10,16 +10,27 @@ are killed, exactly as in Hadoop.
 from __future__ import annotations
 
 import enum
-import math
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.hdfs.block import Block
-from repro.sim.sequence import chain
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.mapreduce.job import Job
     from repro.mapreduce.jobtracker import JobTracker
     from repro.mapreduce.tracker import TaskTracker
+
+#: shuffle fetches a reduce attempt keeps in flight (Hadoop's
+#: mapred.reduce.parallel.copies)
+MAX_PARALLEL_FETCHES = 5
+#: passes over the shuffled bytes the merge stage counts in
+#: :meth:`TaskAttempt.progress` and :meth:`JobTracker.io_cached` counts
+#: in a job's intermediate footprint
+MERGE_IO_FACTOR = 2.0
+
+#: one stage of an attempt: ``(name, progress weight, start)``; ``start``
+#: launches the stage's work, whose completion calls
+#: :meth:`TaskAttempt._next_stage`
+Stage = Tuple[str, float, Callable[[], None]]
 
 
 class TaskKind(enum.Enum):
@@ -96,6 +107,8 @@ class Task:
         # shuffle backlog for reduces scheduled after maps finish:
         # host -> MB already waiting to be fetched
         self.shuffle_backlog: Dict[str, float] = {}
+        #: maps whose output this reduce has yet to see announced; a
+        #: fetching attempt's shuffle cannot end before it reaches 0
         self.maps_pending: int = 0
         #: number of attempts with ``running=True``; maintained by
         #: TaskAttempt lifecycle transitions so ``scheduled`` and the
@@ -119,7 +132,14 @@ class Task:
 
 
 class TaskAttempt:
-    """One execution of a task on a specific TaskTracker."""
+    """One execution of a task on a specific TaskTracker.
+
+    An attempt is a pipeline of stages (:data:`Stage` records, built by
+    :meth:`_map_stages` or :meth:`_reduce_stages`).  Each stage's pool
+    entry, flow or HDFS write calls :meth:`_next_stage` on completion,
+    which credits the stage's weight to :meth:`progress` and starts the
+    next stage, or finishes the attempt after the last.
+    """
 
     __slots__ = (
         "attempt_id",
@@ -136,12 +156,12 @@ class TaskAttempt:
         "running",
         "_mem_mb",
         "_handles",
-        "_progress_done",
-        "_stage_weights",
+        "_stages",
         "_stage_index",
+        "_progress_done",
+        "_total_work",
         "_pending_fetch",
         "_active_fetches",
-        "_maps_pending",
         "_fetch_busy_s",
         "_fetch_busy_since",
         "_fetch_phase_over",
@@ -149,7 +169,6 @@ class TaskAttempt:
         "work_factor",
         "_span",
         "_stage_span",
-        "_stage_names",
     )
 
     def __init__(
@@ -182,20 +201,20 @@ class TaskAttempt:
         self.running = True
         self._mem_mb = 0.0
         self._handles: List[object] = []  # active PoolEntry / Flow
-        self._progress_done = 0.0  # completed stage work fraction
-        self._stage_weights: List[float] = []
+        self._stages: Sequence[Stage] = ()
         self._stage_index = 0
+        self._progress_done = 0.0  # summed weights of completed stages
+        self._total_work = 1.0  # summed weights of all stages
         # shuffle state (reduces only)
         self._pending_fetch: Dict[str, float] = {}
         self._active_fetches = 0
-        self._maps_pending = 0
         # wall time with at least one in-flight shuffle fetch; the rest
         # of the shuffle stage is waiting on upstream maps (blame:
         # shuffle_wait vs network_contention)
         self._fetch_busy_s = 0.0
         self._fetch_busy_since: Optional[float] = None
         # True whenever the attempt is not actively fetching: before the
-        # startup stage seeds shuffle state (the task-level backlog
+        # shuffle stage seeds shuffle state (the task-level backlog
         # carries early map completions) and after the shuffle drains
         self._fetch_phase_over = True
         self._output_file: Optional[str] = None
@@ -204,7 +223,6 @@ class TaskAttempt:
         # tracer spans: the attempt interval plus one child per stage
         self._span = None
         self._stage_span = None
-        self._stage_names: List[str] = []
         task.attempts.append(self)
         task.running_count += 1
         task.job.running_attempt_count += 1
@@ -254,10 +272,14 @@ class TaskAttempt:
             )
             self._mem_mb = max(need, node_heap)
         self.tracker.context.alloc_mem(self._mem_mb)
-        if self.task.kind is TaskKind.MAP:
-            self._run_map()
-        else:
-            self._run_reduce()
+        self._stages = stages = (
+            self._map_stages()
+            if self.task.kind is TaskKind.MAP
+            else self._reduce_stages()
+        )
+        self._total_work = sum(weight for _, weight, _ in stages) or 1.0
+        self._open_stage_span()
+        stages[0][2]()
 
     def kill(self, reason: str = "killed") -> None:
         """Abort the attempt and release its resources and slot.
@@ -277,6 +299,7 @@ class TaskAttempt:
         for handle in self._handles:
             self._cancel_handle(handle)
         self._handles.clear()
+        self._stages = ()
         self.tracker.context.free_mem(self._mem_mb)
         self._mem_mb = 0.0
         if self._output_file is not None and self._output_file in self.jt.fs.namenode.files:
@@ -294,8 +317,6 @@ class TaskAttempt:
             self.jt.fabric.cancel_flow(handle)
 
     def _finish(self) -> None:
-        if self.killed or not self.running:
-            return
         self.running = False
         self.task.running_count -= 1
         self.task.job.running_attempt_count -= 1
@@ -321,6 +342,9 @@ class TaskAttempt:
         self.tracker.context.free_mem(self._mem_mb)
         self._mem_mb = 0.0
         self._handles.clear()
+        # the stage records close over this attempt, and the task keeps
+        # its attempts for the rest of the run
+        self._stages = ()
         self.tracker.release(self)
         self.jt.on_attempt_succeeded(self)
 
@@ -336,40 +360,26 @@ class TaskAttempt:
         """Fraction of the attempt's stage-weighted work completed."""
         if not self.running:
             return 1.0 if not self.killed else 0.0
-        total = sum(self._stage_weights) or 1.0
-        return min(1.0, self._progress_done / total)
+        return min(1.0, self._progress_done / self._total_work)
 
     def projected_duration(self) -> float:
         """Total duration if the attempt keeps its pace so far (Hadoop's
         progress-based straggler test; progress floored at 5%)."""
         return self.duration / max(self.progress(), 0.05)
 
-    def _begin_stages(self, weights: List[float], names: List[str]) -> None:
-        self._stage_weights = weights
-        self._stage_index = 0
-        self._progress_done = 0.0
-        self._stage_names = names
-        self._open_stage_span()
-
-    def _stage_done(self) -> None:
-        if self._stage_index < len(self._stage_weights):
-            self._progress_done += self._stage_weights[self._stage_index]
-            self._stage_index += 1
-            self._open_stage_span()
-
     # ------------------------------------------------------------------
     # tracing (no-ops while the null tracer is installed)
     # ------------------------------------------------------------------
     def _open_stage_span(self) -> None:
-        """Close the running stage span and open the next one."""
+        """Close the running stage span and open the current stage's."""
         if self._span is None:
             return
         tracer = self.sim.obs.tracer
         tracer.end(self._stage_span)
         self._stage_span = None
-        if self._stage_index < len(self._stage_names):
+        if self._stage_index < len(self._stages):
             self._stage_span = tracer.begin(
-                self._stage_names[self._stage_index],
+                self._stages[self._stage_index][0],
                 category="task.stage",
                 track=self.tracker.name,
                 parent=self._span,
@@ -399,15 +409,57 @@ class TaskAttempt:
             return self.jt.overheads.sustained_io_penalty(self.task.job.spec.input_gb)
         return 0.0
 
-    def _finish_if_alive(self) -> None:
+    # ------------------------------------------------------------------
+    # the stage pipeline
+    # ------------------------------------------------------------------
+    def _next_stage(self) -> None:
+        """Continuation of every stage: credit the finished stage's
+        weight, then start the next stage or finish the attempt.
+
+        A killed attempt ignores it: ``kill`` cancels the pool entries
+        and flows it tracks, but its HDFS output write still completes.
+        """
         if self.killed or not self.running:
             return
-        self._finish()
+        index = self._stage_index
+        self._progress_done += self._stages[index][1]
+        self._stage_index = index = index + 1
+        self._open_stage_span()
+        if index < len(self._stages):
+            self._stages[index][2]()
+        else:
+            self._finish()
 
-    # ------------------------------------------------------------------
-    # map execution: read input block -> compute -> spill map output
-    # ------------------------------------------------------------------
-    def _run_map(self) -> None:
+    def _cpu_stage(self, work: float, label: str) -> None:
+        self._track(
+            self.tracker.context.run_cpu(
+                work,
+                on_complete=self._next_stage,
+                cap=1.0,
+                label=f"{self.task.name}:{label}",
+            )
+        )
+
+    def _disk_stage(self, mb: float, label: str, penalty: float) -> None:
+        if mb <= 1e-9:
+            self._next_stage()
+            return
+        self._track(
+            self.tracker.context.run_disk(
+                mb,
+                on_complete=self._next_stage,
+                label=f"{self.task.name}:{label}",
+                efficiency_penalty=penalty,
+                cached=self.jt.io_cached(self.task.job),
+            )
+        )
+
+    def _init_stage(self) -> None:
+        # JVM spawn + task initialization (a fixed CPU cost in Hadoop)
+        self._cpu_stage(self.jt.task_startup_cpu_s, "init")
+
+    def _map_stages(self) -> List[Stage]:
+        """Read the input block, compute, spill the map output."""
         task = self.task
         job = task.job
         profile = job.spec.profile
@@ -417,35 +469,23 @@ class TaskAttempt:
             block.size_mb * profile.map_cpu_per_mb + profile.fixed_map_cpu
         ) * self.work_factor
         spill_mb = block.size_mb * profile.map_selectivity
-        startup = self.jt.task_startup_cpu_s
-        self._begin_stages(
-            [startup, block.size_mb, cpu_work, spill_mb],
-            ["init", "read", "cpu", "spill"],
-        )
+        # slow-node/skew factor degrades this attempt's I/O too
+        io_penalty = self._io_penalty() + skew_io_penalty(self.work_factor)
 
-        def startup_stage(done: Callable[[], None]) -> None:
-            # JVM spawn + task initialization (a fixed CPU cost in Hadoop)
-            entry = self.tracker.context.run_cpu(
-                startup, on_complete=done, cap=1.0, label=f"{task.name}:init"
-            )
-            self._track(entry)
-
-        read_penalty = self._io_penalty() + skew_io_penalty(self.work_factor)
-
-        def read_stage(done: Callable[[], None]) -> None:
+        def read() -> None:
             source = self.jt.fs.pick_replica(block, self.tracker.context)
 
             def after_disk() -> None:
                 if self.killed:
                     return
                 if source.context is self.tracker.context:
-                    done()
+                    self._next_stage()
                     return
                 flow = self.jt.fabric.start_flow(
                     source.host,
                     self.tracker.context.host,
                     block.size_mb,
-                    on_complete=done,
+                    on_complete=self._next_stage,
                     efficiency=min(
                         source.context.net_efficiency(),
                         self.tracker.context.net_efficiency(),
@@ -457,95 +497,77 @@ class TaskAttempt:
             entry = source.read_block(
                 block,
                 after_disk,
-                efficiency_penalty=read_penalty,
+                efficiency_penalty=io_penalty,
                 cached=job.spec.input_cached,
             )
             self._track(entry)
 
-        def cpu_stage(done: Callable[[], None]) -> None:
-            entry = self.tracker.context.run_cpu(
-                cpu_work, on_complete=done, cap=1.0, label=f"{task.name}:cpu"
-            )
-            self._track(entry)
-
-        def spill_stage(done: Callable[[], None]) -> None:
-            if spill_mb <= 1e-9:
-                done()
-                return
-            entry = self.tracker.context.run_disk(
+        return [
+            ("init", self.jt.task_startup_cpu_s, self._init_stage),
+            ("read", block.size_mb, read),
+            ("cpu", cpu_work, lambda: self._cpu_stage(cpu_work, "cpu")),
+            (
+                "spill",
                 spill_mb,
-                on_complete=done,
-                label=f"{task.name}:spill",
-                efficiency_penalty=read_penalty,
-                cached=self.jt.io_cached(job),
-            )
-            self._track(entry)
+                lambda: self._disk_stage(spill_mb, "spill", io_penalty),
+            ),
+        ]
 
-        chain(
-            [
-                lambda done: startup_stage(self._guard_stage(done)),
-                lambda done: read_stage(self._guard_stage(done)),
-                lambda done: cpu_stage(self._guard_stage(done)),
-                lambda done: spill_stage(self._guard_stage(done)),
-            ],
-            self._finish_if_alive,
-        )
-
-    def _guard_stage(self, done: Callable[[], None]) -> Callable[[], None]:
-        """Continuation that advances to the next stage unless killed."""
-
-        def guarded() -> None:
-            if self.killed or not self.running:
-                return
-            self._stage_done()
-            done()
-
-        return guarded
-
-    # ------------------------------------------------------------------
-    # reduce execution: shuffle -> merge -> reduce -> write output
-    # ------------------------------------------------------------------
-    def _reduce_sizes(self) -> Tuple[float, float, float]:
-        """``(shuffle_mb, cpu_work, out_mb)``: this reducer's share of
-        the map output, its reduce CPU work and its output."""
-        job = self.task.job
+    def _reduce_stages(self) -> List[Stage]:
+        """Shuffle this reducer's share of the map output, merge it,
+        reduce it, write the output to HDFS."""
+        task = self.task
+        job = task.job
         n_reduces = max(1, len(job.reduce_tasks))
         shuffle_mb = job.map_output_mb / n_reduces
         cpu_work = shuffle_mb * job.spec.profile.reduce_cpu_per_mb * self.work_factor
-        return shuffle_mb, cpu_work, job.output_mb / n_reduces
+        out_mb = job.output_mb / n_reduces
+        io_penalty = self._io_penalty() + skew_io_penalty(self.work_factor)
 
-    def _run_reduce(self) -> None:
-        task = self.task
-        shuffle_mb, cpu_work, out_mb = self._reduce_sizes()
-        # the merge stage's progress weight counts merge_io_factor passes
-        # over the shuffled bytes, but _merge_phase moves them through
-        # the disk once, so progress() weights the merge as more work
-        # than it does
-        merge_mb = shuffle_mb * self.jt.merge_io_factor
-        self._begin_stages(
-            [self.jt.task_startup_cpu_s, shuffle_mb, merge_mb, cpu_work, out_mb],
-            ["init", "shuffle", "merge", "cpu", "output"],
-        )
-
-        def begin_shuffle() -> None:
-            if self.killed or not self.running:
+        def cpu() -> None:
+            if cpu_work <= 1e-9:
+                self._next_stage()
                 return
-            self._stage_done()
-            # seed shuffle state from maps that already finished
-            self._pending_fetch = dict(task.shuffle_backlog)
-            self._maps_pending = task.maps_pending
-            self._fetch_phase_over = False
-            self._pump_fetches()
+            self._cpu_stage(cpu_work, "cpu")
 
-        entry = self.tracker.context.run_cpu(
-            self.jt.task_startup_cpu_s,
-            on_complete=begin_shuffle,
-            cap=1.0,
-            label=f"{task.name}:init",
-        )
-        self._track(entry)
+        def output() -> None:
+            if out_mb <= 1e-9:
+                self._next_stage()
+                return
+            self._output_file = f"{task.name}-a{self.attempt_id}.out"
+            self.jt.fs.create_file(
+                self._output_file,
+                out_mb,
+                self.tracker.context,
+                self._next_stage,
+                efficiency_penalty=self._io_penalty(),
+                cached=self.jt.io_cached(job),
+            )
 
-    # -- shuffle ---------------------------------------------------------
+        return [
+            ("init", self.jt.task_startup_cpu_s, self._init_stage),
+            ("shuffle", shuffle_mb, self._begin_shuffle),
+            # the merge moves the shuffled bytes through the disk once,
+            # but its progress weight counts MERGE_IO_FACTOR passes, so
+            # progress() weights it as more work than it does
+            (
+                "merge",
+                shuffle_mb * MERGE_IO_FACTOR,
+                lambda: self._disk_stage(shuffle_mb, "merge", io_penalty),
+            ),
+            ("cpu", cpu_work, cpu),
+            ("output", out_mb, output),
+        ]
+
+    # ------------------------------------------------------------------
+    # the shuffle stage
+    # ------------------------------------------------------------------
+    def _begin_shuffle(self) -> None:
+        # seed shuffle state from maps that already finished
+        self._pending_fetch = dict(self.task.shuffle_backlog)
+        self._fetch_phase_over = False
+        self._pump_fetches()
+
     def notify_map_output(self, host: str, mb: float) -> None:
         """Called by the JobTracker when a map of this job completes."""
         if not self.running or self.task.kind is not TaskKind.REDUCE:
@@ -554,21 +576,19 @@ class TaskAttempt:
             # not fetching yet (startup stage): the task-level backlog,
             # which the JobTracker updates before notifying, carries it
             return
-        self._maps_pending = max(0, self._maps_pending - 1)
         if mb > 0:
             self._pending_fetch[host] = self._pending_fetch.get(host, 0.0) + mb
         self._pump_fetches()
 
     def notify_map_lost(self, host: str, mb: float) -> None:
         """A completed map's output vanished with its node; the map will
-        re-run and re-announce, so one more map is pending and any bytes
-        still queued for fetch from the dead host are dropped."""
+        re-run and re-announce (its task counts it pending again), so
+        any bytes still queued for fetch from the dead host are dropped."""
         if not self.running or self.task.kind is not TaskKind.REDUCE:
             return
         if self._fetch_phase_over:
             # the shuffle already drained: this reducer has its copy
             return
-        self._maps_pending += 1
         if host in self._pending_fetch and mb > 0:
             remaining = self._pending_fetch[host] - mb
             if remaining > 1e-9:
@@ -584,7 +604,7 @@ class TaskAttempt:
         fabric.begin_batch()
         try:
             while (
-                self._active_fetches < self.jt.max_parallel_fetches
+                self._active_fetches < MAX_PARALLEL_FETCHES
                 and self._pending_fetch
             ):
                 host = max(
@@ -662,67 +682,13 @@ class TaskAttempt:
     def _maybe_end_shuffle(self) -> None:
         self._note_fetch_activity()
         if (
-            self._maps_pending == 0
+            self.task.maps_pending == 0
             and not self._pending_fetch
             and self._active_fetches == 0
             and not self._fetch_phase_over
         ):
             self._fetch_phase_over = True
-            self._stage_done()
-            self._merge_phase()
-
-    # -- merge / reduce / output ------------------------------------------
-    def _merge_phase(self) -> None:
-        task = self.task
-        job = task.job
-        shuffle_mb, cpu_work, out_mb = self._reduce_sizes()
-
-        def merge_stage(done: Callable[[], None]) -> None:
-            if shuffle_mb <= 1e-9:
-                done()
-                return
-            # slow-node/skew factor degrades this attempt's I/O too
-            merge_penalty = self._io_penalty() + skew_io_penalty(self.work_factor)
-            entry = self.tracker.context.run_disk(
-                shuffle_mb,
-                on_complete=done,
-                label=f"{task.name}:merge",
-                efficiency_penalty=merge_penalty,
-                cached=self.jt.io_cached(job),
-            )
-            self._track(entry)
-
-        def cpu_stage(done: Callable[[], None]) -> None:
-            if cpu_work <= 1e-9:
-                done()
-                return
-            entry = self.tracker.context.run_cpu(
-                cpu_work, on_complete=done, cap=1.0, label=f"{task.name}:cpu"
-            )
-            self._track(entry)
-
-        def output_stage(done: Callable[[], None]) -> None:
-            if out_mb <= 1e-9:
-                done()
-                return
-            self._output_file = f"{task.name}-a{self.attempt_id}.out"
-            self.jt.fs.create_file(
-                self._output_file,
-                out_mb,
-                self.tracker.context,
-                done,
-                efficiency_penalty=self._io_penalty(),
-                cached=self.jt.io_cached(job),
-            )
-
-        chain(
-            [
-                lambda done: merge_stage(self._guard_stage(done)),
-                lambda done: cpu_stage(self._guard_stage(done)),
-                lambda done: output_stage(self._guard_stage(done)),
-            ],
-            self._finish_if_alive,
-        )
+            self._next_stage()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

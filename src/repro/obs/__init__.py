@@ -35,12 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Union
 
-from repro.obs.capture import (
-    MetricsCapture,
-    SimCapture,
-    active_capture,
-    active_sim_capture,
-)
+from repro.obs.capture import MetricsCapture, SimCapture, active_sim_capture
 from repro.obs.live import JsonlFrameSink, LiveSampler, MemorySink
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from repro.obs.prof import Profiler
@@ -118,7 +113,6 @@ __all__ = [
     "MetricsRegistry",
     "MetricsCapture",
     "SimCapture",
-    "active_capture",
     "active_sim_capture",
     "Counter",
     "Gauge",

@@ -134,10 +134,6 @@ class MetricsRegistry:
         self._counters: Dict[str, Counter] = {}
         self._gauges: Dict[str, Gauge] = {}
         self._histograms: Dict[str, Histogram] = {}
-        # sweep cells capture every registry built while they run
-        from repro.obs.capture import register_registry
-
-        register_registry(self)
 
     # ------------------------------------------------------------------
     # instrument accessors (create on first use)

@@ -1,8 +1,8 @@
 """Callback-chaining helpers for multi-stage activities.
 
-Most simulated work is a pipeline of stages (read block -> compute ->
-spill; shuffle -> merge -> reduce -> write).  :func:`chain` runs a list
-of callback-style stages in order; :func:`join` waits for N parallel
+HDFS transfers are pipelines of stages (read a block, then ship it;
+write a block at each replica in turn).  :func:`chain` runs a list of
+callback-style stages in order; :func:`join` waits for N parallel
 completions.  Stages run through the event loop, so no recursion depth
 builds up.
 """

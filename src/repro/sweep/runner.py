@@ -38,22 +38,20 @@ def execute_cell(config: dict) -> dict:
     """Run one cell in this process; returns its result document.
 
     ``config`` is a :meth:`CellSpec.config` dict.  The cell runs under a
-    :class:`~repro.obs.MetricsCapture`, so the document carries the
+    :class:`~repro.obs.capture.SimCapture`, so the document carries the
     merged ``repro.obs`` snapshot of every simulator the figure built.
-    With ``config["blame"]`` set the cell also runs under a tracing
-    :class:`~repro.obs.capture.SimCapture` and the document carries the
-    :mod:`repro.obs.critpath` blame totals of every job it simulated
-    (tracing is pure recording, so the result itself is unchanged).
+    With ``config["blame"]`` set the capture also turns tracing on and
+    the document carries the :mod:`repro.obs.critpath` blame totals of
+    every job it simulated (tracing is pure recording, so the result
+    itself is unchanged).
     """
     from repro.experiments.common import resolve_scale
-    from repro.obs.capture import MetricsCapture, SimCapture
+    from repro.obs.capture import SimCapture
 
     fn = cell_registry.load(config["figure"])
     scale = resolve_scale(config["scale"])
     started = time.perf_counter()
-    with MetricsCapture() as capture, SimCapture(
-        tracing=bool(config.get("blame"))
-    ) as sims:
+    with SimCapture(tracing=bool(config.get("blame"))) as sims:
         result = fn(scale, config["seed"], **config.get("params", {}))
     wall_s = time.perf_counter() - started
     doc = {
@@ -62,7 +60,7 @@ def execute_cell(config: dict) -> dict:
         "seed": config["seed"],
         "params": dict(config.get("params", {})),
         "result": json.loads(json.dumps(result, sort_keys=True)),
-        "metrics": capture.combined_snapshot(),
+        "metrics": sims.combined_snapshot(),
         "wall_s": wall_s,
         # simulator events processed: with wall_s this gives the grid
         # per-worker events/sec.  Deterministic, but stripped (like

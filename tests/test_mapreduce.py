@@ -271,3 +271,47 @@ def test_jct_property_requires_completion(mr):
     job = mr.submit(make_job("Sort", input_gb=0.25))
     with pytest.raises(RuntimeError):
         _ = job.jct
+
+
+# ----------------------------------------------------------------------
+# stage-weighted progress
+# ----------------------------------------------------------------------
+def test_attempt_progress_steps_through_its_stage_weights():
+    sim = Simulator(seed=3)
+    cluster = Cluster.native(sim, 3)
+    mr = MapReduceCluster(sim, cluster.fabric, cluster.native_contexts())
+    job = mr.submit(make_job("Sort", input_gb=0.25, num_reducers=2))
+    seen = {}
+    while not job.done:
+        assert sim.step()
+        for attempt in mr.jt.running_attempts():
+            record = seen.setdefault(attempt, [])
+            progress = attempt.progress()
+            if not record or record[-1] != progress:
+                record.append(progress)
+    profile = job.spec.profile
+    startup = mr.jt.task_startup_cpu_s
+    shuffle_mb = job.map_output_mb / len(job.reduce_tasks)
+    out_mb = job.output_mb / len(job.reduce_tasks)
+    kinds = set()
+    for attempt, record in seen.items():
+        kinds.add(attempt.task.kind)
+        if attempt.task.kind is TaskKind.MAP:
+            block_mb = attempt.task.block.size_mb
+            w = [
+                startup,
+                block_mb,
+                (block_mb * profile.map_cpu_per_mb + profile.fixed_map_cpu)
+                * attempt.work_factor,
+                block_mb * profile.map_selectivity,
+            ]
+        else:
+            w = [
+                startup,
+                shuffle_mb,
+                2 * shuffle_mb,
+                shuffle_mb * profile.reduce_cpu_per_mb * attempt.work_factor,
+                out_mb,
+            ]
+        assert record == [sum(w[:i]) / sum(w) for i in range(len(w))]
+    assert kinds == {TaskKind.MAP, TaskKind.REDUCE}

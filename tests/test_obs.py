@@ -294,6 +294,10 @@ def test_mr_run_produces_nested_spans():
     assert len(attempts) == len(job.map_tasks) + len(job.reduce_tasks)
     stages = tracer.children_of(attempts[0])
     assert [s.name for s in stages] == ["init", "read", "cpu", "spill"]
+    reduce_attempt = next(a for a in attempts if a.args["kind"] == "reduce")
+    assert [s.name for s in tracer.children_of(reduce_attempt)] == [
+        "init", "shuffle", "merge", "cpu", "output",
+    ]
     assert tracer.open_spans() == []  # everything closed at job end
     assert tracer.spans_of("net"), "shuffle flows should leave net spans"
 

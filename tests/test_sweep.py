@@ -232,10 +232,10 @@ def test_aggregate_groups_across_seeds():
 # ----------------------------------------------------------------------
 def test_metrics_capture_scopes_registries():
     with MetricsCapture() as outer:
-        MetricsRegistry().counter("a").inc(5)
+        Simulator(seed=1).obs.metrics.counter("a").inc(5)
         with MetricsCapture() as inner:
-            MetricsRegistry().counter("a").inc(7)
-        MetricsRegistry().counter("b").inc(1)
+            Simulator(seed=2).obs.metrics.counter("a").inc(7)
+        Simulator(seed=3).obs.metrics.counter("b").inc(1)
     snap_outer = outer.combined_snapshot()
     snap_inner = inner.combined_snapshot()
     assert snap_inner["counters"] == {"a": 7}
