@@ -25,6 +25,7 @@ from repro.sim.network import NetworkFabric
 from repro.sim.pool import PoolEntry, ResourcePool
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.hdfs.datanode import DataNode
     from repro.virt.vm import VirtualMachine
 
 
@@ -294,6 +295,11 @@ class PhysicalMachine:
         self.cache_budget_mb = 0.5 * spec.mem_mb
         self.powered_on = True
         self.vms: List["VirtualMachine"] = []
+        #: HDFS DataNodes registered on this machine's contexts (native,
+        #: Dom-0 or guest), kept by the NameNode and by
+        #: :meth:`~repro.virt.vm.VirtualMachine.relocate`; a tuple, the
+        #: smallest record at 10k machines
+        self.datanodes: Tuple["DataNode", ...] = ()
         if not fabric.has_host(name):
             fabric.register_host(name, up_mbps=spec.net_mbps, down_mbps=spec.net_mbps)
         self.native = NativeContext(f"{name}:native", self, spec.mem_mb)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import itertools
 import random
 from bisect import bisect_left, insort
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional
 
 from repro.hdfs.block import Block
 from repro.hdfs.datanode import DataNode
@@ -24,6 +24,12 @@ class NameNode:
     by exact :attr:`~repro.hdfs.datanode.DataNode.committed_mb`.
     DataNodes report every committed-bytes change, so a bucket's key is
     always its members' current value.
+
+    Write locality reads the writer's machine instead of scanning: each
+    :class:`~repro.cluster.machine.PhysicalMachine` lists the DataNodes
+    registered on its contexts (``pm.datanodes``), kept here at
+    registration and decommission and by
+    :meth:`~repro.virt.vm.VirtualMachine.relocate` when a guest moves.
     """
 
     def __init__(self, rng: Optional[random.Random] = None) -> None:
@@ -38,6 +44,9 @@ class NameNode:
         self._levels: Dict[float, List[int]] = {}
         #: the keys of ``_levels``, ascending
         self._level_keys: List[float] = []
+        #: called as ``on_replica(block, datanode)`` after each recorded
+        #: replica (the JobTracker's locality index follows them)
+        self.on_replica: Optional[Callable[[Block, DataNode], None]] = None
 
     # ------------------------------------------------------------------
     # membership
@@ -50,11 +59,15 @@ class NameNode:
         datanode.namenode = self
         self._ranked.append(datanode)
         self._file(datanode.rank, datanode.committed_mb)
+        pm = datanode.context.pm
+        pm.datanodes += (datanode,)
 
     def decommission_datanode(self, name: str) -> List[Block]:
         """Remove a DataNode; returns blocks now under-replicated."""
         datanode = self.datanodes.pop(name)
         self._unfile(datanode.rank, datanode.committed_mb)
+        pm = datanode.context.pm
+        pm.datanodes = tuple(d for d in pm.datanodes if d is not datanode)
         self._ranked[datanode.rank] = None
         datanode.rank = datanode.namenode = None
         lost: List[Block] = []
@@ -179,6 +192,9 @@ class NameNode:
                 f"block {block.block_id} already replicated on {datanode_name}"
             )
         holders.append(datanode_name)
+        datanode = self.datanodes.get(datanode_name)
+        if datanode is not None and self.on_replica is not None:
+            self.on_replica(block, datanode)
 
     def replica_holders(self, block: Block) -> List[DataNode]:
         return [
@@ -204,9 +220,9 @@ class NameNode:
         as in-flight so concurrent writers spread out instead of
         dog-piling one momentarily idle node.
 
-        Every other replica comes from the committed-bytes index (see
-        :meth:`_least_committed`); only the ``preferred_pm`` lookup scans
-        the DataNodes.
+        The writer-local candidates are ``preferred_pm.datanodes``, and
+        every other replica comes from the committed-bytes index (see
+        :meth:`_least_committed`), so no choice scans the DataNodes.
         """
         if replication <= 0:
             raise ValueError("replication must be positive")
@@ -224,13 +240,13 @@ class NameNode:
         targets: List[DataNode] = []
         if preferred_pm is not None:
             local = [
-                d for d in self.datanodes.values()
-                if d.context.pm is preferred_pm and d.rank not in excluded
+                d for d in preferred_pm.datanodes
+                if d.namenode is self and d.rank not in excluded
             ]
             if local:
-                local.sort(key=lambda d: (d.committed_mb, d.name))
-                targets.append(local[0])
-                excluded[local[0].rank] = local[0]
+                first = min(local, key=lambda d: (d.committed_mb, d.name))
+                targets.append(first)
+                excluded[first.rank] = first
         while len(targets) < replication:
             pick = self._least_committed(excluded)
             targets.append(pick)

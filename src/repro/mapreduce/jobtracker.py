@@ -3,8 +3,9 @@
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from operator import attrgetter
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.hdfs.filesystem import HDFS
 from repro.mapreduce.job import Job, JobSpec, JobState
@@ -50,6 +51,61 @@ class _Round:
         self.cursor = {TaskKind.MAP: 0, TaskKind.REDUCE: 0}
         #: the JobTracker's release count the cursors were last valid for
         self.releases = releases
+
+
+class _Locality:
+    """One job's map tasks, listed by map index under each context that
+    holds their input: dpark's ``pendingTasksForHost``.
+
+    The lists may overstate but never miss a pending task: they keep
+    scheduled tasks (the walks skip them, so a task that is pending
+    again is still listed), and a replica recorded later adds its
+    context (``NameNode.on_replica``).  A replica lost to decommission
+    or deletion is caught by the walks, which check each candidate
+    against the NameNode's records.
+    """
+
+    __slots__ = ("maps", "by_block", "by_context")
+
+    def __init__(self, job: Job, namenode) -> None:
+        self.maps = job.map_tasks
+        #: block id -> the index of the map task reading it
+        self.by_block: Dict[int, int] = {t.block.block_id: t.index for t in self.maps}
+        #: holder context -> indexes of the maps with a replica there, ascending
+        self.by_context: Dict[object, List[int]] = {}
+        for task in self.maps:
+            self.add(task.index, namenode.replica_holders(task.block))
+
+    def add(self, index: int, holders: Iterable) -> None:
+        """List map ``index`` under each holder's context (once)."""
+        by_context = self.by_context
+        for holder in holders:
+            queue = by_context.get(holder.context)
+            if queue is None:
+                by_context[holder.context] = [index]
+                continue
+            i = bisect_left(queue, index)
+            if i == len(queue) or queue[i] != index:
+                queue.insert(i, index)
+
+    def first(
+        self,
+        context,
+        tasks: List[Task],
+        holds: Callable[[Task], bool],
+        before: Optional[Task] = None,
+    ) -> Optional[Task]:
+        """The first unscheduled map listed under ``context`` that is one
+        of ``tasks`` and ``holds`` a replica where asked, and comes
+        before ``before`` (if given)."""
+        maps = self.maps
+        for i in self.by_context.get(context, ()):
+            if before is not None and i >= before.index:
+                break
+            task = maps[i]
+            if not task.scheduled and holds(task) and task in tasks:
+                return task
+        return None
 
 
 class JobTracker:
@@ -106,6 +162,9 @@ class JobTracker:
         #: speculation and the DRM's tail boosts push against.
         self.straggler_prob = straggler_prob
         self._io_cached: Dict[int, bool] = {}
+        #: job id -> the active job's locality index (see local_task)
+        self._locality: Dict[int, _Locality] = {}
+        fs.namenode.on_replica = self._replica_recorded
         self.active_jobs: List[Job] = []
         self.finished_jobs: List[Job] = []
         self._job_ids = itertools.count(1)
@@ -165,6 +224,7 @@ class JobTracker:
             for task in job.reduce_tasks:
                 task.runnable_since = self.sim.now
         job.state = JobState.RUNNING
+        self._locality[job.job_id] = _Locality(job, self.fs.namenode)
         self.active_jobs.append(job)
         if on_complete is not None:
             self._callbacks[job.job_id] = on_complete
@@ -216,6 +276,7 @@ class JobTracker:
                 attempt.kill()
         job.state = JobState.KILLED
         job.finish_time = self.sim.now
+        self._locality.pop(job.job_id, None)
         if job in self.active_jobs:
             self.active_jobs.remove(job)
         self.finished_jobs.append(job)
@@ -414,16 +475,41 @@ class JobTracker:
         The one locality rule: the default pick
         (:meth:`SlotScheduler.pick_task`) and the zoo's locality
         policies (delay scheduling, job-driven maps) all ask it.
+        ``tasks`` are a job's runnable maps in map-index order, as
+        dispatch hands them out.  The answer comes from the job's
+        :class:`_Locality`: the tasks listed under the tracker's context,
+        then under the contexts of the DataNodes on its machine
+        (``pm.datanodes``), so the walk is sized by the job's replicas
+        there, not by ``tasks`` or the fleet.
         """
-        host_local: Optional[Task] = None
+        if not tasks:
+            return None
+        index = self._locality[tasks[0].job.job_id]
+        replica_holders = self.fs.namenode.replica_holders
         context = tracker.context
-        for task in tasks:
-            for holder in self.fs.namenode.replica_holders(task.block):
-                if holder.context is context:
-                    return task
-                if host_local is None and holder.context.pm is context.pm:
-                    host_local = task
-        return host_local
+        task = index.first(
+            context,
+            tasks,
+            lambda t: any(h.context is context for h in replica_holders(t.block)),
+        )
+        if task is not None:
+            return task
+        pm = context.pm
+
+        def on_pm(t: Task) -> bool:
+            return any(h.context.pm is pm for h in replica_holders(t.block))
+
+        best = None
+        for datanode in pm.datanodes:
+            best = index.first(datanode.context, tasks, on_pm, best) or best
+        return best
+
+    def _replica_recorded(self, block, datanode) -> None:
+        """A new replica: list its map tasks under the holder's context."""
+        for index in self._locality.values():
+            i = index.by_block.get(block.block_id)
+            if i is not None:
+                index.add(i, (datanode,))
 
     def _launch(
         self, task: Task, tracker: TaskTracker, speculative: bool = False
@@ -524,6 +610,7 @@ class JobTracker:
             job.finish_time = self.sim.now
             if job.maps_done_time is None:
                 job.maps_done_time = self.sim.now
+            del self._locality[job.job_id]
             self.active_jobs.remove(job)
             self.finished_jobs.append(job)
             obs = self.sim.obs

@@ -10,6 +10,7 @@ are killed, exactly as in Hadoop.
 from __future__ import annotations
 
 import enum
+from heapq import heapify, heappop, heappush
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.hdfs.block import Block
@@ -36,6 +37,16 @@ Stage = Tuple[str, float, Callable[[], None]]
 class TaskKind(enum.Enum):
     MAP = "map"
     REDUCE = "reduce"
+
+
+class _Descending(str):
+    """A host name that orders backwards, so a min-heap of
+    ``(-mb, _Descending(host), host)`` pops the largest backlog first and,
+    on equal MB, the larger host name: the order of
+    ``max(backlog, key=lambda h: (backlog[h], h))``."""
+
+    __slots__ = ()
+    __lt__ = str.__gt__
 
 
 def skew_io_penalty(work_factor: float) -> float:
@@ -161,6 +172,7 @@ class TaskAttempt:
         "_progress_done",
         "_total_work",
         "_pending_fetch",
+        "_fetch_heap",
         "_active_fetches",
         "_fetch_busy_s",
         "_fetch_busy_since",
@@ -205,8 +217,11 @@ class TaskAttempt:
         self._stage_index = 0
         self._progress_done = 0.0  # summed weights of completed stages
         self._total_work = 1.0  # summed weights of all stages
-        # shuffle state (reduces only)
+        # shuffle state (reduces only): host -> MB still to fetch, and a
+        # lazy max-heap over it (a list from the shuffle's start until it
+        # drains; a kill keeps both, as a pump it interrupts reads them)
         self._pending_fetch: Dict[str, float] = {}
+        self._fetch_heap: Sequence[Tuple[float, str, str]] = ()
         self._active_fetches = 0
         # wall time with at least one in-flight shuffle fetch; the rest
         # of the shuffle stage is waiting on upstream maps (blame:
@@ -272,6 +287,10 @@ class TaskAttempt:
             )
             self._mem_mb = max(need, node_heap)
         self.tracker.context.alloc_mem(self._mem_mb)
+        if not self.running:
+            # the refresh inside alloc_mem completed a sibling attempt,
+            # which killed this one as the race's loser
+            return
         self._stages = stages = (
             self._map_stages()
             if self.task.kind is TaskKind.MAP
@@ -564,9 +583,19 @@ class TaskAttempt:
     # ------------------------------------------------------------------
     def _begin_shuffle(self) -> None:
         # seed shuffle state from maps that already finished
-        self._pending_fetch = dict(self.task.shuffle_backlog)
+        self._pending_fetch = pending = dict(self.task.shuffle_backlog)
+        self._fetch_heap = heap = [
+            (-mb, _Descending(host), host) for host, mb in pending.items()
+        ]
+        heapify(heap)
         self._fetch_phase_over = False
         self._pump_fetches()
+
+    def _set_pending(self, host: str, mb: float) -> None:
+        """Set ``host``'s backlog and push its entry; the entries it
+        replaces go stale and :meth:`_pump_fetches` skips them."""
+        self._pending_fetch[host] = mb
+        heappush(self._fetch_heap, (-mb, _Descending(host), host))
 
     def notify_map_output(self, host: str, mb: float) -> None:
         """Called by the JobTracker when a map of this job completes."""
@@ -577,7 +606,7 @@ class TaskAttempt:
             # which the JobTracker updates before notifying, carries it
             return
         if mb > 0:
-            self._pending_fetch[host] = self._pending_fetch.get(host, 0.0) + mb
+            self._set_pending(host, self._pending_fetch.get(host, 0.0) + mb)
         self._pump_fetches()
 
     def notify_map_lost(self, host: str, mb: float) -> None:
@@ -592,7 +621,7 @@ class TaskAttempt:
         if host in self._pending_fetch and mb > 0:
             remaining = self._pending_fetch[host] - mb
             if remaining > 1e-9:
-                self._pending_fetch[host] = remaining
+                self._set_pending(host, remaining)
             else:
                 del self._pending_fetch[host]
 
@@ -607,10 +636,7 @@ class TaskAttempt:
                 self._active_fetches < MAX_PARALLEL_FETCHES
                 and self._pending_fetch
             ):
-                host = max(
-                    self._pending_fetch, key=lambda h: (self._pending_fetch[h], h)
-                )
-                mb = self._pending_fetch.pop(host)
+                host, mb = self._next_fetch()
                 self._active_fetches += 1
                 # same-PM fetches become loopback flows inside the fabric
                 flow = fabric.start_flow(
@@ -625,6 +651,18 @@ class TaskAttempt:
         finally:
             fabric.end_batch()
         self._maybe_end_shuffle()
+
+    def _next_fetch(self) -> Tuple[str, float]:
+        """Pop the host with the largest backlog, the larger name on
+        equal MB, with its MB; skips the heap's stale entries (an MB
+        that is no longer the host's backlog)."""
+        pending = self._pending_fetch
+        heap = self._fetch_heap
+        while True:
+            neg_mb, _, host = heappop(heap)
+            if pending.get(host) == -neg_mb:
+                del pending[host]
+                return host, -neg_mb
 
     def _fetch_done(self) -> None:
         if self.killed or not self.running:
@@ -688,6 +726,7 @@ class TaskAttempt:
             and not self._fetch_phase_over
         ):
             self._fetch_phase_over = True
+            self._fetch_heap = ()
             self._next_stage()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -261,6 +261,13 @@ class VirtualMachine(ExecutionContext):
         self._pm = new_pm
         new_pm.attach_vm(self)
         new_pm.fabric.set_group(self.name, new_pm.name)
+        # the guest's DataNodes move with it
+        moving = tuple(d for d in old_pm.datanodes if d.context is self)
+        if moving:
+            old_pm.datanodes = tuple(
+                d for d in old_pm.datanodes if d.context is not self
+            )
+            new_pm.datanodes += moving
 
     def activity_level(self) -> float:
         """Rough [0,1] score of how hard the guest is working.

@@ -1,11 +1,13 @@
-"""Scan oracles for the JobTracker's and NameNode's placement indexes.
+"""Scan oracles for the JobTracker's, NameNode's and shuffle's indexes.
 
-These are the plain fleet scans the indexes replaced: the dispatcher's
-``min()`` over every free tracker and ``choose_targets``' rescan of every
-DataNode for each replica.  They are too slow for a 10k-host fleet but
-easy to check by eye, so the tests hold the indexes to them exactly --
-the same tracker, the same targets, the same error text and the same
-``rng`` state after every call.
+These are the plain scans the indexes replaced: the dispatcher's
+``min()`` over every free tracker, ``local_task``'s walk over pending
+tasks x replica holders, the shuffle pump's ``max()`` over a reducer's
+backlog, and ``choose_targets``' rescan of every DataNode for each
+replica (its ``preferred_pm`` filter included).  They are too slow for a
+10k-host fleet but easy to check by eye, so the tests hold the indexes
+to them exactly -- the same tracker, task, host and targets, the same
+error text and the same ``rng`` state after every call.
 """
 
 from typing import Dict, List, Optional
@@ -34,6 +36,27 @@ def pick_tracker(trackers, kind: TaskKind, load: Dict[int, int]):
         free,
         key=lambda t: (load.get(id(t.context.pm), 0), len(t.running), t.name),
     )
+
+
+def local_task(namenode, tracker, tasks):
+    """``JobTracker.local_task`` as a scan: the first of ``tasks`` with a
+    replica on ``tracker``'s context, else the first with one on its
+    physical machine, else ``None``."""
+    host_local = None
+    context = tracker.context
+    for task in tasks:
+        for holder in namenode.replica_holders(task.block):
+            if holder.context is context:
+                return task
+            if host_local is None and holder.context.pm is context.pm:
+                host_local = task
+    return host_local
+
+
+def next_fetch(pending: Dict[str, float]) -> str:
+    """The host a reducer's shuffle pump fetches from next: the largest
+    backlog, the larger host name on equal MB."""
+    return max(pending, key=lambda h: (pending[h], h))
 
 
 def choose_targets(

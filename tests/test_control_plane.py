@@ -1,10 +1,13 @@
 """The control-plane indexes against the scans they replaced.
 
 ``JobTracker._pick_tracker`` (name-order cursor plus a loaded-fleet
-``min()``) and ``NameNode.choose_targets`` (committed-bytes buckets) must
-make exactly the choices of the scan oracles in
-``tests/control_plane_oracle.py``: the same tracker on the same round
-state, the same targets, the same error text and the same ``rng`` state.
+``min()``), ``JobTracker.local_task`` (the job's locality index),
+``TaskAttempt._next_fetch`` (a lazy max-heap over the shuffle backlog)
+and ``NameNode.choose_targets`` (committed-bytes buckets and each PM's
+DataNode list) must make exactly the choices of the scan oracles in
+``tests/control_plane_oracle.py``: the same tracker, task and host on
+the same state, the same targets, the same error text and the same
+``rng`` state.
 """
 
 import random
@@ -12,9 +15,12 @@ import random
 from repro.cluster.cluster import Cluster
 from repro.hdfs.datanode import DataNode
 from repro.hdfs.namenode import NameNode
+from repro.mapreduce import task as task_module
 from repro.mapreduce.cluster import MapReduceCluster
+from repro.mapreduce.task import TaskAttempt, TaskKind
 from repro.sim.engine import Simulator
 from repro.workloads.specs import make_job
+from repro.zoo import create_policy
 from tests import control_plane_oracle as oracle
 
 # ----------------------------------------------------------------------
@@ -22,6 +28,14 @@ from tests import control_plane_oracle as oracle
 # ----------------------------------------------------------------------
 #: sizes whose sums and differences leave float residues (0.1 + 0.2 ...)
 _SIZES = (0.1, 0.2, 0.3, 0.7, 1.0, 64.0 / 3.0, 5e-10)
+
+
+class _PM:
+    """Just enough of a physical machine: the DataNodes on it, which the
+    NameNode keeps and ``choose_targets`` reads for ``preferred_pm``."""
+
+    def __init__(self):
+        self.datanodes = ()
 
 
 class _Context:
@@ -44,7 +58,7 @@ class _World:
     def __init__(self, seed, n_pms, choose):
         self.nn = NameNode(rng=random.Random(seed))
         self.choose = choose
-        self.pms = [object() for _ in range(n_pms)]
+        self.pms = [_PM() for _ in range(n_pms)]
         self.contexts = []
         self.retired = []  # decommissioned DataNodes, in order
         self.in_flight = []
@@ -91,13 +105,14 @@ class _World:
                 target.write_block(block, self._recorder(block, target))
         return out
 
-    def re_replicate(self, file_index, block_index):
+    def re_replicate(self, file_index, block_index, pm_index):
         files = [blocks for blocks in self.nn.files.values() if blocks]
         if not files:
             return None
         blocks = files[file_index % len(files)]
         block = blocks[block_index % len(blocks)]
-        targets, seen = self.place(block, 1)
+        # a preferred PM may hold a replica already, which it must skip
+        targets, seen = self.place(block, 1, pm_index)
         for target in targets or ():
             if not target.holds(block):
                 target.write_block(block, self._recorder(block, target))
@@ -135,9 +150,9 @@ class _World:
         )
 
 
-def _assert_index_consistent(nn):
+def _assert_index_consistent(nn, pms=()):
     """Every registered DataNode sits in the bucket of its committed
-    bytes."""
+    bytes, and in its machine's DataNode list, which holds nothing else."""
     filed = {}
     for level, ranks in nn._levels.items():
         assert ranks == sorted(ranks) and ranks
@@ -148,6 +163,10 @@ def _assert_index_consistent(nn):
     for d in nn.datanodes.values():
         assert nn._ranked[d.rank] is d
         assert filed[d.rank] == d.committed_mb
+        assert d.context.pm.datanodes.count(d) == 1
+    for pm in pms:
+        for d in pm.datanodes:
+            assert d.context.pm is pm and nn.datanodes.get(d.name) is d
 
 
 def _namenode_history(seed, steps=60):
@@ -216,12 +235,16 @@ def _namenode_history(seed, steps=60):
             for w in worlds:
                 w.delete(file_index)
         elif op == "re_replicate":
-            at = (ops.randrange(1000), ops.randrange(1000))
+            at = (
+                ops.randrange(1000),
+                ops.randrange(1000),
+                ops.choice((None, ops.randrange(n_pms))),
+            )
             seen = [w.re_replicate(*at) for w in worlds]
             assert seen[0] == seen[1], (seed, step, op)
         assert a.state() == b.state(), (seed, step, op)
         for w in worlds:
-            _assert_index_consistent(w.nn)
+            _assert_index_consistent(w.nn, w.pms)
     return next_file
 
 
@@ -232,7 +255,7 @@ def test_choose_targets_matches_scan_oracle():
 
 def test_choose_targets_float_residue_ties():
     """Levels within 1e-9 MB of the least share one tie pool."""
-    ctx = _Context("c", object(), None)
+    ctx = _Context("c", _PM(), None)
     nn = NameNode(rng=random.Random(3))
     ref = NameNode(rng=random.Random(3))
     for namenode in (nn, ref):
@@ -257,8 +280,12 @@ def test_choose_targets_float_residue_ties():
 
 
 # ----------------------------------------------------------------------
-# JobTracker: dispatch cursor vs the fleet min()
+# JobTracker: dispatch cursor, locality index and shuffle heap vs scans
 # ----------------------------------------------------------------------
+#: the default pick and the two zoo policies that ask ``local_task``
+_POLICIES = (None, "delay", "jobdriven-map")
+
+
 def _mixed_fleet(sim, rng):
     """PMs hosting a native context, a Dom-0 context and 0-3 VMs each,
     handed to the JobTracker in shuffled order."""
@@ -280,15 +307,31 @@ def _mixed_fleet(sim, rng):
     return cluster, contexts, vms
 
 
+def _locality_kind(nn, tracker, task):
+    if task is None:
+        return "remote"
+    holders = nn.replica_holders(task.block)
+    if any(h.context is tracker.context for h in holders):
+        return "node_local"
+    return "host_local"
+
+
 def _dispatch_history(seed, branches):
     rng = random.Random(seed)
     sim = Simulator(seed=seed)
     cluster, contexts, vms = _mixed_fleet(sim, rng)
+    policy = _POLICIES[seed % len(_POLICIES)]
+    # some fleets split storage from compute: DataNodes in Dom-0
+    # contexts of their own, so host-local answers come from Dom-0
+    storage = [cluster.dom0(pm) for pm in cluster.pms] if seed % 4 == 3 else None
     mr = MapReduceCluster(
         sim, cluster.fabric, contexts,
+        storage_contexts=storage,
         map_slots=rng.randint(1, 2), reduce_slots=rng.randint(1, 2),
+        scheduler=None if policy is None else create_policy(policy),
     )
     jt = mr.jt
+    nn = mr.fs.namenode
     assert [t.name for t in jt._by_name] == sorted(t.name for t in jt.trackers)
     for tracker in jt.trackers[1:]:
         if rng.random() < 0.15:
@@ -312,13 +355,23 @@ def _dispatch_history(seed, branches):
             branches["cursor" if key == (0, 0) else "min"] += 1
         return got
 
+    real_local = jt.local_task
+
+    def local_task(tracker, tasks):
+        want = oracle.local_task(nn, tracker, tasks)
+        got = real_local(tracker, tasks)
+        assert got is want, (seed, policy, tracker.name, got, want)
+        branches[_locality_kind(nn, tracker, want)] += 1
+        return got
+
     real_launch = jt._launch
 
     def launch(task, tracker, speculative=False):
         attempt = real_launch(task, tracker, speculative)
         running = jt.running_attempts()
         if in_round["state"] is not None and running and rng.random() < 0.2:
-            # a release landing mid-round: the next pick must see it
+            # a release landing mid-round: the next pick must see it,
+            # and a map it reopens must be offered again
             rng.choice(running).kill()
             branches["released"] += 1
         return attempt
@@ -332,11 +385,36 @@ def _dispatch_history(seed, branches):
         assert set(jt._busy) == {t for t in jt.trackers if t.running}
 
     jt._pick_tracker = pick
+    jt.local_task = local_task
     jt._launch = launch
     jt._dispatch = dispatch
 
+    def input_safe(datanode):
+        # losing ``datanode`` leaves every pending input block a replica
+        # (and re-replication somewhere to put a new one)
+        if len(nn.datanodes) < 3:
+            return False
+        for job in jt.active_jobs:
+            for task in job.map_tasks:
+                holders = nn.replica_holders(task.block)
+                if datanode in holders and len(holders) < 2:
+                    return False
+        return True
+
+    retired = []  # decommissioned DataNodes, for re-registration
+    # one re-replication at a time: overlapping ones can copy the same
+    # block to the same target twice (a known defect, reproduced by
+    # tests/test_hdfs.py::test_overlapping_re_replications_copy_each_block_once)
+    copying = {"n": 0}
+
+    def re_replicate():
+        copying["n"] += 1
+        mr.fs.re_replicate(lambda: copying.update(n=copying["n"] - 1))
+
     def disturb():
-        # between rounds: relocate an idle VM, or fail / repair a node
+        # between rounds: relocate an idle VM, fail a node (its DataNode
+        # too, then re-replicate) or repair one, or decommission and
+        # re-register a DataNode
         roll = rng.random()
         idle = [
             vm for vm in vms
@@ -346,16 +424,95 @@ def _dispatch_history(seed, branches):
                 for e in entries
             )
         ]
-        if roll < 0.4 and idle and len(cluster.pms) > 1:
+        hdfs_idle = not copying["n"]
+        if roll < 0.3 and idle and len(cluster.pms) > 1:
             vm = rng.choice(idle)
+            hosts_datanode = any(d.context is vm for d in vm.pm.datanodes)
             vm.relocate(rng.choice([pm for pm in cluster.pms if pm is not vm.pm]))
             branches["relocated"] += 1
-        elif roll < 0.55:
-            jt.handle_node_failure(rng.choice(contexts))
-        elif roll < 0.8:
-            jt.handle_node_repair(rng.choice(contexts))
+            branches["relocated_datanode"] += hosts_datanode
+        elif roll < 0.45:
+            # half the failures hit a host whose map output some reducer
+            # has yet to fetch, or is fetching
+            fetching = [
+                a for a in jt.running_attempts()
+                if a.task.kind is TaskKind.REDUCE and not a._fetch_phase_over
+            ]
+            queued = {host for a in fetching for host in a._pending_fetch}
+            flowing = {getattr(h, "src", None) for a in fetching for h in a._handles}
+            feeding = (
+                [c for c in contexts if c.host in queued]
+                or [c for c in contexts if c.host in flowing]
+            )
+            ctx = rng.choice(feeding if feeding and rng.random() < 0.5 else contexts)
+            datanode = mr.fs.datanode_on_context(ctx)
+            if datanode is not None and hdfs_idle and input_safe(datanode):
+                mr.fail_node(ctx, recover_hdfs=False)  # decommissions it
+                re_replicate()
+                branches["re_replicated"] += 1
+            else:
+                jt.handle_node_failure(ctx)
+        elif roll < 0.65:
+            if hdfs_idle:
+                mr.repair_node(rng.choice(contexts), rebalance_hdfs=False)
+                re_replicate()
+            else:
+                jt.handle_node_repair(rng.choice(contexts))
+        elif roll < 0.75 and nn.datanodes:
+            datanode = rng.choice(list(nn.datanodes.values()))
+            if hdfs_idle and input_safe(datanode):
+                nn.decommission_datanode(datanode.name)
+                retired.append(datanode)
+        elif roll < 0.85 and retired and hdfs_idle:
+            # the same DataNode rejoins with wiped disks (re-replication
+            # may pick it for a block it used to hold)
+            datanode = retired.pop(rng.randrange(len(retired)))
+            for block in list(datanode.blocks.values()):
+                datanode.drop(block)
+            nn.register_datanode(datanode)
+            re_replicate()
+            branches["reregistered"] += 1
+        _assert_index_consistent(nn, cluster.pms)
 
-    sim.call_every(7.0, disturb)
+    hosts = sorted({ctx.host for ctx in contexts})
+
+    def poke():
+        # a fetching reducer hears of more output, of lost output or of
+        # a dead source; the MB values tie often
+        for attempt in jt.running_attempts():
+            if attempt.task.kind is not TaskKind.REDUCE or attempt._fetch_phase_over:
+                continue
+            roll = rng.random()
+            mb = rng.choice((0.5, 1.0, 1.0, 2.0))
+            if roll < 0.4:
+                attempt.notify_map_output(rng.choice(hosts), mb)
+            elif roll < 0.7 and attempt._pending_fetch:
+                attempt.notify_map_lost(rng.choice(sorted(attempt._pending_fetch)), mb)
+            elif roll < 0.8:
+                sources = sorted(
+                    h.src for h in attempt._handles
+                    if getattr(h, "src", None) is not None and not h.done
+                )
+                if sources:
+                    attempt.cancel_fetches_from(rng.choice(sources))
+
+    stop_poking = sim.call_every(1.0, poke)
+    disturbances = {"left": 60}
+
+    def disturb_then_heal():
+        # a bounded storm, then every tracker back, so the jobs finish:
+        # a storm that keeps re-executing maps for hours of simulated time
+        # reaches a known fabric stall (reproduced by tests/test_sim_network.py::
+        # test_flow_finishing_within_one_ulp_of_the_clock_completes)
+        disturbances["left"] -= 1
+        if disturbances["left"] > 0:
+            disturb()
+        elif disturbances["left"] == 0:
+            stop_poking()
+            for ctx in contexts:
+                jt.handle_node_repair(ctx)
+
+    sim.call_every(7.0, disturb_then_heal)
     specs = [
         make_job(
             rng.choice(("Wcount", "Sort", "PiEst")),
@@ -368,11 +525,56 @@ def _dispatch_history(seed, branches):
     ]
     jobs = mr.run_jobs(specs, timeout_s=1e5)
     assert all(job.done for job in jobs)
+    assert not jt._locality  # every index left with its job
 
 
-def test_dispatch_matches_min_oracle():
-    branches = {"cursor": 0, "min": 0, "released": 0, "relocated": 0}
-    for seed in range(24):
+def test_dispatch_matches_min_oracle(monkeypatch):
+    """Every tracker choice, locality answer and shuffle pop equals its
+    scan oracle's (``min()``, the pending-tasks walk and ``max()``)."""
+    branches = {
+        "cursor": 0, "min": 0, "released": 0, "relocated": 0,
+        "relocated_datanode": 0, "re_replicated": 0, "reregistered": 0,
+        "node_local": 0, "host_local": 0, "remote": 0,
+        "pops": 0, "map_output": 0, "map_lost": 0, "fetches_cancelled": 0,
+    }
+    real_next = TaskAttempt._next_fetch
+
+    def next_fetch(self):
+        want = oracle.next_fetch(self._pending_fetch)
+        host, mb = real_next(self)
+        assert host == want and type(host) is str
+        branches["pops"] += 1
+        return host, mb
+
+    real_output = TaskAttempt.notify_map_output
+
+    def notify_map_output(self, host, mb):
+        if self.running and not self._fetch_phase_over:
+            branches["map_output"] += 1
+        real_output(self, host, mb)
+
+    real_lost = TaskAttempt.notify_map_lost
+
+    def notify_map_lost(self, host, mb):
+        if self.running and not self._fetch_phase_over and host in self._pending_fetch:
+            branches["map_lost"] += 1
+        real_lost(self, host, mb)
+
+    real_cancel = TaskAttempt.cancel_fetches_from
+
+    def cancel_fetches_from(self, host):
+        cancelled = real_cancel(self, host)
+        branches["fetches_cancelled"] += cancelled
+        return cancelled
+
+    monkeypatch.setattr(TaskAttempt, "_next_fetch", next_fetch)
+    monkeypatch.setattr(TaskAttempt, "notify_map_output", notify_map_output)
+    monkeypatch.setattr(TaskAttempt, "notify_map_lost", notify_map_lost)
+    monkeypatch.setattr(TaskAttempt, "cancel_fetches_from", cancel_fetches_from)
+    for seed in range(48):
+        # one fetch slot per reducer in half the histories, so backlogs
+        # queue up behind it and node failures catch them queued
+        monkeypatch.setattr(task_module, "MAX_PARALLEL_FETCHES", 1 + 4 * (seed % 2))
         _dispatch_history(seed, branches)
-    # both branches, mid-round releases and relocations all happened
+    # every branch, disturbance and shuffle event happened
     assert min(branches.values()) > 0, branches

@@ -227,6 +227,49 @@ def test_losing_attempts_are_killed(sim, native_cluster):
         assert sum(1 for a in task.attempts if a.finished_at is not None and not a.killed) == 1
 
 
+def test_attempt_killed_inside_alloc_mem_starts_no_stage():
+    """The refresh inside ``alloc_mem`` can complete a sibling attempt,
+    which kills the starting one as the race's loser; the dead attempt
+    must not begin its first stage."""
+    sim = Simulator(seed=5)
+    cluster = Cluster.native(sim, 3)
+    mr = MapReduceCluster(sim, cluster.fabric, cluster.native_contexts())
+    tracker = mr.trackers[0]
+    ctx = tracker.context
+    real_alloc = ctx.alloc_mem
+    doomed = []
+
+    def alloc_mem(mb):
+        real_alloc(mb)
+        if not doomed:
+            doomed.append(tracker.running[-1])  # the attempt starting
+            doomed[0].kill(reason="lost_race")
+
+    ctx.alloc_mem = alloc_mem
+    real_launch = mr.jt._launch
+    checked = []
+
+    def launch(task, on, speculative=False):
+        free_before = on.free_map_slots()
+        attempt = real_launch(task, on, speculative)
+        if doomed and attempt is doomed[0] and not checked:
+            pm = on.context.pm
+            for pool in (pm.cpu_pool, pm.disk_pool, pm.memio_pool):
+                assert not [e for e in pool.entries if e.label.startswith(f"{task.name}:")]
+            assert attempt.killed and not attempt.running
+            assert attempt._stages == () and attempt._handles == []
+            assert on.free_map_slots() == free_before
+            assert attempt not in on.running
+            checked.append(attempt)
+        return attempt
+
+    mr.jt._launch = launch
+    job = mr.run_job(make_job("Sort", input_gb=0.25, num_reducers=2))
+    assert checked and job.state is JobState.SUCCEEDED
+    task = checked[0].task
+    assert task.completed and task.winning_attempt is not checked[0]
+
+
 # ----------------------------------------------------------------------
 # split architecture
 # ----------------------------------------------------------------------

@@ -2,7 +2,7 @@
 
 import math
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.interference.regression import fit_line, r_squared
@@ -200,14 +200,58 @@ def test_maxmin_fast_is_bit_identical_to_reference(n_hosts, pairs, caps, scales)
     assert fast == reference  # bit-for-bit, not approx
 
 
-@given(seed=st.integers(min_value=0, max_value=10_000))
-@settings(max_examples=40, deadline=None)
-def test_incremental_rebalance_matches_pure_reference(seed):
+def _nic_choice(rng):
+    return rng.choice([50.0, 100.0, 400.0])
+
+
+def _nic_near_tie(rng):
+    """1, 2 or 3 MB/s less up to 0.9e-9 of it: fair shares in disjoint
+    components then differ by less than the fill's tie tolerance."""
+    return rng.choice([1, 2, 3]) * (1 - rng.uniform(0, 0.9e-9))
+
+
+def _assert_maxmin_fair(flows, links):
+    """A history-free check of a max-min fair allocation, to a millionth
+    of each link's capacity: no link carries more than its capacity, and
+    every flow crosses a full link on which no flow is faster (its
+    bottleneck).  The allocation with this property is unique, so a rate
+    a rebalance failed to refresh shows here whatever the seeds were."""
+    rel = 1e-6  # far above the fill's rounding and 1e-9 tie window
+    load, fastest, capacity = {}, {}, {}
+    for flow in flows:
+        for link, cap in (
+            ((flow.src, "up"), links[flow.src].up * links[flow.src].nic_scale),
+            ((flow.dst, "down"), links[flow.dst].down * links[flow.dst].nic_scale),
+        ):
+            capacity[link] = cap
+            load[link] = load.get(link, 0.0) + flow.rate
+            fastest[link] = max(fastest.get(link, 0.0), flow.rate)
+    for link, cap in capacity.items():
+        assert load[link] <= cap * (1 + rel), (link, load[link], cap)
+    for flow in flows:
+        assert any(
+            load[link] >= capacity[link] * (1 - rel)
+            and flow.rate >= fastest[link] - rel * capacity[link]
+            for link in ((flow.src, "up"), (flow.dst, "down"))
+        ), (flow.src, flow.dst, flow.rate)
+
+
+def _drive_fabric(seed, nic, one_fill):
     """Drive a fabric through a random start/cancel/advance/degrade/
-    group-move/batched-burst/partition/heal sequence; after every step
-    the incremental component fill must give every flow the exact rate
-    the from-scratch reference assigns (stalled cross-partition flows
-    pinned at zero, loopback flows sharing their host channel equally)."""
+    group-move/batched-burst/partition/heal sequence.
+
+    Every rebalance is held to the per-component rule: the links it
+    reaches are exactly the connected components, under an independent
+    union-find over unblocked cross-host flows, of its seed links; the
+    flows on them get the pure reference fill over exactly those flows
+    in start order, bit for bit; every other flow keeps its rate.  After
+    every step, whatever the rebalances reached, the live flows hold a
+    max-min fair allocation, stalled cross-partition flows sit at zero
+    and loopback flows share their host channel equally.  With
+    ``one_fill`` (capacities without near-ties, where one fill over all
+    live flows equals the per-component fills) every live flow must also
+    have that fill's rate, bit for bit.
+    """
     import random as random_mod
 
     from repro.sim.network import NetworkFabric
@@ -218,24 +262,62 @@ def test_incremental_rebalance_matches_pure_reference(seed):
     hosts = [f"h{i}" for i in range(rng.randint(2, 6))]
     for host in hosts:
         fabric.register_host(
-            host,
-            up_mbps=rng.choice([50.0, 100.0, 400.0]),
-            down_mbps=rng.choice([50.0, 100.0, 400.0]),
-            loopback_mbps=2000.0,
+            host, up_mbps=nic(rng), down_mbps=nic(rng), loopback_mbps=2000.0
         )
     live = []
+    fills = []  # (seeds, rates before, records) of the running rebalance
+    real_component_links = fabric._component_links
+    real_rebalance = fabric._rebalance
+
+    def component_links(seeds):
+        before = {flow: flow.rate for flow in fabric._flows}
+        records = real_component_links(seeds)
+        fills.append((set(seeds), before, records))
+        return records
+
+    def rebalance():
+        fills.clear()
+        real_rebalance()
+        for seeds, before, records in fills:
+            check_fill(seeds, before, records)
+
+    def check_fill(seeds, before, records):
+        unblocked = [f for f in fabric._flows if not fabric.is_blocked(f.src, f.dst)]
+        parent = {}
+
+        def find(link):
+            parent.setdefault(link, link)
+            while parent[link] != link:
+                link = parent[link]
+            return link
+
+        for flow in unblocked:
+            parent[find((flow.src, "up"))] = find((flow.dst, "down"))
+        roots = {find(link) for link in seeds if link[1] != "loop"}
+        used = {(f.src, "up") for f in unblocked} | {(f.dst, "down") for f in unblocked}
+        reached = {link for link in used if find(link) in roots}
+        assert {(host, ("up", "down")[d]) for _, d, host, _ in records} == reached
+        filled = [f for f in unblocked if (f.src, "up") in reached]
+        reference = maxmin_flow_rates(filled, fabric._links)
+        assert [f.rate for f in filled] == reference  # bit-for-bit
+        for flow in unblocked:
+            if (flow.src, "up") not in reached:
+                assert flow.rate == before[flow]
+
+    fabric._component_links = component_links
+    fabric._rebalance = rebalance
 
     def check() -> None:
-        cross = [f for f in fabric._flows if not f.done]
-        expected_live = []
-        for flow in cross:
+        unblocked = []
+        for flow in fabric._flows:
             if fabric.is_blocked(flow.src, flow.dst):
                 assert flow.rate == 0.0
             else:
-                expected_live.append(flow)
-        reference = maxmin_flow_rates(expected_live, fabric._links)
-        for flow, want in zip(expected_live, reference):
-            assert flow.rate == want  # bit-for-bit
+                unblocked.append(flow)
+        _assert_maxmin_fair(unblocked, fabric._links)
+        if one_fill:
+            reference = maxmin_flow_rates(unblocked, fabric._links)
+            assert [f.rate for f in unblocked] == reference  # bit-for-bit
         loop_users = {}
         for flow in fabric._loop_flows:
             loop_users[flow.src] = loop_users.get(flow.src, 0) + 1
@@ -296,3 +378,29 @@ def test_incremental_rebalance_matches_pure_reference(seed):
         live = [f for f in live if not f.done]
         check()
     sim.run()
+
+
+@given(seed=st.integers(min_value=0, max_value=10_000))
+@settings(max_examples=40, deadline=None)
+def test_incremental_rebalance_matches_pure_reference(seed):
+    _drive_fabric(seed, _nic_choice, one_fill=True)
+
+
+# near-ties across components: the seeds a fill over *all* live flows
+# disagrees with (it resolves such ties across components)
+@example(seed=147)
+@example(seed=182)
+@example(seed=491)
+@example(seed=1251)
+@example(seed=1787)
+@example(seed=1834)
+@example(seed=1860)
+@example(seed=1868)
+@example(seed=2013)
+@example(seed=2014)
+@example(seed=2530)
+@example(seed=2904)
+@given(seed=st.integers(min_value=0, max_value=10_000))
+@settings(max_examples=40, deadline=None)
+def test_incremental_rebalance_near_ties_fill_per_component(seed):
+    _drive_fabric(seed, _nic_near_tie, one_fill=False)

@@ -344,3 +344,26 @@ def test_link_order_under_a_partition_skips_blocked_flows(sim):
     assert blocked.rate == 0.0
     _assert_oracle_rates(fabric)
     assert [f.rate for f in fabric._flows][1:] == [1.0, 1.0]
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=RuntimeError,
+    reason="known defect (FOUND in CHANGES.md): an ETA below half an ulp of "
+    "the clock schedules the completion tick at the current instant, whose "
+    "zero-length advance moves nothing, so the tick repeats forever",
+)
+def test_flow_finishing_within_one_ulp_of_the_clock_completes(sim):
+    """1.6e-9 MB left (above the fabric's 1e-9 MB epsilon) at 2000 MB/s
+    is an 8e-13 s ETA; at t = 8275.847 s one ulp is 1.8e-12 s, so
+    ``now + eta == now``.  Seen in a seeded dispatch history whose job
+    kept re-executing maps for hours of simulated time."""
+    fabric = NetworkFabric(sim)
+    fabric.register_host("a", up_mbps=100.0, down_mbps=100.0, loopback_mbps=2000.0)
+    sim.schedule_at(8275.847, lambda: None)
+    sim.run()
+    assert sim.now + 1.6e-9 / 2000.0 == sim.now
+    done = []
+    fabric.start_flow("a", "a", 1.6e-9, on_complete=lambda: done.append(sim.now))
+    sim.run(max_events=1_000)
+    assert done == [8275.847]
