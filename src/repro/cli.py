@@ -461,176 +461,6 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-# ----------------------------------------------------------------------
-# grid: the distributed sweep service
-# ----------------------------------------------------------------------
-def cmd_grid_run(args) -> int:
-    import json
-
-    from repro.grid import run_grid
-    from repro.obs.live import JsonlFrameSink
-    from repro.sweep import (
-        ResultCache,
-        SweepSpec,
-        format_report,
-        write_canonical_json,
-    )
-
-    try:
-        spec = SweepSpec(
-            figures=args.figures,
-            scales=args.scales,
-            seeds=args.seeds,
-            params=_parse_sweep_params(args.param),
-            blame=args.blame,
-        )
-    except (KeyError, ValueError, TypeError) as exc:
-        print(exc, file=sys.stderr)
-        return 2
-    if args.cache_dir.lower() == "none":
-        print("grid needs a result cache: it is the resume/idempotency "
-              "substrate (pass a directory for --cache-dir)",
-              file=sys.stderr)
-        return 2
-    if args.resume and args.no_cache:
-        print("--resume and --no-cache are contradictory: resume *is* "
-              "reading the cache", file=sys.stderr)
-        return 2
-    cache = ResultCache(args.cache_dir)
-    sink = None
-    if args.frames_out:
-        sink = JsonlFrameSink(args.frames_out)
-        print(f"streaming frames to {args.frames_out} "
-              f"(watch with: repro serve {args.frames_out} --follow)")
-    if args.resume:
-        print(f"resuming from cache {args.cache_dir}")
-    try:
-        report = run_grid(
-            spec,
-            cache,
-            workers=args.workers,
-            use_cache=not args.no_cache,
-            host=args.host,
-            port=args.port,
-            max_attempts=args.max_attempts,
-            backoff_s=args.backoff,
-            heartbeat_s=args.heartbeat,
-            heartbeat_timeout_s=args.heartbeat_timeout,
-            frame_interval_s=args.frame_interval,
-            frame_sink=sink,
-            progress=lambda line: print(f"  {line}"),
-            kill_worker_after=args.kill_worker_after,
-        )
-    finally:
-        if sink is not None:
-            sink.close()
-    with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-    print(format_report(report))
-    grid = report["grid"]
-    print(f"grid: {grid['workers_spawned']} workers "
-          f"({grid['workers_lost']} lost, {grid['requeues']} requeues, "
-          f"{grid['resumed_from_cache']} resumed from cache)")
-    print(f"\nwrote {args.out}")
-    if args.canonical_out:
-        write_canonical_json(args.canonical_out, report)
-        print(f"wrote {args.canonical_out} (canonical, cmp-able)")
-    failures = report["failures"]
-    if failures:
-        for record in failures:
-            print(f"FAILED after {record['attempts']} attempts: "
-                  f"{record['figure']}/{record['scale']}/"
-                  f"seed{record['seed']}: {record['error']}",
-                  file=sys.stderr)
-        return 1
-    return 0
-
-
-def cmd_grid_worker(args) -> int:
-    from repro.grid import parse_address, run_worker
-
-    try:
-        host, port = parse_address(args.connect)
-    except ValueError as exc:
-        print(exc, file=sys.stderr)
-        return 2
-    try:
-        completed = run_worker(
-            host, port, worker_id=args.id,
-            log=lambda line: print(line, flush=True),
-        )
-    except ConnectionRefusedError:
-        print(f"no coordinator at {args.connect}", file=sys.stderr)
-        return 2
-    except KeyboardInterrupt:
-        return 130
-    print(f"worker done: {completed} cells completed")
-    return 0
-
-
-def cmd_grid_status(args) -> int:
-    from repro.obs.live import read_frames
-
-    try:
-        frames = [f for f in read_frames(args.frames)
-                  if f.get("schema") == "repro.grid/1"]
-    except FileNotFoundError:
-        print(f"no such frame file: {args.frames}", file=sys.stderr)
-        return 2
-    if not frames:
-        print(f"{args.frames}: no grid frames yet")
-        return 0
-    last = frames[-1]
-    g = last["grid"]
-    state = "done" if g.get("done") else "running"
-    print(f"study {last['study']} [{state}] at t={last['ts']:.1f}s "
-          f"(frame {last['seq']})")
-    print(f"  cells        {g['completed']}/{g['cells']} completed "
-          f"({g['cache_hits']} cached, {g['failed']} failed)")
-    print(f"  in flight    {g['inflight']} running / {g['queued']} queued")
-    print(f"  fleet        {g['workers']} workers "
-          f"({g['workers_lost']} lost, {g['requeues']} requeues)")
-    wall = last.get("wall_s", {})
-    if wall.get("n"):
-        print(f"  cell wall    mean {wall['mean']:.1f}s / "
-              f"p95 {wall['p95']:.1f}s over {wall['n']} cells")
-    queue_age = last.get("queue_age")
-    if queue_age and queue_age.get("n"):
-        print(f"  queue age    p50 {queue_age['p50']:.1f}s / "
-              f"p95 {queue_age['p95']:.1f}s / max {queue_age['max']:.1f}s "
-              f"over {queue_age['n']} queued")
-    for worker in last.get("workers", []):
-        liveness = (
-            f"beat {worker['beat_age_s']:.1f}s ago" if worker["alive"]
-            else ("retired" if worker.get("retired") else "LOST")
-        )
-        busy = (
-            f"on {worker['unit'][:12]}" if worker.get("unit") else "idle"
-        )
-        rtt = (
-            f", rtt {worker['rtt_ms']:.1f}ms"
-            if worker.get("rtt_ms") is not None else ""
-        )
-        rate = (
-            f", {worker['events_per_s']:,.0f} ev/s"
-            if worker.get("events_per_s") else ""
-        )
-        print(f"  worker {worker['id']:<10} {liveness:<16} {busy:<16} "
-              f"{worker['cells']} cells, "
-              f"{worker['retries_charged']} retries charged"
-              f"{rate}{rtt}")
-    for group in last.get("groups", []):
-        params = group["params"]
-        suffix = f" {params}" if params else ""
-        shown = list(group["metrics"].items())[: args.metrics]
-        for path, stats in shown:
-            print(f"  {group['figure']}@{group['scale']}{suffix} "
-                  f"{path}: mean {stats['mean']:.3f} "
-                  f"p50 {stats['p50']:.3f} p95 {stats['p95']:.3f} "
-                  f"(n={stats['n']})")
-    return 0
-
-
 def cmd_chaos(args) -> int:
     import json
 
@@ -844,6 +674,7 @@ def cmd_profile(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     from repro.experiments.common import SCALES
+    from repro.sweep import cell_names
 
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -913,8 +744,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sweep.add_argument(
         "figures", nargs="+",
-        help="experiment cells (fig01, fig02, fig05, fig06, fig08, fig09, "
-        "fig10, fig11, headline)",
+        help=f"experiment cells ({', '.join(cell_names())})",
     )
     sweep.add_argument("--scales", "--scale", nargs="+", default=["small"],
                        help="scales to sweep (tiny|small|medium|paper)")
@@ -938,103 +768,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="aggregated report path")
     sweep.add_argument("--canonical-out", metavar="FILE", default=None,
                        help="also write the wall-clock-free canonical "
-                       "report (byte-identical across sweep/grid runs "
-                       "of the same spec)")
+                       "report (byte-identical across runs of the same "
+                       "spec, whatever --jobs and the cache hits)")
     sweep.set_defaults(func=cmd_sweep)
-
-    grid = sub.add_parser(
-        "grid",
-        help="distributed sweep service: shard a study across a worker fleet",
-        description="Run thousands-of-cell studies across long-lived "
-        "worker processes: the coordinator shards a sweep spec into "
-        "content-addressed work units, dispatches them over a line-JSON "
-        "socket protocol with heartbeats, requeues lost cells with "
-        "bounded backed-off retries, streams partial aggregates as "
-        "repro.grid/1 frames, and resumes from the result cache after "
-        "crashes.  The canonical report is byte-identical to a "
-        "single-process `repro sweep` of the same spec.",
-    )
-    gsub = grid.add_subparsers(dest="grid_command", required=True)
-
-    grun = gsub.add_parser(
-        "run", help="run a sharded study with a local worker fleet"
-    )
-    grun.add_argument("figures", nargs="+",
-                      help="experiment cells (same registry as `repro "
-                      "sweep`, incl. zoo/chaos/live)")
-    grun.add_argument("--scales", "--scale", nargs="+", default=["small"],
-                      help="scales to sweep (tiny|small|medium|paper)")
-    grun.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3, 4])
-    grun.add_argument("--param", action="append", default=[],
-                      metavar="KEY=V1[,V2...]",
-                      help="extra cell parameter axis (repeatable)")
-    grun.add_argument("--blame", action="store_true",
-                      help="trace every cell and attach critical-path "
-                      "blame totals")
-    grun.add_argument("--workers", type=int, default=2,
-                      help="worker processes to spawn locally")
-    grun.add_argument("--host", default="127.0.0.1",
-                      help="coordinator bind address (0.0.0.0 to accept "
-                      "workers from other machines)")
-    grun.add_argument("--port", type=int, default=0,
-                      help="coordinator port (0 = ephemeral)")
-    grun.add_argument("--cache-dir", default=".repro-sweep-cache",
-                      help="content-addressed result cache (the resume "
-                      "and idempotency substrate; shared with `repro "
-                      "sweep`)")
-    grun.add_argument("--no-cache", action="store_true",
-                      help="ignore existing cache entries (fresh results "
-                      "still refresh the cache)")
-    grun.add_argument("--resume", action="store_true",
-                      help="resume a killed study: cells already in the "
-                      "cache complete instantly, nothing is re-executed")
-    grun.add_argument("--max-attempts", type=int, default=3,
-                      help="attempts per cell before it is recorded as "
-                      "failed")
-    grun.add_argument("--backoff", type=float, default=0.5,
-                      help="base requeue backoff in seconds (doubles per "
-                      "attempt)")
-    grun.add_argument("--heartbeat", type=float, default=2.0,
-                      help="worker heartbeat interval in seconds")
-    grun.add_argument("--heartbeat-timeout", type=float, default=10.0,
-                      help="declare a worker lost after this many "
-                      "seconds without a heartbeat")
-    grun.add_argument("--frames-out", metavar="FILE", default="",
-                      help="stream repro.grid/1 progress frames to this "
-                      "JSONL file (render with `repro serve`)")
-    grun.add_argument("--frame-interval", type=float, default=1.0,
-                      help="wall seconds between progress frames")
-    grun.add_argument("--out", default="grid_report.json",
-                      help="full study report path")
-    grun.add_argument("--canonical-out", metavar="FILE", default=None,
-                      help="also write the wall-clock-free canonical "
-                      "report (byte-identical to `repro sweep "
-                      "--canonical-out` for the same spec)")
-    grun.add_argument("--kill-worker-after", type=float, metavar="S",
-                      default=None,
-                      help="chaos testing hook: SIGKILL the first "
-                      "spawned worker after S wall seconds")
-    grun.set_defaults(func=cmd_grid_run)
-
-    gworker = gsub.add_parser(
-        "worker", help="join a running study as a worker (any machine)"
-    )
-    gworker.add_argument("--connect", required=True, metavar="HOST:PORT",
-                         help="coordinator address printed by `repro "
-                         "grid run`")
-    gworker.add_argument("--id", default=None,
-                         help="worker id (default: w<pid>)")
-    gworker.set_defaults(func=cmd_grid_worker)
-
-    gstatus = gsub.add_parser(
-        "status", help="summarize a study's progress from its frame file"
-    )
-    gstatus.add_argument("frames", nargs="?", default="grid_frames.jsonl",
-                         help="JSONL frame file written by `repro grid "
-                         "run --frames-out`")
-    gstatus.add_argument("--metrics", type=int, default=3,
-                         help="streaming metric paths to show per group")
-    gstatus.set_defaults(func=cmd_grid_status)
 
     chaos = sub.add_parser(
         "chaos",

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from functools import partial
-from typing import Callable, List, Optional
+from typing import Callable, Dict, List, Optional
 
 from repro.cluster.machine import ExecutionContext
 from repro.hdfs.block import Block
@@ -37,6 +37,9 @@ class HDFS:
         self.block_size_mb = block_size_mb
         self.replication = replication
         self.namenode = NameNode(rng=sim.fork_rng("hdfs"))
+        #: block id -> {target: callbacks waiting for that copy to land}
+        #: for each re-replication copy in flight
+        self._copying: Dict[int, Dict[DataNode, List[Callable[[], None]]]] = {}
 
     # ------------------------------------------------------------------
     # topology
@@ -245,23 +248,31 @@ class HDFS:
 
         Used after a DataNode loss (e.g. a migration downtime window in
         the paper's discussion): Hadoop's replication monitor copies
-        under-replicated blocks to new targets.  Returns the number of
-        replicas being regenerated.
+        under-replicated blocks to new targets.  A copy that an earlier
+        call has in flight to a live DataNode counts toward the goal, its
+        target is not picked again, and ``on_complete`` also waits for it
+        to land.  Returns the number of replicas this call regenerates.
         """
-        missing = self.namenode.under_replicated(self.replication)
+        namenode = self.namenode
         work = []
-        for block in missing:
-            holders = self.namenode.replica_holders(block)
+        waits: List[List[Callable[[], None]]] = []
+        for block in namenode.under_replicated(self.replication):
+            holders = namenode.replica_holders(block)
             if not holders:
                 continue  # data loss; nothing to copy from
-            needed = self.replication - len(holders)
-            for _ in range(needed):
-                source = holders[0]
-                target = self.namenode.choose_targets(block, 1)[0]
-                work.append((block, source, target))
-        arms = join(len(work), on_complete) if work else []
-        if not work:
+            copies = self._copying.get(block.block_id, {})
+            landing = [t for t in copies if namenode.datanodes.get(t.name) is t]
+            waits.extend(copies[t] for t in landing)
+            for _ in range(self.replication - len(holders) - len(landing)):
+                target = namenode.copy_target(block, landing)
+                landing.append(target)
+                work.append((block, holders[0], target))
+        if not work and not waits:
             self.sim.schedule(0.0, on_complete)
+            return 0
+        arms = join(len(work) + len(waits), on_complete)
+        for waiters, arm in zip(waits, arms[len(work):]):
+            waiters.append(arm)
         for (block, source, target), arm in zip(work, arms):
             self._replicate_one(block, source, target, arm)
         return len(work)
@@ -273,9 +284,17 @@ class HDFS:
         target: DataNode,
         on_complete: Callable[[], None],
     ) -> None:
+        copies = self._copying.setdefault(block.block_id, {})
+        copies[target] = []
+
         def after_read() -> None:
             def after_flow() -> None:
                 def record() -> None:
+                    # copy flows are never cancelled, so this runs for
+                    # every copy, also one whose target died meanwhile
+                    waiters = copies.pop(target)
+                    if not copies:
+                        del self._copying[block.block_id]
                     # same decommission race as the write pipeline: only
                     # record the replica if the target is still alive
                     if (
@@ -285,6 +304,8 @@ class HDFS:
                     ):
                         self.namenode.record_replica(block, target.name)
                     on_complete()
+                    for waiter in waiters:
+                        waiter()
 
                 target.write_block(block, record)
 

@@ -256,6 +256,22 @@ class NameNode:
                 target.reserve(block.size_mb)
         return targets
 
+    def copy_target(self, block: Block, busy: List[DataNode]) -> DataNode:
+        """One DataNode for a re-replicated copy of ``block``.
+
+        The pick is :meth:`choose_targets`' for one replica, except that
+        ``busy`` -- the live targets of the block's copies in flight --
+        are excluded beside its holders.
+        """
+        excluded = {d.rank: d for d in self.replica_holders(block)}
+        for datanode in busy:
+            excluded[datanode.rank] = datanode
+        if len(excluded) >= len(self.datanodes):
+            raise RuntimeError(
+                f"no DataNode left for a copy of block {block.block_id}"
+            )
+        return self._least_committed(excluded)
+
     def under_replicated(self, replication: int) -> List[Block]:
         """Blocks currently holding fewer than ``replication`` copies."""
         out: List[Block] = []

@@ -2,10 +2,8 @@
 
 A :class:`FrameServer` (``http.server`` + threads, zero dependencies)
 serves a recorded -- or still-growing -- JSONL frame file written by
-:class:`repro.obs.live.JsonlFrameSink` -- either ``repro.live/1``
-telemetry frames from the live driver or ``repro.grid/1`` study-progress
-frames from a grid coordinator (the dashboard switches panel sets by
-frame schema):
+:class:`repro.obs.live.JsonlFrameSink` -- the ``repro.live/1``
+telemetry frames of the live driver:
 
 - ``/``          single-file HTML dashboard (utilization, SLA, queue
                  and blame panels fed by Server-Sent Events)
@@ -340,9 +338,6 @@ header h1 { font-size: 16px; font-weight: 600; margin: 0; }
            border-radius: 4px; padding: 4px 8px; font-size: 11px;
            color: var(--text-primary); box-shadow: 0 2px 8px rgba(0,0,0,.15);
            white-space: nowrap; z-index: 10; }
-.grid-only { display: none; }
-.grid-mode .grid-only { display: block; }
-.grid-mode .live-only { display: none; }
 details { margin-top: 14px; color: var(--text-secondary); }
 table { border-collapse: collapse; font-size: 12px; margin-top: 6px; }
 th, td { padding: 3px 10px; text-align: right;
@@ -358,40 +353,21 @@ th { color: var(--text-secondary); font-weight: 600; }
 </header>
 <div class="tiles" id="tiles"></div>
 <div class="grid2">
-  <div class="panel live-only"><h2>Cluster utilization</h2>
+  <div class="panel"><h2>Cluster utilization</h2>
     <canvas id="util"></canvas><div class="legend" id="util-legend"></div>
     <div class="tooltip" id="util-tip"></div></div>
-  <div class="panel live-only"><h2>Interactive latency (windowed p95, ms)</h2>
+  <div class="panel"><h2>Interactive latency (windowed p95, ms)</h2>
     <canvas id="sla"></canvas><div class="legend" id="sla-legend"></div>
     <div class="tooltip" id="sla-tip"></div></div>
-  <div class="panel live-only"><h2>Scheduler queues <span id="queues-policy" class="muted"></span></h2>
+  <div class="panel"><h2>Scheduler queues <span id="queues-policy" class="muted"></span></h2>
     <canvas id="queues"></canvas><div class="legend" id="queues-legend"></div>
     <div class="tooltip" id="queues-tip"></div></div>
-  <div class="panel live-only"><h2>Critical-path blame (total s)</h2>
+  <div class="panel"><h2>Critical-path blame (total s)</h2>
     <canvas id="blame"></canvas></div>
-  <div class="panel grid-only"><h2>Study progress <span id="grid-study" class="muted"></span></h2>
-    <canvas id="gridprog"></canvas><div class="legend" id="gridprog-legend"></div>
-    <div class="tooltip" id="gridprog-tip"></div></div>
-  <div class="panel grid-only"><h2>Cell wall time (streaming, s)</h2>
-    <canvas id="gridwall"></canvas><div class="legend" id="gridwall-legend"></div>
-    <div class="tooltip" id="gridwall-tip"></div></div>
 </div>
-<div class="panel live-only" style="margin-top:12px"><h2>Chaos faults</h2>
+<div class="panel" style="margin-top:12px"><h2>Chaos faults</h2>
   <div class="chips" id="chaos"></div></div>
-<div class="panel grid-only" style="margin-top:12px">
-  <h2>Fleet health <span id="fleet-queue" class="muted"></span></h2>
-  <table id="fleet" style="width:100%"><thead><tr>
-    <th style="text-align:left">worker</th><th style="text-align:left">state</th>
-    <th>beat age</th><th>cells</th><th>retries</th>
-    <th>events/s</th><th>rtt ms</th><th style="text-align:left">running</th>
-  </tr></thead><tbody></tbody></table></div>
-<div class="panel grid-only" style="margin-top:12px">
-  <h2>Streaming aggregates <span class="muted">(partial, per group)</span></h2>
-  <table id="grid-metrics" style="width:100%"><thead><tr>
-    <th style="text-align:left">group</th><th style="text-align:left">metric</th>
-    <th>n</th><th>mean</th><th>p50</th><th>p95</th>
-  </tr></thead><tbody></tbody></table></div>
-<details class="live-only"><summary>Frame table (latest 50)</summary>
+<details><summary>Frame table (latest 50)</summary>
   <table id="table"><thead><tr>
     <th>t (s)</th><th>cpu</th><th>io</th><th>jobs act</th><th>jobs done</th>
     <th>pending</th><th>p95 ms</th><th>faults</th>
@@ -507,8 +483,6 @@ function lineChart(canvasId, tipId) {
 const utilChart = lineChart('util', 'util-tip');
 const slaChart = lineChart('sla', 'sla-tip');
 const queueChart = lineChart('queues', 'queues-tip');
-const gridProgChart = lineChart('gridprog', 'gridprog-tip');
-const gridWallChart = lineChart('gridwall', 'gridwall-tip');
 
 function legend(id, series) {
   document.getElementById(id).innerHTML = series.map(s =>
@@ -555,96 +529,11 @@ function tile(v, k) {
   return `<div class="tile"><div class="v">${v}</div><div class="k">${k}</div></div>`;
 }
 
-// -- grid study-progress panels (repro.grid/1 frames) -----------------
-function groupLabel(g) {
-  const params = Object.entries(g.params || {})
-    .map(([k, v]) => `${k}=${v}`).join(',');
-  return `${g.figure}@${g.scale}` + (params ? ` [${params}]` : '');
-}
-
-function redrawGrid(view, last, colors) {
-  const [c1, c2, c3] = colors;
-  const gf = view.filter(f => f.grid);
-  gridProgChart.state.series = [
-    { name: 'completed', color: c1,
-      points: gf.map(f => [f.ts, f.grid.completed]) },
-    { name: 'inflight', color: c2,
-      points: gf.map(f => [f.ts, f.grid.inflight]) },
-    { name: 'failed', color: c3,
-      points: gf.map(f => [f.ts, f.grid.failed]) },
-  ];
-  gridProgChart.state.yMax = last.grid.cells || 1;
-  gridProgChart.draw();
-  legend('gridprog-legend', gridProgChart.state.series);
-
-  const gw = gf.filter(f => f.wall_s && f.wall_s.n > 0);
-  gridWallChart.state.series = [
-    { name: 'mean', color: c1, points: gw.map(f => [f.ts, f.wall_s.mean]) },
-    { name: 'p95', color: c2, points: gw.map(f => [f.ts, f.wall_s.p95]) },
-  ];
-  gridWallChart.state.yMax = 0.1;
-  gridWallChart.draw();
-  legend('gridwall-legend', gridWallChart.state.series);
-
-  const g = last.grid;
-  document.getElementById('grid-study').textContent =
-    `— ${last.study || 'study'}` + (g.done ? ' · done' : '');
-  document.getElementById('tiles').innerHTML = [
-    tile(`${g.completed}/${g.cells}`, 'cells done'),
-    tile(g.failed, 'failed'),
-    tile(g.inflight, 'inflight'),
-    tile(g.queued, 'queued'),
-    tile(g.workers, 'workers'),
-    tile(g.cache_hits, 'cache hits'),
-    tile(g.requeues, 'requeues'),
-    tile(g.workers_lost, 'workers lost'),
-  ].join('');
-
-  const qa = last.queue_age;
-  document.getElementById('fleet-queue').textContent =
-    qa && qa.n ? `— queue age p50 ${fmt(qa.p50, 1)}s · ` +
-      `p95 ${fmt(qa.p95, 1)}s · ${qa.n} queued` : '';
-  const fleetBody = document.querySelector('#fleet tbody');
-  fleetBody.innerHTML = (last.workers || []).map(w =>
-    `<tr><td style="text-align:left">${w.id}</td>` +
-    `<td style="text-align:left">${w.alive ? 'alive' :
-      (w.retired ? 'retired' : 'LOST')}</td>` +
-    `<td>${fmt(w.beat_age_s, 1)}s</td><td>${w.cells}</td>` +
-    `<td>${w.retries_charged}</td>` +
-    `<td>${w.events_per_s ? fmt(w.events_per_s, 0) : '—'}</td>` +
-    `<td>${w.rtt_ms == null ? '—' : fmt(w.rtt_ms, 1)}</td>` +
-    `<td style="text-align:left">${w.unit ?
-      w.unit.slice(0, 12) : (w.alive ? 'idle' : '')}</td></tr>`
-  ).join('') || '<tr><td colspan=8>no workers connected yet…</td></tr>';
-
-  const tbody = document.querySelector('#grid-metrics tbody');
-  const rows = [];
-  for (const grp of last.groups || []) {
-    const label = groupLabel(grp);
-    const paths = Object.keys(grp.metrics || {});
-    paths.forEach((p, i) => {
-      const m = grp.metrics[p];
-      rows.push(`<tr><td style="text-align:left">${i ? '' : label}</td>` +
-        `<td style="text-align:left">${p}</td><td>${m.n}</td>` +
-        `<td>${fmt(m.mean, 3)}</td><td>${fmt(m.p50, 3)}</td>` +
-        `<td>${fmt(m.p95, 3)}</td></tr>`);
-    });
-    if (!paths.length)
-      rows.push(`<tr><td style="text-align:left">${label}</td>` +
-        `<td style="text-align:left" colspan=5>no metrics yet</td></tr>`);
-  }
-  tbody.innerHTML = rows.join('') ||
-    '<tr><td colspan=6>waiting for completed cells…</td></tr>';
-}
-
 function redraw() {
   const view = decimate(frames);
   const [c1, c2, c3] = seriesColors();
   const last = frames[frames.length - 1];
   if (!last) return;
-  const gridMode = !!last.grid;
-  document.body.classList.toggle('grid-mode', gridMode);
-  if (gridMode) { redrawGrid(view, last, [c1, c2, c3]); return; }
 
   const util = view.filter(f => f.util && f.util.cluster);
   utilChart.state.series = [

@@ -540,8 +540,11 @@ class NetworkFabric:
                 finished.append(flow)
         self.bytes_transferred_mb = bytes_moved
         self.cross_host_mb = cross_moved
-        if not finished:
-            return
+        if finished:
+            self._complete(finished)
+
+    def _complete(self, finished: List[Flow]) -> None:
+        """Finish drained flows, in order, and run their callbacks."""
         obs = self.sim.obs
         prof = self.sim.prof
         for flow in finished:
@@ -707,8 +710,21 @@ class NetworkFabric:
 
     def _tick(self) -> None:
         self._completion_event = None
+        now = self.sim.now
+        # a tick at the instant of the last advance was scheduled for a
+        # finish below the clock's resolution (now + eta == now), which
+        # no advance can reach: those flows finish at this instant
+        stalled = now == self._last_update
         # begin_batch advances (running the completion callbacks); any
         # flows those callbacks start or cancel ride the single closing
         # fill instead of each paying their own
         self.begin_batch()
+        if stalled:
+            self._complete([
+                flow
+                for flows in (self._flows, self._loop_flows)
+                for flow in flows
+                if flow.rate * flow.efficiency > _EPS
+                and now + flow.remaining / (flow.rate * flow.efficiency) == now
+            ])
         self.end_batch()

@@ -100,7 +100,7 @@ def aggregate_cells(cells: Sequence[dict]) -> List[dict]:
 
     Cells must carry ``figure``/``scale``/``seed``/``params``/``result``
     /``metrics``/``wall_s`` keys (the runner's record shape).  Group
-    order follows first appearance, i.e. the spec's grid order.
+    order follows first appearance, i.e. the spec's order.
     """
     order: List[tuple] = []
     grouped: Dict[tuple, List[dict]] = {}
@@ -155,27 +155,25 @@ def aggregate_cells(cells: Sequence[dict]) -> List[dict]:
 # ----------------------------------------------------------------------
 # canonical (wall-clock-free) projection
 # ----------------------------------------------------------------------
-CANONICAL_SCHEMA = "repro.sweep/canonical-1"
+CANONICAL_SCHEMA = "repro.sweep/canonical-2"
 
 #: the deterministic subset of a cell record; wall_s / cache_hit are
 #: execution accidents, everything here is a function of the spec
 _CANONICAL_CELL_FIELDS = (
-    "figure", "scale", "seed", "params", "key", "result", "metrics",
-    "blame", "failed", "error", "attempts",
+    "figure", "scale", "seed", "params", "key", "result", "metrics", "blame",
 )
 
 
 def canonical_report(report: dict) -> dict:
-    """Deterministic projection of a sweep or grid report.
+    """Deterministic projection of a sweep report.
 
     Strips every field that depends on *how* the study executed rather
     than *what* it computed: per-cell ``wall_s``/``cache_hit``, the
-    timing totals, worker counts, and per-group ``wall_s`` summaries.
-    Two runs of the same spec -- single-process ``repro sweep``, a
-    sharded ``repro grid`` study with workers killed mid-run, a
-    coordinator resumed from cache -- project to byte-identical
-    documents, which is the determinism contract CI enforces with
-    ``cmp``.
+    timing totals, the worker count, and per-group ``wall_s`` summaries.
+    Two runs of the same spec -- inline, across worker processes, or
+    resumed from the cache after an interruption -- project to
+    byte-identical documents, which is the determinism contract CI
+    enforces with ``cmp``.
     """
     cells = [
         {k: cell[k] for k in _CANONICAL_CELL_FIELDS if k in cell}
@@ -189,10 +187,7 @@ def canonical_report(report: dict) -> dict:
         "schema": CANONICAL_SCHEMA,
         "repro_version": report.get("repro_version"),
         "spec": report["spec"],
-        "totals": {
-            "cells": len(cells),
-            "failed": sum(1 for c in cells if c.get("failed")),
-        },
+        "totals": {"cells": len(cells)},
         "cells": cells,
         "groups": groups,
     }

@@ -16,7 +16,8 @@ cache schema number with the package version -- so:
 Entries are single JSON documents under ``<root>/<aa>/<hash>.json``
 (two-level fan-out keeps directories small).  Writes go through a
 per-process temp file + ``os.replace`` so concurrent writers -- e.g.
-two grid workers completing a requeued cell -- never tear an entry.
+two ``repro sweep`` processes sharing one cache directory -- never
+tear an entry.
 Unreadable entries are treated as misses, quarantined to
 ``<key>.corrupt`` for post-mortems, and re-executed.
 """
@@ -36,8 +37,9 @@ import repro
 #: interference fits dropped numpy, which changes ``fig06`` results in
 #: environments that had it; 4: ``scale-smoke`` results dropped the
 #: host-timed ``build_wall_s``; 5: ``fig02`` Dom-0 runs stopped building
-#: a discarded second simulator, which lowers ``metrics.simulators``)
-CACHE_SCHEMA = 5
+#: a discarded second simulator, which lowers ``metrics.simulators``;
+#: 6: cell documents dropped the ``events`` field)
+CACHE_SCHEMA = 6
 
 DEFAULT_CACHE_DIR = ".repro-sweep-cache"
 

@@ -8,7 +8,7 @@ a ``ProcessPoolExecutor`` (``jobs > 1``) or runs them inline
 
 Cells are independent simulations with their own seeds, so execution
 order cannot change results; the returned cell list (and hence the
-written ``BENCH_sweep.json``) is in spec grid order regardless of
+written ``BENCH_sweep.json``) is in spec order regardless of
 executor scheduling -- only the ``progress`` callback fires in
 completion order.  ``execute_cell`` is the single
 entry point for both paths -- a top-level function taking one plain
@@ -62,10 +62,6 @@ def execute_cell(config: dict) -> dict:
         "result": json.loads(json.dumps(result, sort_keys=True)),
         "metrics": sims.combined_snapshot(),
         "wall_s": wall_s,
-        # simulator events processed: with wall_s this gives the grid
-        # per-worker events/sec.  Deterministic, but stripped (like
-        # wall_s) from the canonical projection's field allow-list.
-        "events": sims.total_events(),
     }
     if config.get("blame"):
         blame = sims.combined_blame()["total"]
@@ -116,7 +112,7 @@ def run_sweep(
                 for index, cell, key in pending
             }
             # progress streams in completion order; ``records`` is filled
-            # by grid index, so the report stays in spec order
+            # by spec index, so the report stays in spec order
             for future in as_completed(futures):
                 index, cell, key = futures[future]
                 finish(index, cell, key, future.result())

@@ -157,19 +157,13 @@ def test_re_replication_restores_copies(sim, fs):
     assert not fs.namenode.under_replicated(2)
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=ValueError,
-    reason="known defect (FOUND in CHANGES.md): re_replicate counts no copy "
-    "in flight, so a second call copies the same block to the same target",
-)
 def test_overlapping_re_replications_copy_each_block_once(sim, fs):
     """A node failure and a repair within one copy time each
     re-replicate (``MapReduceCluster.fail_node``, then ``repair_node``).
-    The repair's copy of the still under-replicated block goes to the
-    failure's target: started 1 s in, its write finds the block stored
-    and raises; started at once, both writes store it and the target
-    counts 128 MB for one 64 MB block."""
+    The repair counts the failure's copy in flight and waits for it to
+    land, so it completes second.  Copying the block again to the same
+    target would raise once the first copy had stored it, or, started
+    at once, count 128 MB there for one 64 MB block."""
     (block,) = fs.preload_file("f", 64.0)
     victim = fs.namenode.replica_holders(block)[0]
     fs.namenode.decommission_datanode(victim.name)
@@ -182,6 +176,23 @@ def test_overlapping_re_replications_copy_each_block_once(sim, fs):
     assert len(fs.namenode.replica_holders(block)) == 2
     for datanode in fs.namenode.datanodes.values():
         assert datanode.used_mb == sum(b.size_mb for b in datanode.blocks.values())
+
+
+def test_copy_to_a_target_that_died_does_not_count(sim, fs):
+    """A copy whose target dies in flight yields no replica, so a call
+    meanwhile copies the block again, to a live DataNode; the dead
+    copy's entry clears when it lands."""
+    (block,) = fs.preload_file("f", 64.0)
+    fs.namenode.decommission_datanode(fs.namenode.replica_holders(block)[0].name)
+    fs.re_replicate(lambda: None)
+    sim.run(until=1.0)
+    (target,) = fs._copying[block.block_id]
+    fs.namenode.decommission_datanode(target.name)
+    assert fs.re_replicate(lambda: None) == 1
+    sim.run()
+    holders = fs.namenode.replica_holders(block)
+    assert len(holders) == 2 and target not in holders
+    assert not fs._copying
 
 
 # ----------------------------------------------------------------------

@@ -346,13 +346,6 @@ def test_link_order_under_a_partition_skips_blocked_flows(sim):
     assert [f.rate for f in fabric._flows][1:] == [1.0, 1.0]
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=RuntimeError,
-    reason="known defect (FOUND in CHANGES.md): an ETA below half an ulp of "
-    "the clock schedules the completion tick at the current instant, whose "
-    "zero-length advance moves nothing, so the tick repeats forever",
-)
 def test_flow_finishing_within_one_ulp_of_the_clock_completes(sim):
     """1.6e-9 MB left (above the fabric's 1e-9 MB epsilon) at 2000 MB/s
     is an 8e-13 s ETA; at t = 8275.847 s one ulp is 1.8e-12 s, so

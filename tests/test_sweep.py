@@ -172,6 +172,40 @@ def test_corrupt_cache_entry_is_quarantined_for_postmortem(tmp_path):
     assert cache.get(key) == {"result": {"x": 2}}
 
 
+def test_interrupted_sweep_resumes_from_the_cache(tmp_path, monkeypatch):
+    """A sweep that dies mid-study loses only the cell that raised: the
+    cells before it are cached, the rerun executes that cell alone, and
+    its canonical report is the uninterrupted sweep's."""
+    spec = cheap_spec(seeds=(1, 2, 3))
+    real_load = cell_registry.load
+    raised = []
+
+    def load(name):
+        run = real_load(name)
+
+        def cell(scale, seed, **params):
+            if seed == 3 and not raised:
+                raised.append(seed)
+                raise RuntimeError("interrupted")
+            return run(scale, seed, **params)
+
+        return cell
+
+    monkeypatch.setattr(cell_registry, "load", load)
+    cache = ResultCache(tmp_path / "c")
+    with pytest.raises(RuntimeError, match="interrupted"):
+        run_sweep(spec, jobs=1, cache=cache)
+    keys = [cell_key(c.config()) for c in spec.cells()]
+    assert [cache.get(key) is not None for key in keys] == [True, True, False]
+    resumed = run_sweep(spec, jobs=1, cache=cache)
+    assert [c["cache_hit"] for c in resumed["cells"]] == [True, True, False]
+    assert resumed["totals"]["executed"] == 1
+    fresh = run_sweep(spec, jobs=1, cache=ResultCache(tmp_path / "fresh"))
+    assert json.dumps(canonical_report(resumed), sort_keys=True) == json.dumps(
+        canonical_report(fresh), sort_keys=True
+    )
+
+
 def test_cell_key_salted_with_cache_version(monkeypatch):
     config = cheap_spec().cells()[0].config()
     key = cell_key(config)
@@ -413,8 +447,8 @@ def test_canonical_report_strips_execution_accidents(tmp_path):
     spec = cheap_spec(seeds=(1, 2))
     cache = ResultCache(tmp_path / "c")
     fresh = canonical_report(run_sweep(spec, jobs=1, cache=cache))
-    assert fresh["schema"] == "repro.sweep/canonical-1"
-    assert fresh["totals"] == {"cells": 2, "failed": 0}
+    assert fresh["schema"] == "repro.sweep/canonical-2"
+    assert fresh["totals"] == {"cells": 2}
     for cell in fresh["cells"]:
         assert "wall_s" not in cell and "cache_hit" not in cell
     for group in fresh["groups"]:
