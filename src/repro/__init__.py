@@ -11,7 +11,11 @@ contribution), :class:`repro.cluster.Cluster` (testbed shapes) and
 
 __version__ = "1.0.0"
 
-from repro.sim import Simulator
-from repro.cluster import Cluster
+from repro._lazy import lazy_exports
 
 __all__ = ["Simulator", "Cluster", "__version__"]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.sim.engine": ("Simulator",),
+    "repro.cluster.cluster": ("Cluster",),
+})

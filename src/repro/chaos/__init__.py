@@ -15,15 +15,7 @@ Three layers:
 See ``docs/chaos.md`` for the fault model and CLI usage.
 """
 
-from repro.chaos.faults import (
-    FAULT_KINDS,
-    FaultSchedule,
-    FaultSpec,
-    parse_faults,
-    poisson_schedule,
-)
-from repro.chaos.injector import ChaosInjector, FaultRecord
-from repro.chaos.report import ResilienceReport, build_report
+from repro._lazy import lazy_exports
 
 __all__ = [
     "FAULT_KINDS",
@@ -36,3 +28,12 @@ __all__ = [
     "ResilienceReport",
     "build_report",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.chaos.faults": (
+        "FAULT_KINDS", "FaultSpec", "FaultSchedule", "poisson_schedule",
+        "parse_faults",
+    ),
+    "repro.chaos.injector": ("ChaosInjector", "FaultRecord"),
+    "repro.chaos.report": ("ResilienceReport", "build_report"),
+})

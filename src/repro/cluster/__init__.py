@@ -7,10 +7,7 @@ a NIC registered with the cluster-wide :class:`~repro.sim.NetworkFabric`
 and a linear power model.
 """
 
-from repro.cluster.resources import Resources, DEFAULT_PM_SPEC
-from repro.cluster.power import PowerModel, EnergyMeter
-from repro.cluster.machine import PhysicalMachine, ExecutionContext, NativeContext
-from repro.cluster.cluster import Cluster
+from repro._lazy import lazy_exports
 
 __all__ = [
     "Resources",
@@ -22,3 +19,10 @@ __all__ = [
     "NativeContext",
     "Cluster",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.cluster.resources": ("Resources", "DEFAULT_PM_SPEC"),
+    "repro.cluster.power": ("PowerModel", "EnergyMeter"),
+    "repro.cluster.machine": ("PhysicalMachine", "ExecutionContext", "NativeContext"),
+    "repro.cluster.cluster": ("Cluster",),
+})

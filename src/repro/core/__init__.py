@@ -13,16 +13,7 @@
   :class:`~repro.core.scheduler.HybridMRScheduler` facade.
 """
 
-from repro.core.profiling import (
-    ProfileRecord,
-    ProfileDatabase,
-    JCTEstimate,
-    JobProfiler,
-)
-from repro.core.placement import PhaseOneScheduler, Placement
-from repro.core.drm import DynamicResourceManager, LocalResourceManager, TaskUsageSample
-from repro.core.ips import InterferencePreventionSystem, Arbiter
-from repro.core.scheduler import HybridMRScheduler, HybridMRConfig
+from repro._lazy import lazy_exports
 
 __all__ = [
     "ProfileRecord",
@@ -39,3 +30,15 @@ __all__ = [
     "HybridMRScheduler",
     "HybridMRConfig",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.core.profiling": (
+        "ProfileRecord", "ProfileDatabase", "JCTEstimate", "JobProfiler",
+    ),
+    "repro.core.placement": ("PhaseOneScheduler", "Placement"),
+    "repro.core.drm": (
+        "DynamicResourceManager", "LocalResourceManager", "TaskUsageSample",
+    ),
+    "repro.core.ips": ("InterferencePreventionSystem", "Arbiter"),
+    "repro.core.scheduler": ("HybridMRScheduler", "HybridMRConfig"),
+})

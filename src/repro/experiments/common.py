@@ -12,8 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
-from repro.cluster.cluster import Cluster
-from repro.mapreduce.cluster import MapReduceCluster
 from repro.mapreduce.job import Job, JobSpec
 from repro.sim.engine import Simulator
 from repro.workloads.specs import ALL_BENCHMARKS, PAPER_INPUT_GB, make_job
@@ -119,6 +117,8 @@ def build_virtual(
     sim: Simulator, pms: int, vms_per_pm: int
 ) -> tuple:
     """(cluster, contexts) for a virtual deployment."""
+    from repro.cluster.cluster import Cluster
+
     cluster = Cluster.virtual(sim, pms, vms_per_pm)
     return cluster, list(cluster.vms)
 
@@ -131,6 +131,7 @@ def build_density_cluster(sim: Simulator, pms: int, density: int) -> tuple:
     2x CPU-oversubscribed with 512 MB guests -- which is where the
     density overheads of Figure 1(a) come from.
     """
+    from repro.cluster.cluster import Cluster
     from repro.cluster.resources import Resources
 
     if density < 1:
@@ -153,6 +154,8 @@ def build_density_cluster(sim: Simulator, pms: int, density: int) -> tuple:
 
 
 def build_native(sim: Simulator, pms: int) -> tuple:
+    from repro.cluster.cluster import Cluster
+
     cluster = Cluster.native(sim, pms)
     return cluster, cluster.native_contexts()
 
@@ -184,6 +187,9 @@ def run_single_job(
     ``tracing`` records spans; the ``*_path`` arguments export them
     (and the metrics registry) after the run via repro.obs.export.
     """
+    from repro.cluster.cluster import Cluster
+    from repro.mapreduce.cluster import MapReduceCluster
+
     sim = Simulator(seed=seed)
     storage = None
     if kind == "native":

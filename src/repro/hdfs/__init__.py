@@ -8,11 +8,7 @@ writes, locality-preferring reads, and the TestDFSIO benchmark used for
 Figure 1(c).
 """
 
-from repro.hdfs.block import Block, BlockReplica
-from repro.hdfs.namenode import NameNode
-from repro.hdfs.datanode import DataNode
-from repro.hdfs.filesystem import HDFS
-from repro.hdfs.testdfsio import TestDFSIO, DFSIOResult
+from repro._lazy import lazy_exports
 
 __all__ = [
     "Block",
@@ -23,3 +19,11 @@ __all__ = [
     "TestDFSIO",
     "DFSIOResult",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.hdfs.block": ("Block", "BlockReplica"),
+    "repro.hdfs.namenode": ("NameNode",),
+    "repro.hdfs.datanode": ("DataNode",),
+    "repro.hdfs.filesystem": ("HDFS",),
+    "repro.hdfs.testdfsio": ("TestDFSIO", "DFSIOResult"),
+})

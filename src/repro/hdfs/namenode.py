@@ -261,7 +261,9 @@ class NameNode:
 
         The pick is :meth:`choose_targets`' for one replica, except that
         ``busy`` -- the live targets of the block's copies in flight --
-        are excluded beside its holders.
+        are excluded beside its holders.  Like ``choose_targets(...,
+        reserve=True)`` it reserves the block's bytes on the target, which
+        the copy's write releases when it lands.
         """
         excluded = {d.rank: d for d in self.replica_holders(block)}
         for datanode in busy:
@@ -270,7 +272,9 @@ class NameNode:
             raise RuntimeError(
                 f"no DataNode left for a copy of block {block.block_id}"
             )
-        return self._least_committed(excluded)
+        target = self._least_committed(excluded)
+        target.reserve(block.size_mb)
+        return target
 
     def under_replicated(self, replication: int) -> List[Block]:
         """Blocks currently holding fewer than ``replication`` copies."""

@@ -9,22 +9,7 @@ service's VMs actually obtain -- so collocated batch VMs degrade
 latency exactly the way Figures 8(d) and 9(a) show.
 """
 
-from repro.interactive.service import (
-    InteractiveService,
-    ServiceProfile,
-    RUBIS,
-    TPCW,
-    OLIO,
-    solve_closed_loop_latency,
-)
-from repro.interactive.loadgen import (
-    LoadProfile,
-    ConstantLoad,
-    StepLoad,
-    SinusoidLoad,
-    BurstyLoad,
-)
-from repro.interactive.sla import SLAMonitor
+from repro._lazy import lazy_exports
 
 __all__ = [
     "InteractiveService",
@@ -40,3 +25,14 @@ __all__ = [
     "BurstyLoad",
     "SLAMonitor",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.interactive.service": (
+        "InteractiveService", "ServiceProfile", "RUBIS", "TPCW", "OLIO",
+        "solve_closed_loop_latency",
+    ),
+    "repro.interactive.loadgen": (
+        "LoadProfile", "ConstantLoad", "StepLoad", "SinusoidLoad", "BurstyLoad",
+    ),
+    "repro.interactive.sla": ("SLAMonitor",),
+})

@@ -7,8 +7,7 @@ fits in Figures 6(b) and 6(c).  ``fig06`` fits them to its measured
 curves; Phase I fits its profile lines with :func:`fit_line`.
 """
 
-from repro.interference.models import LinearModel, ExponentialModel
-from repro.interference.regression import fit_line, r_squared
+from repro._lazy import lazy_exports
 
 __all__ = [
     "LinearModel",
@@ -16,3 +15,8 @@ __all__ = [
     "fit_line",
     "r_squared",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.interference.models": ("LinearModel", "ExponentialModel"),
+    "repro.interference.regression": ("fit_line", "r_squared"),
+})

@@ -8,22 +8,7 @@ speculative execution, FIFO and Fair job schedulers, and the
 combined-vs-split deployment architectures of Figure 3.
 """
 
-from repro.mapreduce.job import BenchmarkProfile, JobSpec, Job, JobState
-from repro.mapreduce.task import Task, TaskAttempt, TaskKind
-from repro.mapreduce.tracker import TaskTracker
-from repro.mapreduce.schedulers import (
-    CapacityScheduler,
-    FIFOScheduler,
-    FairScheduler,
-    SlotScheduler,
-)
-from repro.mapreduce.jobtracker import JobTracker
-from repro.mapreduce.cluster import MapReduceCluster
-from repro.mapreduce.iterative import (
-    IterativeJobRunner,
-    IterativeRunResult,
-    in_memory_engine,
-)
+from repro._lazy import lazy_exports
 
 __all__ = [
     "BenchmarkProfile",
@@ -44,3 +29,17 @@ __all__ = [
     "IterativeRunResult",
     "in_memory_engine",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.mapreduce.job": ("BenchmarkProfile", "JobSpec", "Job", "JobState"),
+    "repro.mapreduce.task": ("Task", "TaskAttempt", "TaskKind"),
+    "repro.mapreduce.tracker": ("TaskTracker",),
+    "repro.mapreduce.schedulers": (
+        "CapacityScheduler", "FIFOScheduler", "FairScheduler", "SlotScheduler",
+    ),
+    "repro.mapreduce.jobtracker": ("JobTracker",),
+    "repro.mapreduce.cluster": ("MapReduceCluster",),
+    "repro.mapreduce.iterative": (
+        "IterativeJobRunner", "IterativeRunResult", "in_memory_engine",
+    ),
+})

@@ -346,11 +346,11 @@ class JobTracker:
 
         The round sums PM loads over the busy trackers only, then keeps
         them up to date as it launches: within a round a load only grows
-        and runnable lists only shrink (launched tasks are filtered out
-        on the next hit via the cheap ``scheduled`` counter check).
-        Tasks that reopen mid-round are picked up by the next round --
-        every such transition calls request_dispatch(), so the drift
-        window is one dispatch delay.
+        and runnable lists only shrink (each launch removes its task from
+        its list, and within a round no other code schedules a listed
+        task).  Tasks that reopen mid-round are picked up by the next
+        round -- every such transition calls request_dispatch(), so the
+        drift window is one dispatch delay.
         """
         self._dispatch_pending = False
         self._policy_skipped = False
@@ -450,9 +450,6 @@ class JobTracker:
             if tasks is None:
                 tasks = self._runnable_tasks(job, kind)
                 runnable[cache_key] = tasks
-            elif tasks and any(t.scheduled for t in tasks):
-                # launched (or synchronously completed) since cached
-                tasks[:] = [t for t in tasks if not t.scheduled]
             if not tasks:
                 continue
             task = scheduler.pick_task(job, tasks, tracker, kind, view)
@@ -462,6 +459,7 @@ class JobTracker:
                 self._policy_skipped = True
                 continue
             self._launch(task, tracker)
+            tasks.remove(task)
             pm_key = id(tracker.context.pm)
             state.load_by_pm[pm_key] = state.load_by_pm.get(pm_key, 0) + 1
             return True

@@ -1,8 +1,6 @@
 """Metrics: utilization sampling, energy accounting, report tables."""
 
-from repro.metrics.collector import UtilizationCollector
-from repro.metrics.energy import EnergyReport, perf_per_energy
-from repro.metrics.report import format_table, format_series, sla_latency_summary
+from repro._lazy import lazy_exports
 
 __all__ = [
     "UtilizationCollector",
@@ -12,3 +10,9 @@ __all__ = [
     "format_series",
     "sla_latency_summary",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.metrics.collector": ("UtilizationCollector",),
+    "repro.metrics.energy": ("EnergyReport", "perf_per_energy"),
+    "repro.metrics.report": ("format_table", "format_series", "sla_latency_summary"),
+})

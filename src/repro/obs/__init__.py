@@ -35,10 +35,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Union
 
-from repro.obs.capture import MetricsCapture, SimCapture, active_sim_capture
-from repro.obs.live import JsonlFrameSink, LiveSampler, MemorySink
+from repro._lazy import lazy_exports
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
-from repro.obs.prof import Profiler
 from repro.obs.tracer import NULL_SPAN, NULL_TRACER, NullTracer, Span, Tracer
 
 TracerLike = Union[Tracer, NullTracer]
@@ -122,3 +120,11 @@ __all__ = [
     "MemorySink",
     "Profiler",
 ]
+
+# the engine needs only the names above; captures, the live sampler and
+# the profiler load when a run asks for them
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.obs.capture": ("MetricsCapture", "SimCapture", "active_sim_capture"),
+    "repro.obs.live": ("LiveSampler", "JsonlFrameSink", "MemorySink"),
+    "repro.obs.prof": ("Profiler",),
+})

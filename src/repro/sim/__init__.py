@@ -12,10 +12,7 @@ HybridMR reproduction is built on:
   the metrics and experiment layers.
 """
 
-from repro.sim.engine import Event, Simulator
-from repro.sim.pool import ResourcePool, PoolEntry
-from repro.sim.network import NetworkFabric, Flow
-from repro.sim.trace import Trace, TraceSet
+from repro._lazy import lazy_exports
 
 __all__ = [
     "Event",
@@ -27,3 +24,10 @@ __all__ = [
     "Trace",
     "TraceSet",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.sim.engine": ("Event", "Simulator"),
+    "repro.sim.pool": ("ResourcePool", "PoolEntry"),
+    "repro.sim.network": ("NetworkFabric", "Flow"),
+    "repro.sim.trace": ("Trace", "TraceSet"),
+})

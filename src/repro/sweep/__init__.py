@@ -14,18 +14,7 @@ figure, scale, seed, params).  The same cell run inline, in a worker
 process, or served from cache yields a byte-identical result document.
 """
 
-from repro.sweep.aggregate import (
-    aggregate_cells,
-    canonical_report,
-    flatten,
-    format_report,
-    summarize,
-    write_canonical_json,
-)
-from repro.sweep.cache import DEFAULT_CACHE_DIR, ResultCache, cell_key
-from repro.sweep.cells import cell_names
-from repro.sweep.runner import execute_cell, run_sweep
-from repro.sweep.spec import CellSpec, SweepSpec
+from repro._lazy import lazy_exports
 
 __all__ = [
     "SweepSpec",
@@ -43,3 +32,14 @@ __all__ = [
     "summarize",
     "format_report",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.sweep.spec": ("SweepSpec", "CellSpec"),
+    "repro.sweep.cache": ("ResultCache", "DEFAULT_CACHE_DIR", "cell_key"),
+    "repro.sweep.cells": ("cell_names",),
+    "repro.sweep.runner": ("execute_cell", "run_sweep"),
+    "repro.sweep.aggregate": (
+        "aggregate_cells", "canonical_report", "write_canonical_json",
+        "flatten", "summarize", "format_report",
+    ),
+})

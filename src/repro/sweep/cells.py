@@ -2,8 +2,10 @@
 
 Every experiment module exposes a pure ``run(scale, seed, **params) ->
 dict`` function; this registry maps stable cell names to those modules.
-Cells are resolved lazily by module path so importing :mod:`repro.sweep`
-stays cheap and worker processes only import the figures they execute.
+Cells are resolved lazily by module path, so importing this registry
+(or :mod:`repro.sweep`, whose exports load on first read) imports no
+experiment, runner or process pool, and worker processes only import
+the figures they execute.
 
 A cell function must be deterministic in ``(scale, seed, params)`` and
 return a JSON-able dict -- the runner content-addresses its config and

@@ -81,6 +81,11 @@ def run_sweep(
     ``use_cache=False`` forces re-execution of every cell but still
     *writes* fresh entries when a cache is configured, so a ``--no-cache``
     run repairs a stale cache instead of bypassing it forever.
+
+    A cell that raises ends the sweep with its exception: inline at once,
+    in worker processes once every other cell has finished.  Every cell
+    that completed before then is cached, so a rerun executes only the
+    rest.
     """
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
@@ -106,16 +111,30 @@ def run_sweep(
             progress(f"{cell.label()}  {doc['wall_s']:.1f}s")
 
     if jobs > 1 and len(pending) > 1:
+        failure: Optional[BaseException] = None
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             futures = {
                 pool.submit(execute_cell, cell.config()): (index, cell, key)
                 for index, cell, key in pending
             }
             # progress streams in completion order; ``records`` is filled
-            # by spec index, so the report stays in spec order
+            # by spec index, so the report stays in spec order.  A cell
+            # that raises does not stop the others: every cell that
+            # completes reaches the cache, and the first failure is
+            # raised once the pool has drained.
             for future in as_completed(futures):
                 index, cell, key = futures[future]
-                finish(index, cell, key, future.result())
+                try:
+                    doc = future.result()
+                except Exception as exc:
+                    if failure is None:
+                        failure = exc
+                    if progress is not None:
+                        progress(f"{cell.label()}  failed: {exc!r}")
+                    continue
+                finish(index, cell, key, doc)
+        if failure is not None:
+            raise failure
     else:
         for index, cell, key in pending:
             finish(index, cell, key, execute_cell(cell.config()))

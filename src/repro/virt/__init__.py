@@ -19,9 +19,7 @@ The DRM and IPS call them directly and log each decision on
 ``sim.obs``.
 """
 
-from repro.virt.overheads import OverheadModel, DEFAULT_OVERHEADS
-from repro.virt.vm import VirtualMachine, Dom0Context
-from repro.virt.migration import LiveMigration, MigrationRecord
+from repro._lazy import lazy_exports
 
 __all__ = [
     "OverheadModel",
@@ -31,3 +29,9 @@ __all__ = [
     "LiveMigration",
     "MigrationRecord",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.virt.overheads": ("OverheadModel", "DEFAULT_OVERHEADS"),
+    "repro.virt.vm": ("VirtualMachine", "Dom0Context"),
+    "repro.virt.migration": ("LiveMigration", "MigrationRecord"),
+})

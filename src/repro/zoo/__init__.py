@@ -9,21 +9,7 @@ a string-keyed registry that builds any scheduler from a spec
 workload cells and explains the wins with critical-path blame.
 """
 
-from repro.zoo.registry import (
-    create_policy,
-    parse_policy_spec,
-    policy_names,
-    register_policy,
-)
-from repro.zoo.study import (
-    STUDY_SCHEMA,
-    WORKLOADS,
-    format_study,
-    run_study,
-    study_canonical_json,
-    workload_names,
-    write_study_json,
-)
+from repro._lazy import lazy_exports
 
 __all__ = [
     "create_policy",
@@ -38,3 +24,13 @@ __all__ = [
     "workload_names",
     "write_study_json",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.zoo.registry": (
+        "create_policy", "parse_policy_spec", "policy_names", "register_policy",
+    ),
+    "repro.zoo.study": (
+        "STUDY_SCHEMA", "WORKLOADS", "format_study", "run_study",
+        "study_canonical_json", "workload_names", "write_study_json",
+    ),
+})

@@ -195,6 +195,30 @@ def test_copy_to_a_target_that_died_does_not_count(sim, fs):
     assert not fs._copying
 
 
+def test_copy_reserves_its_bytes_beside_a_pipeline_write(sim, fs):
+    """A copy reserves its block on the target, as a pipeline write
+    does, so its landing releases only its own bytes: a pipeline write
+    still in flight on the same DataNode keeps its reservation until it
+    lands."""
+    (block,) = fs.preload_file("f", 64.0)
+    fs.namenode.decommission_datanode(fs.namenode.replica_holders(block)[0].name)
+    seen = []
+    fs.re_replicate(lambda: seen.append(("copy", target.pending_mb)))
+    (target,) = fs._copying[block.block_id]
+    assert target.pending_mb == 64.0
+    # the copy is writing on the target by now; a writer there starts a
+    # one-replica pipeline write, which lands after the copy
+    sim.run(until=1.5)
+    fs.create_file(
+        "out", 64.0, target.context,
+        lambda: seen.append(("write", target.pending_mb)), replication=1,
+    )
+    assert target.pending_mb == 128.0
+    sim.run()
+    assert seen == [("copy", 64.0), ("write", 0.0)]
+    assert target.used_mb == 128.0
+
+
 # ----------------------------------------------------------------------
 # TestDFSIO
 # ----------------------------------------------------------------------

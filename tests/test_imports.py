@@ -1,4 +1,10 @@
-"""The package is pure Python: importing every module pulls in no numpy."""
+"""The import contract, each check in a fresh interpreter.
+
+The package is pure Python: importing every module pulls in no numpy.
+A package ``__init__`` names its exports and loads each one's defining
+submodule on first read (``repro._lazy``), so a run imports only the
+layers it uses.
+"""
 
 import os
 import subprocess
@@ -6,6 +12,8 @@ import sys
 from pathlib import Path
 
 import repro
+
+SRC = str(Path(repro.__file__).resolve().parents[1])
 
 _PROBE = """
 import importlib, pkgutil, sys
@@ -16,16 +24,99 @@ for name in names:
 print(len(names), "numpy" in sys.modules)
 """
 
+#: what a cell that touches no cluster must not load
+_CLUSTER_FREE = (
+    "repro.cluster",
+    "repro.hdfs",
+    "repro.mapreduce.jobtracker",
+    "repro.sweep.runner",
+    "repro.obs.live",
+    "repro.obs.prof",
+    "concurrent.futures",
+    "multiprocessing",
+)
+
+_LOADED = """
+import importlib, sys
+for name in sys.argv[1:]:
+    importlib.import_module(name)
+print(" ".join(sorted(sys.modules)))
+"""
+
+_EXPORTS = """
+import importlib, pkgutil, sys
+import repro
+packages = ["repro"] + [
+    m.name for m in pkgutil.walk_packages(repro.__path__, "repro.") if m.ispkg
+]
+problems = []
+for name in packages:
+    package = importlib.import_module(name)
+    bound = set(vars(package))
+    stray = set(dir(package)) - bound - set(package.__all__)
+    if stray:
+        problems.append(f"{name}: lazy names outside __all__: {sorted(stray)}")
+    for export in package.__all__:
+        try:
+            value = getattr(package, export)
+        except Exception as exc:
+            problems.append(f"{name}.{export}: {type(exc).__name__}: {exc}")
+            continue
+        if export in bound:
+            continue  # bound by the __init__ itself
+        holders = [
+            module for module_name, module in list(sys.modules.items())
+            if module_name.startswith(name + ".")
+            and vars(module).get(export) is value
+        ]
+        if not holders:
+            problems.append(f"{name}.{export}: no submodule holds {value!r}")
+print(len(packages))
+print("\\n".join(problems))
+"""
+
+
+def _python(*args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *args], env=env,
+        capture_output=True, text=True, timeout=120, check=True,
+    )
+
 
 def test_every_module_imports_without_numpy():
     # a fresh interpreter: this one may have numpy loaded by test tooling
-    src = str(Path(repro.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    out = subprocess.run(
-        [sys.executable, "-c", _PROBE], env=env,
-        capture_output=True, text=True, timeout=120, check=True,
-    )
-    count, numpy_loaded = out.stdout.split()
+    count, numpy_loaded = _python("-c", _PROBE).stdout.split()
     assert int(count) > 50
     assert numpy_loaded == "False"
+
+
+def test_fabric_cell_imports_no_cluster_layer():
+    loaded = set(
+        _python(
+            "-c", _LOADED, "repro.sweep.cells", "repro.experiments.fabric_micro"
+        ).stdout.split()
+    )
+    assert "repro.sim.network" in loaded
+    assert sorted(loaded.intersection(_CLUSTER_FREE)) == []
+
+
+def test_cli_help_imports_no_cluster_layer():
+    # -X importtime lists every module the command imports, on stderr
+    out = _python("-X", "importtime", "-m", "repro", "--help")
+    assert "sweep" in out.stdout
+    loaded = {
+        line.rsplit("|", 1)[1].strip()
+        for line in out.stderr.splitlines()
+        if line.startswith("import time:")
+    }
+    assert "repro.cli" in loaded
+    unwanted = {"repro.cluster", "repro.mapreduce.jobtracker", "concurrent.futures"}
+    assert sorted(loaded & unwanted) == []
+
+
+def test_every_export_resolves_to_its_defining_submodule():
+    count, *problems = _python("-c", _EXPORTS).stdout.splitlines()
+    assert int(count) >= 15
+    assert [p for p in problems if p] == []

@@ -6,6 +6,7 @@ code paths.
 """
 
 import json
+import multiprocessing
 
 import pytest
 
@@ -204,6 +205,47 @@ def test_interrupted_sweep_resumes_from_the_cache(tmp_path, monkeypatch):
     assert json.dumps(canonical_report(resumed), sort_keys=True) == json.dumps(
         canonical_report(fresh), sort_keys=True
     )
+
+
+@pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="the patched cell reaches the workers only through fork",
+)
+def test_parallel_sweep_keeps_the_cells_that_finish_after_a_failure(
+    tmp_path, monkeypatch
+):
+    """At ``jobs=2`` a cell that raises loses only itself: the pool
+    drains, every other cell reaches the cache, the failure is reported
+    and raised afterwards, and a rerun executes the failed cell alone."""
+    spec = cheap_spec(seeds=tuple(range(1, 9)))
+    real_load = cell_registry.load
+
+    def load(name):
+        run = real_load(name)
+
+        def cell(scale, seed, **params):
+            if seed == 1:
+                raise RuntimeError("cell failed")
+            return run(scale, seed, **params)
+
+        return cell
+
+    # the workers are forked after the patch, so they run the faulty cell
+    monkeypatch.setattr(cell_registry, "load", load)
+    cache = ResultCache(tmp_path / "c")
+    lines = []
+    with pytest.raises(RuntimeError, match="cell failed"):
+        run_sweep(spec, jobs=2, cache=cache, progress=lines.append)
+    keys = [cell_key(c.config()) for c in spec.cells()]
+    assert [cache.get(key) is not None for key in keys] == [False] + [True] * 7
+    assert len(lines) == 8
+    assert [line for line in lines if "failed" in line] == [
+        f"{spec.cells()[0].label()}  failed: RuntimeError('cell failed')"
+    ]
+    monkeypatch.setattr(cell_registry, "load", real_load)
+    resumed = run_sweep(spec, jobs=2, cache=cache)
+    assert [c["cache_hit"] for c in resumed["cells"]] == [False] + [True] * 7
+    assert resumed["totals"]["executed"] == 1
 
 
 def test_cell_key_salted_with_cache_version(monkeypatch):
