@@ -15,12 +15,12 @@ from repro.experiments.common import Scale
 from repro.experiments.fig11_tradeoff import best_and_worst, fig11
 
 BUDGET_PMS = 8
-SCALE = Scale("planning", pms=BUDGET_PMS, vms_per_pm=2, input_fraction=0.12)
 
 
-def main() -> None:
-    print(f"sweeping hybrid splits of a {BUDGET_PMS}-server budget...\n")
-    results = fig11(SCALE, total_pms=BUDGET_PMS, horizon_s=700.0)
+def main(budget_pms: int = BUDGET_PMS) -> None:
+    scale = Scale("planning", pms=budget_pms, vms_per_pm=2, input_fraction=0.12)
+    print(f"sweeping hybrid splits of a {budget_pms}-server budget...\n")
+    results = fig11(scale, total_pms=budget_pms, horizon_s=700.0)
 
     header = (
         f"{'config':>7s} {'native':>7s} {'VMs':>4s} {'servers':>8s} "

@@ -509,7 +509,6 @@ def cmd_bench(args) -> int:
 
     from repro.obs.bench import (
         DEFAULT_CELLS,
-        archive_report,
         compare_reports,
         consistency_failures,
         format_bench,
@@ -517,7 +516,7 @@ def cmd_bench(args) -> int:
         run_bench,
         write_bench_json,
     )
-    from repro.obs.prof import format_profile, write_collapsed, write_speedscope
+    from repro.obs.prof import format_profile, write_collapsed
 
     # read the baseline before anything is written: --out may name it
     baseline = None
@@ -541,14 +540,7 @@ def cmd_bench(args) -> int:
     if args.flame:
         lines = write_collapsed(args.flame, report)
         print(f"wrote {args.flame} ({lines} stacks; feed to flamegraph.pl "
-              f"or inferno)")
-    if args.speedscope:
-        samples = write_speedscope(args.speedscope, report)
-        print(f"wrote {args.speedscope} ({samples} samples; open at "
-              f"https://speedscope.app)")
-    if args.trajectory_dir and args.trajectory_dir != "none":
-        archived = archive_report(report, args.trajectory_dir)
-        print(f"archived {archived}")
+              f"or inferno, or open at https://speedscope.app)")
     if baseline is None:
         failures, notes = consistency_failures(report), []
     else:
@@ -831,19 +823,13 @@ def build_parser() -> argparse.ArgumentParser:
                        help="baseline repro.bench report to gate against")
     bench.add_argument("--tolerance", type=float, default=0.2,
                        help="allowed fractional events/sec regression")
-    bench.add_argument("--trajectory-dir", default="BENCH_trajectory",
-                       metavar="DIR",
-                       help="perf-history directory each run is archived "
-                       "to ('none' to skip)")
     bench.add_argument("--trace-malloc", action="store_true",
                        help="sample tracemalloc memory into phase buckets "
                        "(slows the profiler pass, never its result)")
     bench.add_argument("--flame", default="", metavar="PATH",
                        help="write a collapsed-stack flamegraph file, "
-                       "stacks rooted at the cell name")
-    bench.add_argument("--speedscope", default="", metavar="PATH",
-                       help="write a speedscope JSON file, one profile "
-                       "per cell")
+                       "stacks rooted at the cell name (speedscope "
+                       "opens it too)")
     bench.set_defaults(func=cmd_bench)
 
     live = sub.add_parser(

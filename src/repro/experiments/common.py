@@ -173,10 +173,6 @@ def run_single_job(
     split_storage: bool = False,
     dom0: bool = False,
     density_scaled: bool = False,
-    tracing: bool = False,
-    trace_path: Optional[str] = None,
-    events_path: Optional[str] = None,
-    metrics_path: Optional[str] = None,
 ) -> Job:
     """Run one benchmark on a fresh cluster; returns the finished job.
 
@@ -184,8 +180,6 @@ def run_single_job(
     privileged domain of otherwise-virtualized hosts (Figure 2(c)).
     ``split_storage`` deploys the split architecture: on each PM, the
     first VM computes and the second stores (Figure 2(d)).
-    ``tracing`` records spans; the ``*_path`` arguments export them
-    (and the metrics registry) after the run via repro.obs.export.
     """
     from repro.cluster.cluster import Cluster
     from repro.mapreduce.cluster import MapReduceCluster
@@ -228,8 +222,6 @@ def run_single_job(
             cluster, contexts = build_virtual(sim, pms, vms_per_pm)
     else:
         raise ValueError(f"unknown kind {kind!r}")
-    if tracing or trace_path or events_path or metrics_path:
-        sim.obs.enable_tracing()
     mr = MapReduceCluster(
         sim,
         cluster.fabric,
@@ -240,9 +232,7 @@ def run_single_job(
     )
     reducers = num_reducers if num_reducers is not None else pms
     spec = make_job(benchmark, input_gb=input_gb, num_reducers=reducers)
-    job = mr.run_job(spec)
-    write_run_artifacts(sim, trace_path, events_path, metrics_path)
-    return job
+    return mr.run_job(spec)
 
 
 def pct_increase(value: float, baseline: float) -> float:

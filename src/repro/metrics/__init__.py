@@ -8,11 +8,10 @@ __all__ = [
     "perf_per_energy",
     "format_table",
     "format_series",
-    "sla_latency_summary",
 ]
 
 __getattr__, __dir__ = lazy_exports(__name__, {
     "repro.metrics.collector": ("UtilizationCollector",),
     "repro.metrics.energy": ("EnergyReport", "perf_per_energy"),
-    "repro.metrics.report": ("format_table", "format_series", "sla_latency_summary"),
+    "repro.metrics.report": ("format_table", "format_series"),
 })

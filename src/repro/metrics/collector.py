@@ -2,50 +2,40 @@
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
-from repro.cluster.cluster import Cluster
-from repro.sim.engine import Simulator
 from repro.sim.trace import TraceSet
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.cluster.cluster import Cluster
+    from repro.cluster.machine import PhysicalMachine
+    from repro.sim.engine import Simulator
+
+
+def mem_utilization(pm: "PhysicalMachine") -> float:
+    """Share of ``pm``'s memory its native context and guests use (at most 1)."""
+    used = pm.native.mem_used_mb + sum(vm.mem_used_mb for vm in pm.vms)
+    return min(1.0, used / pm.spec.mem_mb) if pm.spec.mem_mb else 0.0
 
 
 class UtilizationCollector:
     """Samples CPU / memory / disk utilization of every PM on a cadence.
 
-    Traces are keyed ``cpu``, ``mem``, ``io`` (cluster means) plus
-    ``cpu:<pm>`` etc. per machine.
+    Traces are keyed ``cpu``, ``mem`` and ``io`` (cluster means).
     """
 
     def __init__(
         self,
-        sim: Simulator,
-        cluster: Cluster,
+        sim: "Simulator",
+        cluster: "Cluster",
         interval_s: float = 60.0,
-        per_machine: bool = False,
-        registry=None,
-        prefix: str = "",
     ) -> None:
-        """``registry``: an optional :class:`repro.obs.MetricsRegistry`;
-        when given, the collector's series are *also* published into its
-        shared trace set under ``prefix`` + key.
-
-        The collector always records into its own private
-        :class:`TraceSet` (``self.traces``, unprefixed keys), and the
-        registry adopts those same trace objects.  Two collectors
-        publishing into one registry must use distinct prefixes --
-        colliding names raise instead of interleaving samples, so two
-        sweep cells sharing a process cannot cross-contaminate a common
-        registry.
-        """
         if interval_s <= 0:
             raise ValueError("interval must be positive")
         self.sim = sim
         self.cluster = cluster
         self.interval_s = interval_s
-        self.per_machine = per_machine
-        self.prefix = prefix
         self.traces = TraceSet()
-        self._registry = registry
         self._cancel: Optional[Callable[[], None]] = None
         self._last_sample_t: Optional[float] = None
 
@@ -63,16 +53,6 @@ class UtilizationCollector:
             # between cadence ticks is not silently dropped
             self._sample()
 
-    def _record(self, key: str, now: float, value: float) -> None:
-        trace = self.traces.get(key)
-        if self._registry is not None:
-            self._registry.traces.adopt(self.prefix + key, trace)
-        trace.record(now, value)
-
-    def _mem_utilization(self, pm) -> float:
-        used = pm.native.mem_used_mb + sum(vm.mem_used_mb for vm in pm.vms)
-        return min(1.0, used / pm.spec.mem_mb) if pm.spec.mem_mb else 0.0
-
     def _sample(self) -> None:
         now = self.sim.now
         pms = self.cluster.pms
@@ -83,15 +63,10 @@ class UtilizationCollector:
         self._last_sample_t = now
         cpu = sum(pm.cpu_pool.utilization for pm in pms) / len(pms)
         io = sum(pm.disk_pool.utilization for pm in pms) / len(pms)
-        mem = sum(self._mem_utilization(pm) for pm in pms) / len(pms)
-        self._record("cpu", now, cpu)
-        self._record("io", now, io)
-        self._record("mem", now, mem)
-        if self.per_machine:
-            for pm in pms:
-                self._record(f"cpu:{pm.name}", now, pm.cpu_pool.utilization)
-                self._record(f"io:{pm.name}", now, pm.disk_pool.utilization)
-                self._record(f"mem:{pm.name}", now, self._mem_utilization(pm))
+        mem = sum(mem_utilization(pm) for pm in pms) / len(pms)
+        self.traces.record("cpu", now, cpu)
+        self.traces.record("io", now, io)
+        self.traces.record("mem", now, mem)
 
     def mean(self, key: str) -> float:
         if key not in self.traces:

@@ -6,7 +6,7 @@ plots; these helpers keep that output consistent and diff-able.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Union
+from typing import Dict, Sequence, Union
 
 Number = Union[int, float]
 
@@ -43,47 +43,3 @@ def format_series(name: str, points: Dict[object, Number]) -> str:
         for k, v in points.items()
     )
     return f"{name}: {body}"
-
-
-def sla_latency_summary(
-    services: Sequence[object],
-    window_s: Union[float, None] = None,
-    now: Union[float, None] = None,
-) -> str:
-    """Latency table (count, mean / p50 / p95 / p99 ms, SLA, %violated)
-    for :class:`~repro.interactive.service.InteractiveService` objects.
-
-    Tail percentiles are the numbers SLAs are written against; means
-    hide exactly the excursions the IPS exists to prevent.  With
-    ``window_s`` the statistics cover only the probe epochs inside
-    ``[now - window_s, now]``.  A service (or window) with no completed
-    requests reports ``count`` 0 and all-zero, NaN-free statistics --
-    the ``count`` column is what distinguishes "no data" from a genuine
-    0 ms latency.
-    """
-    rows = []
-    for svc in services:
-        stats = svc.latency_summary(window_s=window_s, now=now)
-        violated_pct = (
-            100.0 * stats["violations"] / stats["count"] if stats["count"] else 0.0
-        )
-        rows.append(
-            [
-                svc.name,
-                stats["count"],
-                stats["mean_ms"],
-                stats["p50_ms"],
-                stats["p95_ms"],
-                stats["p99_ms"],
-                svc.sla_ms,
-                violated_pct,
-            ]
-        )
-    return format_table(
-        [
-            "service", "count", "mean_ms", "p50_ms", "p95_ms", "p99_ms",
-            "sla_ms", "viol_%",
-        ],
-        rows,
-        title="interactive service latency",
-    )

@@ -367,43 +367,6 @@ def format_compare_table(baseline: dict, current: dict) -> str:
     )
 
 
-def archive_report(report: dict, directory: str) -> str:
-    """Append ``report`` to a ``BENCH_trajectory/`` perf-history dir.
-
-    Writes ``bench-<utc>-<digest8>.json`` plus one line in
-    ``index.jsonl`` (timestamp, file, per-cell events/sec), so the
-    events/sec history across PRs is one ``jq`` away.  Returns the
-    archived file's path.
-    """
-    import os
-
-    os.makedirs(directory, exist_ok=True)
-    stamp = time.strftime("%Y%m%dT%H%M%SZ", time.gmtime())
-    digest = hashlib.sha256(
-        json.dumps(report, sort_keys=True).encode("utf-8")
-    ).hexdigest()[:8]
-    path = os.path.join(directory, f"bench-{stamp}-{digest}.json")
-    write_bench_json(path, report)
-    index_line = {
-        "ts": stamp,
-        "file": os.path.basename(path),
-        "repro_version": report.get("repro_version"),
-        "scale": report.get("scale"),
-        "seed": report.get("seed"),
-        "total_events_per_s": round(
-            report.get("totals", {}).get("events_per_s", 0.0), 1
-        ),
-        "events_per_s": {
-            name: round(cell["events_per_s"], 1)
-            for name, cell in sorted(report.get("cells", {}).items())
-        },
-    }
-    with open(os.path.join(directory, "index.jsonl"), "a",
-              encoding="utf-8") as fh:
-        fh.write(json.dumps(index_line, sort_keys=True) + "\n")
-    return path
-
-
 # ----------------------------------------------------------------------
 # rendering
 # ----------------------------------------------------------------------

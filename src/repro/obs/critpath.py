@@ -552,7 +552,11 @@ def format_blame(report: dict) -> str:
     return "\n\n".join(sections)
 
 
-def chrome_blame_events(report: dict, tid: int = 99) -> List[dict]:
+#: the Chrome trace thread id of the ``critpath`` row
+CRITPATH_TID = 99
+
+
+def chrome_blame_events(report: dict) -> List[dict]:
     """Chrome trace-event dicts rendering each job's critical path.
 
     Appended to a Chrome trace document's ``traceEvents`` these add a
@@ -565,7 +569,7 @@ def chrome_blame_events(report: dict, tid: int = 99) -> List[dict]:
             "name": "thread_name",
             "ph": "M",
             "pid": 1,
-            "tid": tid,
+            "tid": CRITPATH_TID,
             "args": {"name": "critpath"},
         }
     ]
@@ -579,7 +583,7 @@ def chrome_blame_events(report: dict, tid: int = 99) -> List[dict]:
                     "ts": segment["start"] * 1e6,
                     "dur": (segment["end"] - segment["start"]) * 1e6,
                     "pid": 1,
-                    "tid": tid,
+                    "tid": CRITPATH_TID,
                     "args": {
                         "job": job["job"],
                         "label": segment["label"],

@@ -14,13 +14,14 @@ Times are seconds of *virtual* clock.  :func:`chrome_trace` converts to
 the Chrome trace-event format (microsecond timestamps, ``X``/``i``/``C``
 phases) loadable in ``chrome://tracing`` or https://ui.perfetto.dev;
 :func:`write_jsonl` / :func:`read_jsonl` give a lossless structured log
-that round-trips through JSON lines.
+that round-trips through JSON lines.  :func:`read_jsonl_from` holds the
+one rule every reader of an event or frame file follows.
 """
 
 from __future__ import annotations
 
 import json
-from typing import TYPE_CHECKING, Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.obs import Observability
@@ -187,22 +188,45 @@ def write_jsonl(path: str, obs: "Observability") -> int:
     return len(events)
 
 
-def read_jsonl(path: str) -> List[dict]:
-    """Load a JSONL event log written by :func:`write_jsonl`."""
+def read_jsonl_from(path: str, offset: int = 0) -> Tuple[List[dict], int]:
+    """The events of ``path`` from byte ``offset`` on, and the next offset.
+
+    The JSONL line rule, which ``repro trace`` (with or without
+    ``--follow``) and ``repro serve`` all read through: a line counts
+    once its newline is written, so an unterminated last line -- one a
+    live run is still writing -- is not returned yet, and the offset
+    returned points at its start.  A complete line that is not a JSON
+    object with a ``type`` raises :class:`ValueError` naming
+    ``path:lineno``.  Blank lines are skipped.
+    """
+    with open(path, "rb") as fh:
+        fh.seek(offset)
+        chunk = fh.read()
+    end = chunk.rfind(b"\n") + 1
     events: List[dict] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                event = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{path}:{lineno}: bad JSON line: {exc}") from exc
-            if not isinstance(event, dict) or "type" not in event:
-                raise ValueError(f"{path}:{lineno}: not a canonical event")
-            events.append(event)
-    return events
+    for index, line in enumerate(chunk[:end].split(b"\n")[:-1]):
+        if not line.strip():
+            continue
+        try:
+            event = json.loads(line)
+        except ValueError as exc:
+            raise _bad_line(path, offset, index, f"bad JSON line: {exc}") from exc
+        if not isinstance(event, dict) or "type" not in event:
+            raise _bad_line(path, offset, index, "not a canonical event")
+        events.append(event)
+    return events, offset + end
+
+
+def _bad_line(path: str, offset: int, index: int, problem: str) -> ValueError:
+    """``path:lineno: problem`` for the ``index``-th line after ``offset``."""
+    with open(path, "rb") as fh:
+        lineno = fh.read(offset).count(b"\n") + index + 1
+    return ValueError(f"{path}:{lineno}: {problem}")
+
+
+def read_jsonl(path: str) -> List[dict]:
+    """Load the events of a JSONL log written by :func:`write_jsonl`."""
+    return read_jsonl_from(path)[0]
 
 
 # ----------------------------------------------------------------------
@@ -298,25 +322,6 @@ def top_spans(events: List[dict], n: int = 10) -> str:
             )
         )
     return "\n\n".join(sections)
-
-
-def run_summary(obs: "Observability") -> str:
-    """Text summary of a finished run: spans, counters, histograms."""
-    from repro.metrics.report import format_table
-
-    text = summarize_events(collect_events(obs))
-    histograms = obs.metrics.histograms()
-    if histograms:
-        rows = []
-        for name, hist in histograms.items():
-            s = hist.summary()
-            rows.append([name, int(s["count"]), s["mean"], s["p50"], s["p95"],
-                         s["p99"], s["max"]])
-        text += "\n\n" + format_table(
-            ["histogram", "n", "mean", "p50", "p95", "p99", "max"], rows,
-            title="histograms",
-        )
-    return text
 
 
 def write_metrics_json(path: str, obs: "Observability") -> None:

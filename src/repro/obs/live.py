@@ -29,6 +29,9 @@ import time
 from collections import deque
 from typing import TYPE_CHECKING, Callable, Dict, Iterator, List, Optional, Sequence
 
+from repro.metrics.collector import mem_utilization
+from repro.obs.export import read_jsonl, read_jsonl_from
+
 if TYPE_CHECKING:  # pragma: no cover
     from repro.chaos.injector import ChaosInjector
     from repro.cluster.cluster import Cluster
@@ -41,7 +44,7 @@ FRAME_SCHEMA = "repro.live/1"
 
 #: counter namespaces copied into every frame (totals are monotonic, so
 #: consumers diff adjacent frames for rates)
-DEFAULT_COUNTER_PREFIXES = (
+COUNTER_PREFIXES = (
     "jobs.",
     "attempts.",
     "sla.",
@@ -61,24 +64,20 @@ def _round(value: float) -> float:
 class JsonlFrameSink:
     """Append each frame as one canonical JSON line.
 
-    Lines are written with sorted keys and flushed per frame by default,
-    so a concurrently running ``repro serve --follow`` or ``repro trace
-    --follow`` in another terminal always sees whole lines.
+    Lines are written with sorted keys and flushed per frame, so a
+    concurrently running ``repro serve --follow`` or ``repro trace
+    --follow`` in another terminal sees each frame as it is sampled.
     """
 
-    def __init__(self, path: str, flush_every: int = 1) -> None:
-        if flush_every < 1:
-            raise ValueError("flush_every must be >= 1")
+    def __init__(self, path: str) -> None:
         self.path = path
-        self.flush_every = flush_every
         self.frames_written = 0
         self._fh = open(path, "w", encoding="utf-8")
 
     def __call__(self, frame: dict) -> None:
         self._fh.write(json.dumps(frame, sort_keys=True) + "\n")
+        self._fh.flush()
         self.frames_written += 1
-        if self.frames_written % self.flush_every == 0:
-            self._fh.flush()
 
     def close(self) -> None:
         if not self._fh.closed:
@@ -143,7 +142,6 @@ class LiveSampler:
         injector: Optional["ChaosInjector"] = None,
         sla_window_s: Optional[float] = None,
         blame: bool = False,
-        counter_prefixes: Sequence[str] = DEFAULT_COUNTER_PREFIXES,
     ) -> None:
         if interval_s <= 0:
             raise ValueError("sampling interval must be positive")
@@ -159,7 +157,6 @@ class LiveSampler:
             sla_window_s if sla_window_s is not None else 6.0 * interval_s
         )
         self.blame = blame
-        self.counter_prefixes = tuple(counter_prefixes)
         self.ring: deque = deque(maxlen=ring_size)
         self.frames_emitted = 0
         self._sinks: List[Callable[[dict], None]] = []
@@ -241,12 +238,10 @@ class LiveSampler:
     # -- sources -------------------------------------------------------
     @staticmethod
     def _pm_util(pm) -> Dict[str, float]:
-        mem_used = pm.native.mem_used_mb + sum(vm.mem_used_mb for vm in pm.vms)
-        mem = min(1.0, mem_used / pm.spec.mem_mb) if pm.spec.mem_mb else 0.0
         return {
             "cpu": _round(pm.cpu_pool.utilization),
             "io": _round(pm.disk_pool.utilization),
-            "mem": _round(mem),
+            "mem": _round(mem_utilization(pm)),
         }
 
     @staticmethod
@@ -403,11 +398,10 @@ class LiveSampler:
         }
 
     def _sample_counters(self) -> Dict[str, float]:
-        prefixes = self.counter_prefixes
         return {
             name: value
             for name, value in self.sim.obs.metrics.counters().items()
-            if any(name.startswith(prefix) for prefix in prefixes)
+            if name.startswith(COUNTER_PREFIXES)
         }
 
 
@@ -416,8 +410,6 @@ class LiveSampler:
 # ----------------------------------------------------------------------
 def read_frames(path: str) -> List[dict]:
     """Load the frames from a JSONL file (other event types are skipped)."""
-    from repro.obs.export import read_jsonl
-
     return [e for e in read_jsonl(path) if e.get("type") == "frame"]
 
 
@@ -484,33 +476,24 @@ def tail_jsonl(
     idle_timeout_s: Optional[float] = None,
     sleep: Callable[[float], None] = time.sleep,
 ) -> Iterator[dict]:
-    """Yield parsed objects from a JSONL file, optionally following it.
+    """Yield the events of a JSONL file, optionally following it.
 
-    With ``follow`` the generator keeps polling the file for new
-    complete lines (a line still missing its newline is left for the
-    writer to finish), which is what lets a second terminal watch a
-    frames/events file while a live run writes it.  ``idle_timeout_s``
-    bounds how long to wait without new data before giving up (None
-    follows until the consumer stops iterating or interrupts).
+    Reads by :func:`~repro.obs.export.read_jsonl_from`'s line rule.  With
+    ``follow`` the generator keeps polling the file for new complete
+    lines, which is what lets a second terminal watch a frames/events
+    file while a live run writes it.  ``idle_timeout_s`` bounds how long
+    to wait without new data before giving up (None follows until the
+    consumer stops iterating or interrupts).
     """
     if poll_s <= 0:
         raise ValueError("poll interval must be positive")
-    idle = 0.0
-    with open(path, "r", encoding="utf-8") as fh:
-        while True:
-            position = fh.tell()
-            line = fh.readline()
-            if line.endswith("\n"):
-                idle = 0.0
-                text = line.strip()
-                if text:
-                    yield json.loads(text)
-                continue
-            # EOF, or a partially written final line: rewind and wait
-            fh.seek(position)
-            if not follow:
-                return
-            if idle_timeout_s is not None and idle >= idle_timeout_s:
-                return
-            sleep(poll_s)
-            idle += poll_s
+    offset, idle = 0, 0.0
+    while True:
+        events, offset = read_jsonl_from(path, offset)
+        yield from events
+        if events:
+            idle = 0.0
+        if not follow or (idle_timeout_s is not None and idle >= idle_timeout_s):
+            return
+        sleep(poll_s)
+        idle += poll_s

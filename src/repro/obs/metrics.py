@@ -172,7 +172,7 @@ class MetricsRegistry:
     def histograms(self) -> Dict[str, Histogram]:
         return dict(sorted(self._histograms.items()))
 
-    def snapshot(self, since: Optional[float] = None) -> dict:
+    def snapshot(self) -> dict:
         """Machine-readable dump of every instrument (JSON-friendly).
 
         Key ordering is stable and documented: the four sections appear
@@ -181,69 +181,14 @@ class MetricsRegistry:
         lexicographically (codepoint order).  Two snapshots of identical
         state therefore serialize byte-identically -- with or without
         ``json.dumps(..., sort_keys=True)``.
-
-        With ``since`` (a virtual-time lower bound, inclusive) the
-        snapshot is *windowed*: ``series`` counts only samples recorded
-        at ``t >= since`` and the bound is echoed under ``window``.
-        Counters and gauges are point-in-time instruments and always
-        report their current value; diff two snapshots with
-        :meth:`delta` to get the change between frames.
         """
-        if since is None:
-            series = {
-                name: len(self.traces[name]) for name in self.traces.names()
-            }
-        else:
-            series = {
-                name: sum(1 for t in self.traces[name].times if t >= since)
-                for name in self.traces.names()
-            }
-        snap = {
+        return {
             "counters": self.counters(),
             "gauges": self.gauges(),
             "histograms": {
                 name: hist.summary() for name, hist in sorted(self._histograms.items())
             },
-            "series": series,
-        }
-        if since is not None:
-            snap["window"] = {"since": since, "until": self.now()}
-        return snap
-
-    @staticmethod
-    def delta(prev: dict, cur: dict) -> dict:
-        """Cheap, deterministic diff between two :meth:`snapshot` dicts.
-
-        Returns only what changed, with the same section order and
-        sorted keys as the snapshots themselves: counter/series
-        increments (new instruments count from zero), the latest value
-        of every gauge that moved, and per-histogram observation-count
-        increments.
-        """
-        prev_counters = prev.get("counters", {})
-        prev_gauges = prev.get("gauges", {})
-        prev_hists = prev.get("histograms", {})
-        prev_series = prev.get("series", {})
-        return {
-            "counters": {
-                name: value - prev_counters.get(name, 0.0)
-                for name, value in sorted(cur.get("counters", {}).items())
-                if value != prev_counters.get(name, 0.0)
-            },
-            "gauges": {
-                name: value
-                for name, value in sorted(cur.get("gauges", {}).items())
-                if value != prev_gauges.get(name, value)
-                or name not in prev_gauges
-            },
-            "histograms": {
-                name: summary["count"] - prev_hists.get(name, {}).get("count", 0.0)
-                for name, summary in sorted(cur.get("histograms", {}).items())
-                if summary["count"] != prev_hists.get(name, {}).get("count", 0.0)
-            },
             "series": {
-                name: count - prev_series.get(name, 0)
-                for name, count in sorted(cur.get("series", {}).items())
-                if count != prev_series.get(name, 0)
+                name: len(self.traces[name]) for name in self.traces.names()
             },
         }

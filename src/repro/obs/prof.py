@@ -23,8 +23,7 @@ On top of the stack the profiler records:
   on the gauge cadence and bucketed into event-count deciles
   ``p0..p9`` in the report, a memory-over-run profile;
 - **aggregated stacks** for flamegraphs, exported as collapsed-stack
-  text (flamegraph.pl / inferno) and speedscope JSON
-  (https://speedscope.app).
+  text (flamegraph.pl, inferno, https://speedscope.app).
 
 The house invariant holds here as everywhere in ``repro.obs``: the
 profiler only *observes*.  It draws no randomness, schedules no events
@@ -40,7 +39,6 @@ invariant.
 
 from __future__ import annotations
 
-import json
 import time
 import tracemalloc
 from contextlib import contextmanager
@@ -48,6 +46,12 @@ from typing import Dict, List, Optional, Tuple
 
 #: memory buckets in a report: event-count deciles of the run
 MEMORY_PHASES = 10
+
+#: tracemalloc samples kept; past it every other one is dropped
+MAX_MEMORY_SAMPLES = 2048
+
+#: callbacks in a snapshot, hottest by self time first
+TOP_CALLBACKS = 40
 
 
 def _r(value: float, digits: int = 9) -> float:
@@ -70,14 +74,12 @@ class Profiler:
         self,
         gauge_sample_every: int = 16,
         trace_memory: bool = False,
-        max_memory_samples: int = 2048,
         clock=time.perf_counter,
     ) -> None:
         if gauge_sample_every < 1:
             raise ValueError("gauge_sample_every must be >= 1")
         self.gauge_sample_every = gauge_sample_every
         self.trace_memory = trace_memory
-        self.max_memory_samples = max_memory_samples
         self.clock = clock
         #: root event frames closed so far
         self.events = 0
@@ -222,7 +224,7 @@ class Profiler:
             return
         current, peak = tracemalloc.get_traced_memory()
         self._memory.append((self.events, current, peak))
-        if len(self._memory) >= self.max_memory_samples:
+        if len(self._memory) >= MAX_MEMORY_SAMPLES:
             # geometric thinning keeps the sample bounded and uniform
             self._memory = self._memory[::2]
             self._memory_stride *= 2
@@ -289,11 +291,11 @@ class Profiler:
             "phases": phases,
         }
 
-    def snapshot(self, top_callbacks: int = 40) -> dict:
+    def snapshot(self) -> dict:
         """A bench cell's ``profile`` (JSON-friendly, rounded)."""
         callbacks = sorted(
             self._callbacks.items(), key=lambda kv: (-kv[1][1], kv[0])
-        )[:top_callbacks]
+        )[:TOP_CALLBACKS]
         return {
             "events": self.events,
             "dispatch_wall_s": _r(self.dispatch_wall_s),
@@ -335,7 +337,8 @@ class Profiler:
 # flamegraph exports (of a ``repro.bench/2`` report)
 # ----------------------------------------------------------------------
 def collapsed_stacks(report: dict) -> str:
-    """Collapsed-stack text (``cell;a;b <usecs>``), flamegraph.pl input.
+    """Collapsed-stack text (``cell;a;b <usecs>``): input to
+    flamegraph.pl and inferno, and a file https://speedscope.app opens.
 
     Every stack is rooted at its bench cell's name, so one file holds
     all cells side by side.
@@ -355,73 +358,6 @@ def write_collapsed(path: str, report: dict) -> int:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
     return len(text.splitlines())
-
-
-def speedscope_doc(report: dict) -> dict:
-    """The report's stacks as speedscope sampled profiles, one per cell."""
-    scale, seed = report.get("scale", "?"), report.get("seed", "?")
-    frame_index: Dict[str, int] = {}
-    profiles = []
-    for name, cell in sorted(report["cells"].items()):
-        samples: List[List[int]] = []
-        weights: List[float] = []
-        for entry in cell["profile"]["stacks"]:
-            if entry["self_s"] <= 0:
-                continue
-            samples.append([
-                frame_index.setdefault(frame, len(frame_index))
-                for frame in entry["stack"]
-            ])
-            weights.append(entry["self_s"])
-        profiles.append({
-            "type": "sampled",
-            "name": f"{name}@{scale} seed {seed}",
-            "unit": "seconds",
-            "startValue": 0.0,
-            "endValue": _r(sum(weights)),
-            "samples": samples,
-            "weights": [_r(w) for w in weights],
-        })
-    return {
-        "$schema": "https://www.speedscope.app/file-format-schema.json",
-        "name": f"repro bench @ {scale} seed {seed}",
-        "exporter": f"repro.obs.prof/{report.get('repro_version', '')}",
-        "activeProfileIndex": 0,
-        "shared": {"frames": [{"name": frame} for frame in frame_index]},
-        "profiles": profiles,
-    }
-
-
-def validate_speedscope(doc: dict) -> int:
-    """Structural check of a speedscope document; returns sample count."""
-    if "$schema" not in doc or "speedscope" not in doc["$schema"]:
-        raise ValueError("not a speedscope document (missing $schema)")
-    frames = doc["shared"]["frames"]
-    if not isinstance(frames, list):
-        raise ValueError("shared.frames must be a list")
-    total = 0
-    for profile in doc["profiles"]:
-        if profile["type"] != "sampled":
-            raise ValueError(f"unsupported profile type {profile['type']!r}")
-        samples, weights = profile["samples"], profile["weights"]
-        if len(samples) != len(weights):
-            raise ValueError("samples and weights lengths differ")
-        for stack in samples:
-            for idx in stack:
-                if not 0 <= idx < len(frames):
-                    raise ValueError(f"frame index {idx} out of range")
-        total += len(samples)
-    return total
-
-
-def write_speedscope(path: str, report: dict) -> int:
-    """Write (validated) speedscope JSON; returns the sample count."""
-    doc = speedscope_doc(report)
-    n = validate_speedscope(doc)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, sort_keys=True)
-        fh.write("\n")
-    return n
 
 
 # ----------------------------------------------------------------------

@@ -26,6 +26,8 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import List, Optional
 from urllib.parse import parse_qs, urlparse
 
+from repro.obs.export import read_jsonl_from
+
 
 class FrameStore:
     """Thread-safe incremental reader of a JSONL frame file."""
@@ -38,32 +40,16 @@ class FrameStore:
         self.refresh()
 
     def refresh(self) -> int:
-        """Pick up complete new lines; returns frames added."""
+        """Pick up new complete lines, by the line rule of
+        :func:`~repro.obs.export.read_jsonl_from`; returns frames added."""
         with self._lock:
             try:
-                with open(self.path, "r", encoding="utf-8") as fh:
-                    fh.seek(self._offset)
-                    chunk = fh.read()
+                events, self._offset = read_jsonl_from(self.path, self._offset)
             except FileNotFoundError:
                 return 0
-            added = 0
-            consumed = 0
-            for line in chunk.splitlines(keepends=True):
-                if not line.endswith("\n"):
-                    break  # writer mid-line; retry next refresh
-                consumed += len(line.encode("utf-8"))
-                text = line.strip()
-                if not text:
-                    continue
-                try:
-                    frame = json.loads(text)
-                except json.JSONDecodeError:
-                    continue
-                if isinstance(frame, dict) and frame.get("type") == "frame":
-                    self._frames.append(frame)
-                    added += 1
-            self._offset += consumed
-            return added
+            frames = [e for e in events if e["type"] == "frame"]
+            self._frames.extend(frames)
+            return len(frames)
 
     def frames(self, since_seq: int = -1) -> List[dict]:
         with self._lock:

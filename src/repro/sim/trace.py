@@ -8,7 +8,6 @@ probe...).
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 
@@ -75,32 +74,6 @@ class Trace:
     def min(self) -> float:
         return min(self.values) if self.values else 0.0
 
-    def time_weighted_mean(self, until: Optional[float] = None) -> float:
-        """Mean weighted by holding time (step interpolation)."""
-        if not self.values:
-            return 0.0
-        if len(self.values) == 1:
-            return self.values[0]
-        end = until if until is not None else self.times[-1]
-        total = 0.0
-        span = 0.0
-        for i in range(len(self.values)):
-            t0 = self.times[i]
-            t1 = self.times[i + 1] if i + 1 < len(self.times) else end
-            dt = max(0.0, t1 - t0)
-            total += self.values[i] * dt
-            span += dt
-        if span <= 0:
-            return self.values[-1]
-        return total / span
-
-    def value_at(self, time: float) -> Optional[float]:
-        """Step-interpolated value at ``time`` (None before first sample)."""
-        idx = bisect_right(self.times, time) - 1
-        if idx < 0:
-            return None
-        return self.values[idx]
-
     def window(self, t0: float, t1: float) -> "Trace":
         """Samples with ``t0 <= time <= t1`` as a new trace."""
         out = Trace(self.name)
@@ -126,24 +99,6 @@ class TraceSet:
 
     def record(self, name: str, time: float, value: float) -> None:
         self.get(name).record(time, value)
-
-    def adopt(self, name: str, trace: Trace) -> Trace:
-        """Bind an externally owned ``trace`` under ``name``.
-
-        Publishing an existing trace into a shared namespace (e.g. a
-        collector's series into a run's metrics registry) must not
-        silently interleave two writers: rebinding a name to a
-        *different* trace raises, so each publisher needs its own name
-        (use a prefix).  Re-adopting the same trace is a no-op.
-        """
-        existing = self._traces.get(name)
-        if existing is not None and existing is not trace:
-            raise ValueError(
-                f"trace name {name!r} is already bound to another series; "
-                "publish under a distinct prefix instead of sharing names"
-            )
-        self._traces[name] = trace
-        return trace
 
     def names(self) -> List[str]:
         return sorted(self._traces)

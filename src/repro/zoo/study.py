@@ -28,9 +28,7 @@ import json
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.experiments.common import Scale, build_native, make_sim, resolve_scale
-from repro.mapreduce.cluster import MapReduceCluster
 from repro.mapreduce.job import JobSpec
-from repro.obs.critpath import CATEGORIES, blame_from_obs
 from repro.workloads.specs import make_job
 from repro.zoo.registry import create_policy, policy_names
 
@@ -132,6 +130,11 @@ def run_cell(
     Returns the run record embedded in study reports; also the body of
     the ``zoo`` sweep cell.
     """
+    # the cluster stack and critpath load here, not on import, so that
+    # listing the workloads (``repro list``) loads neither
+    from repro.mapreduce.cluster import MapReduceCluster
+    from repro.obs.critpath import blame_from_obs
+
     scale = resolve_scale(scale)
     builder = WORKLOADS.get(workload)
     if builder is None:
@@ -179,6 +182,8 @@ def _aggregate(runs: List[dict]) -> dict:
     blame makespan is *defined* as their sum, so the tiles-sum-to-
     makespan invariant holds by construction at every level.
     """
+    from repro.obs.critpath import CATEGORIES
+
     n = len(runs)
     tiles = {
         c: _round(sum(r["blame"]["blame_s"][c] for r in runs) / n)
@@ -213,6 +218,8 @@ def _explain(policy: str, agg: dict, base: dict) -> str:
     largest cut and the largest growth, so every ranking entry says
     *why* it ranks where it does.
     """
+    from repro.obs.critpath import CATEGORIES
+
     if policy == BASELINE_POLICY:
         return "baseline"
     delta_pct = 100.0 * (

@@ -9,7 +9,6 @@ from repro.cluster.cluster import Cluster
 from repro.mapreduce.cluster import MapReduceCluster
 from repro.obs.bench import (
     DEFAULT_CELLS,
-    archive_report,
     compare_reports,
     format_bench,
     format_compare_table,
@@ -238,23 +237,6 @@ def test_format_compare_table_shows_deltas_and_blame_shift():
     assert "1,000 -> 500" in table  # totals line
 
 
-def test_archive_report_appends_history(tmp_path):
-    report = _fake_report()
-    report["totals"] = {"events_per_s": 1000.0}
-    directory = str(tmp_path / "traj")
-    first = archive_report(report, directory)
-    second = archive_report(
-        dict(report, totals={"events_per_s": 2000.0}), directory
-    )
-    assert first != second
-    with open(first) as fh:
-        assert json.load(fh)["cells"]["fig10"]["events"] == 100
-    with open(f"{directory}/index.jsonl") as fh:
-        lines = [json.loads(line) for line in fh]
-    assert [e["total_events_per_s"] for e in lines] == [1000.0, 2000.0]
-    assert all(e["events_per_s"]["fig10"] == 1000.0 for e in lines)
-
-
 # ----------------------------------------------------------------------
 # CLI: repro bench --compare exits non-zero on a synthetic regression
 # ----------------------------------------------------------------------
@@ -262,29 +244,21 @@ def test_cli_bench_compare_gate(tmp_path, capsys, monkeypatch):
     from repro.cli import main
 
     out = tmp_path / "BENCH.json"
-    traj = tmp_path / "traj"
     rc = main(["bench", "fig10", "--scale", "tiny", "--seed", "1",
-               "--out", str(out), "--trajectory-dir", str(traj)])
+               "--out", str(out)])
     assert rc == 0
     report = json.loads(out.read_text())
     assert report["cells"]["fig10"]["events_per_s"] > 0
-    # each run lands in the trajectory archive (file + index line)
-    archived = list(traj.glob("bench-*.json"))
-    assert len(archived) == 1
-    index_lines = (traj / "index.jsonl").read_text().splitlines()
-    assert len(index_lines) == 1
-    assert json.loads(index_lines[0])["events_per_s"]["fig10"] > 0
 
     # self-compare passes the gate (generous tolerance: this pins the
     # gate mechanics, not this machine's timing stability)
     rc = main(["bench", "fig10", "--scale", "tiny", "--seed", "1",
-               "--out", "", "--trajectory-dir", "none",
+               "--out", "",
                "--compare", str(out), "--tolerance", "0.9"])
     assert rc == 0
     captured = capsys.readouterr().out
     assert "bench OK" in captured
     assert "bench vs baseline" in captured  # the per-cell delta table
-    assert list(traj.glob("bench-*.json")) == archived  # 'none' skips
 
     # inject a synthetic regression: baseline claims 100x the speed.
     # Passed as both --compare and --out, the baseline is read before
@@ -296,7 +270,7 @@ def test_cli_bench_compare_gate(tmp_path, capsys, monkeypatch):
     baseline.write_text(json.dumps(doctored))
     before = baseline.read_bytes()
     rc = main(["bench", "fig10", "--scale", "tiny", "--seed", "1",
-               "--out", str(baseline), "--trajectory-dir", "none",
+               "--out", str(baseline),
                "--compare", str(baseline)])
     assert rc == 1
     assert "FAIL" in capsys.readouterr().err
@@ -322,7 +296,7 @@ def test_cli_bench_compare_gate(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cells, "load", perturbed_load)
     perturbed_out = tmp_path / "PERTURBED.json"
     rc = main(["bench", "fig10", "--scale", "tiny", "--seed", "1",
-               "--out", str(perturbed_out), "--trajectory-dir", "none"])
+               "--out", str(perturbed_out)])
     assert rc == 1
     assert "fig10: instrumentation perturbed" in capsys.readouterr().err
     assert not perturbed_out.exists()

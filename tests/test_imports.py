@@ -43,6 +43,16 @@ for name in sys.argv[1:]:
 print(" ".join(sorted(sys.modules)))
 """
 
+_CLI = """
+import sys
+from repro.cli import main
+try:
+    main(sys.argv[1:])
+except SystemExit:  # --help
+    pass
+print(" ".join(sorted(sys.modules)), file=sys.stderr)
+"""
+
 _EXPORTS = """
 import importlib, pkgutil, sys
 import repro
@@ -102,17 +112,30 @@ def test_fabric_cell_imports_no_cluster_layer():
     assert sorted(loaded.intersection(_CLUSTER_FREE)) == []
 
 
+def _cli(*argv):
+    """Run ``repro argv`` in a fresh interpreter: (stdout, modules loaded).
+
+    Reads ``sys.modules`` after the command, because ``-X importtime``
+    does not log the submodules the lazy exports load through
+    ``importlib.import_module``.
+    """
+    out = _python("-c", _CLI, *argv)
+    return out.stdout, set(out.stderr.split())
+
+
 def test_cli_help_imports_no_cluster_layer():
-    # -X importtime lists every module the command imports, on stderr
-    out = _python("-X", "importtime", "-m", "repro", "--help")
-    assert "sweep" in out.stdout
-    loaded = {
-        line.rsplit("|", 1)[1].strip()
-        for line in out.stderr.splitlines()
-        if line.startswith("import time:")
-    }
+    stdout, loaded = _cli("--help")
+    assert "sweep" in stdout
     assert "repro.cli" in loaded
     unwanted = {"repro.cluster", "repro.mapreduce.jobtracker", "concurrent.futures"}
+    assert sorted(loaded & unwanted) == []
+
+
+def test_cli_list_imports_only_what_it_prints():
+    stdout, loaded = _cli("list")
+    assert "workloads: mixed shuffle" in stdout
+    assert "repro.zoo.study" in loaded
+    unwanted = {"repro.mapreduce.jobtracker", "repro.obs.critpath"}
     assert sorted(loaded & unwanted) == []
 
 

@@ -142,6 +142,57 @@ def test_tail_jsonl_no_follow_stops_at_eof(tmp_path):
 
 
 # ----------------------------------------------------------------------
+# the JSONL line rule: every reader of a frames file applies the same one
+# ----------------------------------------------------------------------
+_FRAMES = [{"type": "frame", "seq": i, "ts": 5.0 * i} for i in range(3)]
+
+
+def _readers(path):
+    """``repro trace FILE``, ``repro trace FILE --follow`` and
+    ``repro serve``'s FrameStore, each as a call."""
+    from repro.cli import main
+    from repro.obs.serve import FrameStore
+
+    return [
+        lambda: main(["trace", path]),
+        lambda: main(["trace", path, "--follow", "--idle-timeout", "0"]),
+        lambda: FrameStore(path).frames(),
+    ]
+
+
+def test_readers_wait_for_an_unterminated_last_line(tmp_path, capsys):
+    from repro.obs.live import _format_tail_line
+
+    path = tmp_path / "live.jsonl"
+    path.write_text(
+        "".join(json.dumps(f) + "\n" for f in _FRAMES)
+        + '{"type": "frame", "se'  # a live run is still writing this line
+    )
+    trace, follow, store = _readers(str(path))
+    assert trace() == 0
+    assert summarize_frames(_FRAMES) in capsys.readouterr().out
+    assert follow() == 0
+    assert capsys.readouterr().out.splitlines() == [
+        _format_tail_line(f) for f in _FRAMES
+    ]
+    assert store() == _FRAMES
+
+
+def test_readers_reject_a_malformed_line_alike(tmp_path):
+    path = tmp_path / "bad.jsonl"
+    path.write_text(
+        json.dumps(_FRAMES[0]) + "\nnot json\n" + json.dumps(_FRAMES[1]) + "\n"
+    )
+    errors = []
+    for read in _readers(str(path)):
+        with pytest.raises(ValueError) as err:
+            read()
+        errors.append(str(err.value))
+    assert errors[0].startswith(f"{path}:2: bad JSON line")
+    assert errors == [errors[0]] * 3
+
+
+# ----------------------------------------------------------------------
 # determinism: sampling must never perturb the simulation
 # ----------------------------------------------------------------------
 def test_same_seed_digest_equal_with_sampling_on_off():
@@ -262,21 +313,8 @@ def test_latency_summary_windowing(sim, virtual_cluster):
         service.latency_summary(window_s=0.0)
 
 
-def test_sla_latency_summary_table_has_count_column(sim, virtual_cluster):
-    from repro.metrics.report import sla_latency_summary
-
-    service = _service(sim, virtual_cluster)
-    text = sla_latency_summary([service])
-    assert "count" in text
-    assert "nan" not in text.lower()
-    service.start()
-    sim.run(until=50.0)
-    windowed = sla_latency_summary([service], window_s=10.0, now=50.0)
-    assert "rubis" in windowed
-
-
 # ----------------------------------------------------------------------
-# metrics snapshot: ordering + windowed variant + delta
+# metrics snapshot: ordering
 # ----------------------------------------------------------------------
 def test_snapshot_key_ordering_is_stable():
     from repro.obs import MetricsRegistry
@@ -289,42 +327,6 @@ def test_snapshot_key_ordering_is_stable():
     assert list(snap) == ["counters", "gauges", "histograms", "series"]
     assert list(snap["counters"]) == ["a.first", "z.last"]
     assert json.dumps(snap) == json.dumps(registry.snapshot())
-
-
-def test_snapshot_since_windows_series():
-    from repro.obs import MetricsRegistry
-
-    clock = {"t": 0.0}
-    registry = MetricsRegistry(clock=lambda: clock["t"])
-    registry.history = True
-    gauge = registry.gauge("util")
-    for t in (0.0, 10.0, 20.0, 30.0):
-        clock["t"] = t
-        gauge.set(t / 10.0)
-    assert registry.snapshot()["series"]["util"] == 4
-    windowed = registry.snapshot(since=15.0)
-    assert windowed["series"]["util"] == 2
-    assert windowed["window"] == {"since": 15.0, "until": 30.0}
-
-
-def test_snapshot_delta():
-    from repro.obs import MetricsRegistry
-
-    registry = MetricsRegistry()
-    registry.counter("jobs.completed").inc(2)
-    registry.gauge("depth").set(4.0)
-    before = registry.snapshot()
-    registry.counter("jobs.completed").inc(3)
-    registry.counter("jobs.submitted").inc()
-    registry.histogram("jct").observe(1.0)
-    after = registry.snapshot()
-    delta = MetricsRegistry.delta(before, after)
-    assert delta["counters"] == {"jobs.completed": 3.0, "jobs.submitted": 1.0}
-    assert delta["gauges"] == {}
-    assert delta["histograms"] == {"jct": 1.0}
-    assert MetricsRegistry.delta(after, after) == {
-        "counters": {}, "gauges": {}, "histograms": {}, "series": {},
-    }
 
 
 # ----------------------------------------------------------------------

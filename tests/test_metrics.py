@@ -6,7 +6,7 @@ import pytest
 
 from repro.metrics.collector import UtilizationCollector
 from repro.metrics.energy import EnergyReport, perf_per_energy
-from repro.metrics.report import format_series, format_table, sla_latency_summary
+from repro.metrics.report import format_series, format_table
 
 
 def test_collector_samples_all_metrics(sim, native_cluster):
@@ -19,14 +19,6 @@ def test_collector_samples_all_metrics(sim, native_cluster):
         assert key in collector.traces
         assert len(collector.traces[key]) >= 10
     assert collector.mean("cpu") > 0.0
-
-
-def test_collector_per_machine_traces(sim, native_cluster):
-    collector = UtilizationCollector(sim, native_cluster, interval_s=1.0, per_machine=True)
-    collector.start()
-    sim.run(until=3.0)
-    collector.stop()
-    assert "cpu:pm00" in collector.traces
 
 
 def test_collector_stop_records_final_sample(sim, native_cluster):
@@ -56,20 +48,6 @@ def test_collector_restarts_after_stop(sim, native_cluster):
     times = collector.traces["cpu"].times
     assert times == [0.0, 10.0, 15.0, 25.0, 35.0, 40.0]
     assert len(times) == len(set(times))
-
-
-def test_collector_publishes_into_registry(sim, native_cluster):
-    from repro.obs import MetricsRegistry
-
-    registry = MetricsRegistry(clock=lambda: sim.now)
-    collector = UtilizationCollector(
-        sim, native_cluster, interval_s=10.0, registry=registry
-    )
-    collector.start()
-    sim.run(until=20.0)
-    collector.stop()
-    assert registry.timeseries("cpu") is collector.traces["cpu"]
-    assert "cpu" in registry.snapshot()["series"]
 
 
 def test_perf_per_energy_ordering():

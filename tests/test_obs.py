@@ -17,7 +17,6 @@ from repro.obs.export import (
     chrome_trace,
     collect_events,
     read_jsonl,
-    run_summary,
     summarize_events,
     validate_chrome_trace,
     write_chrome_trace,
@@ -264,11 +263,9 @@ def test_read_jsonl_rejects_garbage(tmp_path):
 
 
 def test_summaries_render():
-    obs = _tiny_obs()
-    obs.metrics.histogram("jct").observe(5.0)
-    text = run_summary(obs)
+    text = summarize_events(collect_events(_tiny_obs()))
     assert "spans by category" in text
-    assert "histograms" in text
+    assert "counters" in text
     assert summarize_events([]) == "(empty trace)"
 
 

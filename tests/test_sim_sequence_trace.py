@@ -85,22 +85,6 @@ def test_trace_rejects_out_of_order():
         trace.record(4.0, 1.0)
 
 
-def test_trace_time_weighted_mean():
-    trace = Trace()
-    trace.record(0.0, 0.0)
-    trace.record(8.0, 10.0)  # value 0 held 8s, value 10 held 2s
-    assert trace.time_weighted_mean(until=10.0) == pytest.approx(2.0)
-
-
-def test_trace_value_at_step_interpolation():
-    trace = Trace()
-    trace.record(1.0, 10.0)
-    trace.record(3.0, 20.0)
-    assert trace.value_at(0.5) is None
-    assert trace.value_at(1.5) == 10.0
-    assert trace.value_at(3.5) == 20.0
-
-
 def test_trace_window():
     trace = Trace()
     for t in range(10):
@@ -122,7 +106,6 @@ def test_empty_trace_stats_are_zero():
     trace = Trace()
     assert trace.mean() == 0.0
     assert trace.max() == 0.0
-    assert trace.time_weighted_mean() == 0.0
     assert trace.last is None
 
 
@@ -137,18 +120,6 @@ def test_window_is_inclusive_on_both_boundaries():
     assert trace.window(1.0, 3.0).times == [1.0, 2.0, 3.0]
     assert trace.window(1.5, 2.5).times == [2.0]
     assert trace.window(4.0, 9.0).times == []
-
-
-def test_value_at_exact_sample_time():
-    trace = Trace()
-    trace.record(1.0, 10.0)
-    trace.record(3.0, 20.0)
-    assert trace.value_at(1.0) == 10.0
-    assert trace.value_at(3.0) == 20.0
-
-
-def test_value_at_on_empty_trace():
-    assert Trace().value_at(0.0) is None
 
 
 # ----------------------------------------------------------------------

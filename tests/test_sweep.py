@@ -13,8 +13,7 @@ import pytest
 from repro.cluster.cluster import Cluster
 from repro.experiments.common import TINY, resolve_scale
 from repro.mapreduce.cluster import MapReduceCluster
-from repro.metrics.collector import UtilizationCollector
-from repro.obs import MetricsCapture, MetricsRegistry
+from repro.obs import MetricsCapture
 from repro.sim.engine import Simulator
 from repro.sweep import (
     ResultCache,
@@ -319,31 +318,6 @@ def test_metrics_capture_scopes_registries():
     # inner cell's registries never leak into the outer capture
     assert snap_outer["counters"] == {"a": 5, "b": 1}
     assert snap_outer["simulators"] == 2
-
-
-def test_collectors_need_distinct_prefixes_to_share_registry():
-    sim = Simulator(seed=5)
-    registry = MetricsRegistry(lambda: sim.now)
-    cluster = Cluster.native(sim, 4)
-    first = UtilizationCollector(
-        sim, cluster, interval_s=1.0, registry=registry, prefix="a."
-    )
-    second = UtilizationCollector(
-        sim, cluster, interval_s=1.0, registry=registry, prefix="b."
-    )
-    first.start()
-    second.start()
-    sim.run(until=3.0)
-    assert registry.traces.get("a.cpu") is first.traces["cpu"]
-    assert second.traces["cpu"] is registry.traces.get("b.cpu")
-    assert registry.traces.get("a.cpu") is not registry.traces.get("b.cpu")
-    # a third collector reusing a taken prefix collides instead of
-    # silently interleaving samples into the first collector's series
-    clashing = UtilizationCollector(
-        sim, cluster, interval_s=1.0, registry=registry, prefix="a."
-    )
-    with pytest.raises(ValueError):
-        clashing.start()
 
 
 # ----------------------------------------------------------------------
