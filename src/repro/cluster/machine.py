@@ -36,7 +36,23 @@ class ExecutionContext:
     and capacity shares.  The base class tracks live pool entries so
     that memory pressure and throttling changes can be propagated to
     in-flight work, and keeps the memory ledger.
+
+    Contexts are per-host records, so they are slotted, as are
+    :class:`PhysicalMachine` and its pools: at 10k hosts an instance
+    ``__dict__`` per record is memory spent for nothing.
     """
+
+    __slots__ = (
+        "name",
+        "_pm",
+        "mem_capacity_mb",
+        "mem_used_mb",
+        "_cpu_entries",
+        "_disk_entries",
+        "_memio_entries",
+        "degrade_cpu_factor",
+        "degrade_disk_factor",
+    )
 
     def __init__(self, name: str, pm: "PhysicalMachine", mem_capacity_mb: float) -> None:
         self.name = name
@@ -268,9 +284,27 @@ class ExecutionContext:
 class NativeContext(ExecutionContext):
     """Work running directly on the physical machine (no hypervisor)."""
 
+    __slots__ = ()
+
 
 class PhysicalMachine:
     """One server of the testbed."""
+
+    __slots__ = (
+        "sim",
+        "fabric",
+        "name",
+        "spec",
+        "power_model",
+        "cpu_pool",
+        "disk_pool",
+        "memio_pool",
+        "cache_budget_mb",
+        "powered_on",
+        "vms",
+        "datanodes",
+        "native",
+    )
 
     def __init__(
         self,

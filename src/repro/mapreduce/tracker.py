@@ -7,7 +7,7 @@ CPU-bound jobs more concurrency on multi-VM hosts.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Optional
+from typing import TYPE_CHECKING, Dict, Optional
 
 from repro.cluster.machine import ExecutionContext
 
@@ -48,7 +48,10 @@ class TaskTracker:
         self.context = context
         self.map_slots = map_slots
         self.reduce_slots = reduce_slots
-        self.running: List["TaskAttempt"] = []
+        #: running attempts in start order, an ordered set (values
+        #: unused): release is O(1), and the empty dict of an idle
+        #: tracker is not tracked by the cyclic collector
+        self.running: Dict["TaskAttempt", None] = {}
         self.alive = True
         self.name = f"tt-{context.name}"
         self._running_maps = 0
@@ -81,7 +84,7 @@ class TaskTracker:
         free = self.free_map_slots() if is_map else self.free_reduce_slots()
         if free <= 0:
             raise RuntimeError(f"{self.name} has no free {attempt.task.kind.value} slot")
-        self.running.append(attempt)
+        self.running[attempt] = None
         if is_map:
             self._running_maps += 1
         else:
@@ -97,7 +100,7 @@ class TaskTracker:
         from repro.mapreduce.task import TaskKind
 
         if attempt in self.running:
-            self.running.remove(attempt)
+            del self.running[attempt]
             if attempt.task.kind is TaskKind.MAP:
                 self._running_maps -= 1
             else:

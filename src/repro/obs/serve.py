@@ -14,7 +14,11 @@ telemetry frames of the live driver:
 - ``/healthz``   liveness probe
 
 The server only ever *reads* the frame file, so it can run against a
-live simulation writing the same path from another process.
+live simulation writing the same path from another process.  A
+malformed line in it (see :func:`~repro.obs.export.read_jsonl_from`)
+is reported, never skipped: ``/snapshot`` and ``/frames`` answer 500
+with ``{"error": "<path>:<lineno>: ..."}``, and ``/events`` sends the
+same object as an ``event: error`` and closes.
 """
 
 from __future__ import annotations
@@ -85,6 +89,16 @@ def _make_handler(store: FrameStore, follow: bool, rate: float,
             self._send(code, json.dumps(obj, sort_keys=True).encode("utf-8"),
                        "application/json")
 
+        def _refreshed(self) -> bool:
+            """Refresh the store; on a malformed line, answer 500 naming
+            it and return False."""
+            try:
+                store.refresh()
+            except ValueError as exc:
+                self._send_json({"error": str(exc)}, code=500)
+                return False
+            return True
+
         def do_GET(self) -> None:  # noqa: N802 (http.server API)
             try:
                 self._route()
@@ -99,15 +113,15 @@ def _make_handler(store: FrameStore, follow: bool, rate: float,
             elif url.path == "/healthz":
                 self._send(200, b"ok\n", "text/plain")
             elif url.path == "/snapshot":
-                store.refresh()
-                latest = store.latest
-                if latest is None:
-                    self._send_json({"error": "no frames yet"}, code=503)
-                else:
-                    self._send_json(latest)
+                if self._refreshed():
+                    latest = store.latest
+                    if latest is None:
+                        self._send_json({"error": "no frames yet"}, code=503)
+                    else:
+                        self._send_json(latest)
             elif url.path == "/frames":
-                store.refresh()
-                self._send_json(store.frames())
+                if self._refreshed():
+                    self._send_json(store.frames())
             elif url.path == "/events":
                 query = parse_qs(url.query)
                 since = int(query.get("since", ["-1"])[0])
@@ -128,6 +142,17 @@ def _make_handler(store: FrameStore, follow: bool, rate: float,
             self.send_header("Cache-Control", "no-store")
             self.end_headers()
             self.wfile.write(b"retry: 2000\n\n")
+            try:
+                self._replay(since)
+            except ValueError as exc:  # the store met a malformed line
+                payload = json.dumps({"error": str(exc)}, sort_keys=True)
+                self.wfile.write(f"event: error\ndata: {payload}\n\n".encode("utf-8"))
+                self.wfile.flush()
+                self.close_connection = True
+
+        def _replay(self, since: int) -> None:
+            """Send the known frames after ``since``, then (``follow``)
+            the new ones as they land."""
             store.refresh()
             last_ts: Optional[float] = None
             last_seq = since
@@ -621,8 +646,14 @@ function connect() {
     source.close();
     statusEl.textContent = `replay complete · ${frames.length} frames`;
   });
-  source.onerror = () => statusEl.textContent =
-    `reconnecting… (${frames.length} frames)`;
+  source.onerror = ev => {
+    if (ev.data) {  // the server's `event: error`: a malformed frame line
+      source.close();
+      statusEl.textContent = `error · ${JSON.parse(ev.data).error}`;
+    } else {
+      statusEl.textContent = `reconnecting… (${frames.length} frames)`;
+    }
+  };
 }
 connect();
 window.addEventListener('resize', scheduleRedraw);

@@ -26,7 +26,7 @@ hypervisor holds the disk longer for the same logical bytes.
 from __future__ import annotations
 
 import math
-from typing import Callable, List, Optional
+from typing import Callable, Dict, List, Optional
 
 from repro.sim.engine import Event, Simulator, _profiled_call
 
@@ -171,13 +171,29 @@ def waterfill(capacity: float, weights: List[float], caps: List[float]) -> List[
 class ResourcePool:
     """A shared resource divided among entries by weighted fair sharing."""
 
+    __slots__ = (
+        "sim",
+        "capacity",
+        "name",
+        "entries",
+        "_last_update",
+        "_completion_event",
+        "busy_integral",
+        "_created_at",
+        "_in_batch",
+        "_batch_dirty",
+    )
+
     def __init__(self, sim: Simulator, capacity: float, name: str = "pool") -> None:
         if capacity < 0:
             raise ValueError("capacity must be non-negative")
         self.sim = sim
         self.capacity = capacity
         self.name = name
-        self.entries: List[PoolEntry] = []
+        #: live entries in start order, an ordered set (values unused):
+        #: removal is O(1), and an empty dict is one object the cyclic
+        #: collector does not track
+        self.entries: Dict[PoolEntry, None] = {}
         self._last_update = sim.now
         self._completion_event: Optional[Event] = None
         # integral of allocated rate over time, for utilization metrics
@@ -214,15 +230,14 @@ class ResourcePool:
             raise ValueError("efficiency must be in (0, 1]")
         self._advance()
         entry = PoolEntry(self, work, weight, cap, efficiency, on_complete, label)
-        self.entries.append(entry)
         if work <= _EPS:
             # zero work completes immediately (but via the event loop so
             # callbacks never re-enter the caller)
             entry.done = True
-            self.entries.remove(entry)
             if on_complete is not None:
                 self.sim.schedule(0.0, on_complete)
             return entry
+        self.entries[entry] = None
         self._rebalance()
         return entry
 
@@ -235,7 +250,7 @@ class ResourcePool:
         self._advance()
         if entry.done:
             return
-        self.entries.remove(entry)
+        del self.entries[entry]
         entry.done = True
         entry.rate = 0.0
         self._rebalance()
@@ -249,7 +264,7 @@ class ResourcePool:
         self._advance()
         if entry.done:
             return
-        self.entries.remove(entry)
+        del self.entries[entry]
         entry.rate = 0.0
         self._rebalance()
 
@@ -258,7 +273,7 @@ class ResourcePool:
         its remaining work, parameters, label and completion callback."""
         self._advance()
         entry.pool = self
-        self.entries.append(entry)
+        self.entries[entry] = None
         self._rebalance()
 
     def set_capacity(self, capacity: float) -> None:
@@ -359,7 +374,7 @@ class ResourcePool:
                 # already removed it (e.g. a finished attempt killing
                 # its speculative twin) -- removing again would raise
                 continue
-            self.entries.remove(entry)
+            del self.entries[entry]
             entry.done = True
             entry.rate = 0.0
             if entry.on_complete is not None:
@@ -380,7 +395,7 @@ class ResourcePool:
         if len(entries) == 1:
             # single-entry fast path: the common case for per-task CPU
             # and disk pools; same arithmetic as one waterfill round
-            entry = entries[0]
+            (entry,) = entries
             capacity = self.capacity
             weight = entry.weight
             cap = entry.cap

@@ -26,6 +26,16 @@ from repro.virt.overheads import DEFAULT_OVERHEADS, OverheadModel
 class VirtualMachine(ExecutionContext):
     """A Xen-style guest (default flavour: 1 vCPU, 1 GB RAM)."""
 
+    __slots__ = (
+        "spec",
+        "overheads",
+        "vm_weight",
+        "paused",
+        "cpu_fraction",
+        "io_limit_mbps",
+        "io_weight",
+    )
+
     def __init__(
         self,
         name: str,
@@ -121,8 +131,11 @@ class VirtualMachine(ExecutionContext):
         to an input of the rule re-run it.  Runs as one batched update
         per pool (see :meth:`~repro.sim.pool.ResourcePool.begin_batch`):
         the whole refresh costs one rebalance per touched pool instead
-        of three per entry.
+        of three per entry.  A guest with no work in flight (every guest
+        while a cluster is built) has nothing to refresh.
         """
+        if not (self._cpu_entries or self._disk_entries or self._memio_entries):
+            return
         pools = self._begin_refresh(memio=True)
         # opening a batch applies accrued progress, which can finish
         # entries: the shares split among the live ones only
@@ -290,6 +303,8 @@ class Dom0Context(ExecutionContext):
     'flexibly virtualized' hosts that can transition between running
     guests and running near-native batch work.
     """
+
+    __slots__ = ("overheads",)
 
     def __init__(
         self,

@@ -131,7 +131,7 @@ def test_service_stop_releases_entries(sim, virtual_cluster):
     svc.start()
     sim.run(until=10.0)
     svc.stop()
-    assert vm.pm.cpu_pool.entries == []
+    assert list(vm.pm.cpu_pool.entries) == []
 
 
 def test_service_double_start_rejected(sim, virtual_cluster):

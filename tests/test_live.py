@@ -434,6 +434,39 @@ def test_serve_follow_streams_new_frames(tmp_path):
         server.stop()
 
 
+def test_serve_reports_a_malformed_line(tmp_path):
+    """A line that breaks the JSONL line rule while the file is served
+    gets an HTTP error naming it, not a dropped connection."""
+    from repro.obs.serve import FrameServer
+
+    path = tmp_path / "served.jsonl"
+    path.write_text("".join(json.dumps(f) + "\n" for f in _FRAMES))
+    server = FrameServer(str(path), follow=True, poll_s=0.02).start()
+    try:
+        stream = urllib.request.urlopen(server.url + "/events", timeout=10)
+        body = b""
+        while f'"seq": {len(_FRAMES) - 1}'.encode() not in body:
+            body += stream.read(1)
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write("garbage\n")
+        while True:  # the stream names the line, then closes
+            chunk = stream.read(1)
+            if not chunk:
+                break
+            body += chunk
+        error = f"{path}:{len(_FRAMES) + 1}: bad JSON line"
+        tail = body.decode().split("\n\n")[-2].splitlines()
+        assert tail[0] == "event: error"
+        assert json.loads(tail[1][len("data: "):])["error"].startswith(error)
+        for route in ("/snapshot", "/frames"):
+            with pytest.raises(urllib.error.HTTPError) as err:
+                urllib.request.urlopen(server.url + route, timeout=5)
+            assert err.value.code == 500
+            assert json.loads(err.value.read())["error"].startswith(error)
+    finally:
+        server.stop()
+
+
 # ----------------------------------------------------------------------
 # CLI integration
 # ----------------------------------------------------------------------

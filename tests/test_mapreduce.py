@@ -227,7 +227,7 @@ def test_losing_attempts_are_killed(sim, native_cluster):
         assert sum(1 for a in task.attempts if a.finished_at is not None and not a.killed) == 1
 
 
-def test_attempt_killed_inside_alloc_mem_starts_no_stage():
+def test_attempt_killed_inside_alloc_mem_starts_no_stage(monkeypatch):
     """The refresh inside ``alloc_mem`` can complete a sibling attempt,
     which kills the starting one as the race's loser; the dead attempt
     must not begin its first stage."""
@@ -236,16 +236,17 @@ def test_attempt_killed_inside_alloc_mem_starts_no_stage():
     mr = MapReduceCluster(sim, cluster.fabric, cluster.native_contexts())
     tracker = mr.trackers[0]
     ctx = tracker.context
-    real_alloc = ctx.alloc_mem
+    real_alloc = type(ctx).alloc_mem
     doomed = []
 
-    def alloc_mem(mb):
-        real_alloc(mb)
-        if not doomed:
-            doomed.append(tracker.running[-1])  # the attempt starting
+    def alloc_mem(self, mb):
+        real_alloc(self, mb)
+        if self is ctx and not doomed:
+            doomed.append(list(tracker.running)[-1])  # the attempt starting
             doomed[0].kill(reason="lost_race")
 
-    ctx.alloc_mem = alloc_mem
+    # contexts are slotted: patch the class, and act on this one only
+    monkeypatch.setattr(type(ctx), "alloc_mem", alloc_mem)
     real_launch = mr.jt._launch
     checked = []
 

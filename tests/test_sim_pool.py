@@ -213,7 +213,7 @@ def test_same_instant_finish_callback_removes_sibling(sim):
     assert calls == ["first"]
     assert entries["second"].done
     assert entries["second"].rate == 0.0
-    assert pool.entries == []
+    assert list(pool.entries) == []
 
 
 def test_detach_and_adopt_move_an_entry_between_pools(sim):
@@ -242,7 +242,7 @@ def test_detach_and_adopt_move_an_entry_between_pools(sim):
     assert done == [pytest.approx(16.0)]  # 30 units at the cap of 5
     # a later remove through the owner's handle is a no-op, not an error
     entry.pool.remove(entry)
-    assert fast.entries == []
+    assert list(fast.entries) == []
 
 
 def test_removing_an_adopted_entry_takes_it_out_of_the_new_pool(sim):
@@ -254,7 +254,7 @@ def test_removing_an_adopted_entry_takes_it_out_of_the_new_pool(sim):
     old.detach(entry)
     new.adopt(entry)
     entry.pool.remove(entry)  # what a killed task does with its handle
-    assert entry.done and new.entries == [] and old.entries == []
+    assert entry.done and list(new.entries) == [] and list(old.entries) == []
     sim.run()
     assert done == []
 
@@ -271,7 +271,7 @@ def test_remove_on_the_instant_the_work_drains_finishes_the_entry(sim):
     sim.run()
     assert done == [10.0]
     assert box["entry"].done
-    assert pool.entries == []
+    assert list(pool.entries) == []
 
 
 def test_rate_setters_raise_outside_a_batch(sim):

@@ -7,6 +7,7 @@ import pytest
 from repro.cluster.cluster import Cluster
 from repro.virt.migration import LiveMigration
 from repro.virt.overheads import DEFAULT_OVERHEADS, OverheadModel
+from repro.virt.vm import VirtualMachine
 
 
 # ----------------------------------------------------------------------
@@ -225,17 +226,20 @@ def test_open_ended_entry_keeps_its_cap_through_churn(sim, monkeypatch):
     vm = Cluster.virtual(sim, 1, 2).vms[0]
     service = vm.run_cpu(math.inf, cap=0.3)
     refreshes = []
-    refresh = vm.refresh_entries
+    refresh = VirtualMachine.refresh_entries
 
-    def checked_refresh():
-        refresh()
+    def checked_refresh(self):
+        refresh(self)
+        if self is not vm:
+            return
         live = [e for e in vm._cpu_entries if not e.done]
         share = max(vm.spec.cpu_cores * vm.cpu_fraction / len(live), 1e-6)
         assert service.cap == min(0.3, share)
         assert service.weight == vm.vm_weight / len(live)
         refreshes.append(len(live))
 
-    monkeypatch.setattr(vm, "refresh_entries", checked_refresh)
+    # VMs are slotted: patch the class, and check this guest only
+    monkeypatch.setattr(VirtualMachine, "refresh_entries", checked_refresh)
     short = []
     for i in range(200):
         # bursts of four: each start cuts the share, down to a fifth
