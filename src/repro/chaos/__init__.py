@@ -12,7 +12,7 @@ Three layers:
   summary (availability, recovery times, goodput vs the fault-free
   baseline) assembled by :func:`build_report`.
 
-See ``docs/chaos.md`` for the fault model and CLI usage.
+See ``docs/chaos.md`` for the fault model and command-line usage.
 """
 
 from repro._lazy import lazy_exports

@@ -27,7 +27,7 @@ FAULT_KINDS = (
     "partition",      # network partition isolating one machine's hosts
 )
 
-#: short aliases accepted by ``--faults poisson:node=0.01`` style strings
+#: short aliases accepted by ``poisson:node=0.01`` style ``faults`` strings
 KIND_ALIASES = {
     "node": "node_crash",
     "rack": "rack_crash",
@@ -189,7 +189,7 @@ def parse_faults(
     mttr: float = 45.0,
     severity: float = 0.5,
 ) -> FaultSchedule:
-    """Parse a ``--faults`` CLI string into a schedule.
+    """Parse a ``faults`` string (the ``chaos`` cell parameter) into a schedule.
 
     Grammar::
 

@@ -1,227 +1,21 @@
-"""Command-line interface: run jobs, figures and profiling from a shell.
+"""Command-line interface: run jobs, sweeps and profiling from a shell.
 
 Examples::
 
     python -m repro list
     python -m repro run Sort --cluster hybrid --pms 8 --input-gb 2
-    python -m repro figure fig1a --scale small
-    python -m repro figure headline
+    python -m repro sweep fig01 --scale small --seeds 7 --param parts=fig1a
+    python -m repro sweep headline --scale small --seeds 7
     python -m repro profile Sort --sizes 1 2 3 --cluster-size 4
 
-Every command is deterministic for a given ``--seed``.
+Every command is deterministic for given seeds.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from typing import Callable, Dict, List, Optional, Sequence
-
-from repro.metrics.report import format_series, format_table
-
-
-# ----------------------------------------------------------------------
-# figure registry
-# ----------------------------------------------------------------------
-def _scale(name: str):
-    from repro.experiments import common
-
-    return common.resolve_scale(name)
-
-
-def _fig1a(scale, seed):
-    from repro.experiments.fig01_virt_overheads import fig1a
-
-    result = fig1a(scale, seed=seed)
-    rows = [[b, s[1], s[2], s[4]] for b, s in result.items()]
-    return format_table(["benchmark", "1-VM", "2-VM", "4-VM"], rows,
-                        title="% JCT increase over native")
-
-
-def _fig1c(scale, seed):
-    from repro.experiments.fig01_virt_overheads import fig1c
-
-    result = fig1c(scale, seed=seed)
-    rows = [[f"{gb:g}GB", m["r_io"], m["w_io"], m["r_tput"], m["w_tput"]]
-            for gb, m in result.items()]
-    return format_table(["data", "R-IO", "W-IO", "R-Tput", "W-Tput"], rows,
-                        title="HDFS virtual/native")
-
-
-def _fig2d(scale, seed):
-    from repro.experiments.fig02_deployment import fig2d, fig2d_mean_gain_pct
-
-    result = fig2d(scale, seed=seed)
-    rows = [[b, v] for b, v in result.items()]
-    return format_table(
-        ["benchmark", "split/combined"], rows,
-        title=f"split architecture (mean gain {fig2d_mean_gain_pct(result):.1f}%)",
-    )
-
-
-def _fig8c(scale, seed):
-    from repro.experiments.fig08_hybridmr_benefits import fig8c, summarize_reduction
-
-    result = fig8c(scale, seed=seed)
-    rows = [[b, r["cpu"], r["memory"], r["io"], r["cpu+memory+io"]]
-            for b, r in result.items()]
-    avg, best = summarize_reduction(result, "cpu+memory+io")
-    return format_table(
-        ["benchmark", "cpu", "memory", "io", "all"], rows,
-        title=f"% JCT reduction, concurrent jobs (avg {avg:.1f}%, max {best:.1f}%)",
-    )
-
-
-def _fig9(scale, seed):
-    from repro.experiments.fig09_cross_platform import fig9b_9c
-
-    result = fig9b_9c(scale, seed=seed)
-    rows = [[m["design"], m["perf_per_energy"], m["energy"], m["servers"],
-             m["utilization"]] for m in result["metrics"]]
-    return format_table(
-        ["design", "perf/energy", "energy", "servers", "utilization"], rows,
-        title="cross-platform design metrics (max-normalized)",
-    )
-
-
-def _headline(scale, seed):
-    from repro.experiments.headline import PAPER_HEADLINE, headline_numbers
-
-    measured = headline_numbers(scale, seed=seed)
-    rows = [[k, measured[k], PAPER_HEADLINE[k]] for k in PAPER_HEADLINE]
-    return format_table(["claim", "measured_%", "paper_%"], rows,
-                        title="headline claims")
-
-
-def _fig2a(scale, seed):
-    from repro.experiments.fig02_deployment import fig2a
-
-    result = fig2a(scale, seed=seed)
-    rows = [[f"{gb:g}GB", s["same_host"], s["cross_host"]] for gb, s in result.items()]
-    return format_table(["data", "same_host", "cross_host"], rows,
-                        title="Sort JCT (s): Same-Host vs Cross-Host")
-
-
-def _fig2b(scale, seed):
-    from repro.experiments.fig02_deployment import fig2b
-
-    result = fig2b(scale, seed=seed)
-    rows = [[f"{gb:g}GB", s["V1-1M-1R"], s["V2-2M-4R"], s["V4-4M-6R"]]
-            for gb, s in result.items()]
-    return format_table(["data", "V1", "V2", "V4"], rows,
-                        title="Kmeans JCT normalized to V1")
-
-
-def _fig2c(scale, seed):
-    from repro.experiments.fig02_deployment import fig2c
-
-    result = fig2c(scale, seed=seed)
-    return format_table(["benchmark", "dom0/native"],
-                        [[b, v] for b, v in result.items()],
-                        title="Dom-0 vs native")
-
-
-def _fig5d(scale, seed):
-    from repro.experiments.fig05_profiling_curves import fig5d, linearity_r2
-
-    result = fig5d(seed=seed)
-    lines = [
-        format_series(f"C{n}", series) + f"  [R2={linearity_r2(series):.3f}]"
-        for n, series in result.items()
-    ]
-    return "Sort JCT (s) vs data size per cluster size\n" + "\n".join(lines)
-
-
-def _fig6a(scale, seed):
-    from repro.experiments.fig06_models import fig6a
-
-    result = fig6a()
-    return (
-        f"profiling error: mean {100 * result['mean_error']:.1f}% / "
-        f"std {100 * result['std_error']:.1f}% (paper: 10.8% / 9.7%)"
-    )
-
-
-def _fig6bc(scale, seed):
-    from repro.experiments.fig06_models import fig6b, fig6c
-
-    lines = ["CPU interference (normalized JCT):"]
-    lines += [f"  {format_series(k, v)}" for k, v in fig6b(seed=seed).items()]
-    lines.append("I/O interference (normalized JCT):")
-    lines += [f"  {format_series(k, v)}" for k, v in fig6c(seed=seed).items()]
-    return "\n".join(lines)
-
-
-def _fig8a(scale, seed):
-    from repro.experiments.fig08_hybridmr_benefits import fig8a
-
-    result = fig8a(scale)
-    rows = [[m, g["transactional_gain"], g["batch_gain"]] for m, g in result.items()]
-    return format_table(["mix", "transactional", "batch"], rows,
-                        title="Phase I gain over random placement")
-
-
-def _fig8b(scale, seed):
-    from repro.experiments.fig08_hybridmr_benefits import fig8b, summarize_reduction
-
-    result = fig8b(scale, seed=seed)
-    rows = [[b, r["cpu"], r["memory"], r["io"], r["cpu+memory+io"]]
-            for b, r in result.items()]
-    avg, best = summarize_reduction(result, "cpu+memory+io")
-    return format_table(["benchmark", "cpu", "memory", "io", "all"], rows,
-                        title=f"single-job %JCT reduction (avg {avg:.1f}%, max {best:.1f}%)")
-
-
-def _fig8d(scale, seed):
-    from repro.experiments.fig08_hybridmr_benefits import fig8d
-
-    result = fig8d(seed=seed)
-    return "RUBiS latency (ms) vs clients\n" + "\n".join(
-        format_series(k, v) for k, v in result.items()
-    )
-
-
-def _fig10(scale, seed):
-    from repro.experiments.fig10_migration import fig10bc, migration_summary
-
-    summary = migration_summary(fig10bc(seed=seed))
-    rows = [[k, s["mean_migration_s"], s["mean_downtime_ms"]]
-            for k, s in summary.items()]
-    return format_table(["config", "mean_migration_s", "mean_downtime_ms"], rows,
-                        title="live migration costs")
-
-
-def _fig11(scale, seed):
-    from repro.experiments.fig11_tradeoff import best_and_worst, fig11
-
-    results = fig11(scale, seed=seed)
-    rows = [[r.label, r.n_native_pms, r.n_vms, r.perf_per_energy] for r in results]
-    best, worst = best_and_worst(results)
-    return format_table(
-        ["config", "native_pms", "vms", "perf_per_energy"], rows,
-        title=f"configuration sweep (best {best.label}, worst {worst.label})",
-    )
-
-
-FIGURES: Dict[str, Callable] = {
-    "fig1a": _fig1a,
-    "fig1c": _fig1c,
-    "fig2a": _fig2a,
-    "fig2b": _fig2b,
-    "fig2c": _fig2c,
-    "fig2d": _fig2d,
-    "fig5d": _fig5d,
-    "fig6a": _fig6a,
-    "fig6bc": _fig6bc,
-    "fig8a": _fig8a,
-    "fig8b": _fig8b,
-    "fig8c": _fig8c,
-    "fig8d": _fig8d,
-    "fig9": _fig9,
-    "fig10": _fig10,
-    "fig11": _fig11,
-    "headline": _headline,
-}
+from typing import Optional, Sequence
 
 
 # ----------------------------------------------------------------------
@@ -236,13 +30,11 @@ def cmd_list(args) -> int:
             f"  {bench.name:9s} class={bench.resource_class:5s} "
             f"paper input {PAPER_INPUT_GB[bench.name]:g} GB"
         )
-    print("\nfigures (repro figure <id>):")
-    for fig in FIGURES:
-        print(f"  {fig}")
     from repro.sweep import cell_names
 
     print("\nsweep cells (repro sweep <cell> --seeds ...):")
     print("  " + " ".join(cell_names()))
+    print("  docs/sweep.md gives the sweep for each paper figure")
     from repro.zoo import policy_names, workload_names
 
     print("\nscheduler zoo (repro zoo --policies ...):")
@@ -384,19 +176,13 @@ def cmd_trace(args) -> int:
     return 0
 
 
-def cmd_figure(args) -> int:
-    # figure ids are case-insensitive, like benchmark names on `run`
-    fig_id = args.id.lower()
-    if fig_id not in FIGURES:
-        print(f"unknown figure {args.id!r}; choose from {', '.join(FIGURES)}",
-              file=sys.stderr)
-        return 2
-    print(FIGURES[fig_id](_scale(args.scale), args.seed))
-    return 0
-
-
 def _parse_sweep_params(entries) -> dict:
-    """``key=v1,v2`` strings -> {key: [v1, v2]} with JSON-typed values."""
+    """``key=v1,v2`` strings -> {key: [v1, v2]} with JSON-typed values.
+
+    A body that parses as a JSON list gives the axis's values as listed,
+    so one value may hold commas: ``faults=["poisson:node=0.005,nic=0.01"]``
+    is a one-value axis.  Any other body splits at commas.
+    """
     import json
 
     def typed(text: str):
@@ -409,8 +195,13 @@ def _parse_sweep_params(entries) -> dict:
     for entry in entries:
         key, sep, body = entry.partition("=")
         if not sep or not key:
-            raise SystemExit(f"bad --param {entry!r}; expected KEY=VALUE[,VALUE...]")
-        params[key] = [typed(part) for part in body.split(",")]
+            raise ValueError(
+                f"bad --param {entry!r}; expected KEY=V1[,V2...] or KEY=[V1, ...]"
+            )
+        values = typed(body)
+        if not isinstance(values, list):
+            values = [typed(part) for part in body.split(",")]
+        params[key] = values
     return params
 
 
@@ -458,49 +249,6 @@ def cmd_sweep(args) -> int:
     if args.canonical_out:
         write_canonical_json(args.canonical_out, report)
         print(f"wrote {args.canonical_out} (canonical, cmp-able)")
-    return 0
-
-
-def cmd_chaos(args) -> int:
-    import json
-
-    from repro.experiments.fig08_faults import run as run_faults
-
-    if args.figure != "fig08":
-        print(f"unknown chaos figure {args.figure!r}; only 'fig08' exists",
-              file=sys.stderr)
-        return 2
-    result = run_faults(
-        scale=_scale(args.scale),
-        seed=args.seed,
-        faults=args.faults,
-        mttr=args.mttr,
-        severity=args.severity,
-        deployments=args.deployments,
-        waves=args.waves,
-    )
-    rows = []
-    for kind in args.deployments:
-        entry = result[kind]
-        report = entry.get("report", {})
-        rows.append([
-            kind,
-            round(entry["baseline_makespan_s"], 1),
-            round(entry["faulted_makespan_s"], 1),
-            round(entry["slowdown_pct"], 1),
-            report.get("faults_injected", 0),
-            round(report.get("availability", 1.0), 4),
-        ])
-    print(format_table(
-        ["deployment", "baseline_s", "faulted_s", "slowdown_%",
-         "faults", "availability"],
-        rows,
-        title=f"completion time under faults ({args.faults})",
-    ))
-    print(f"total faults injected: {result['total_faults_injected']}")
-    with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump(result, fh, indent=2, sort_keys=True)
-    print(f"wrote {args.out}")
     return 0
 
 
@@ -567,7 +315,7 @@ def cmd_live(args) -> int:
     from repro.experiments.live import run as run_live
 
     result = run_live(
-        scale=_scale(args.scale),
+        scale=args.scale,
         seed=args.seed,
         horizon_s=args.horizon,
         mean_interarrival_s=args.mean_interarrival,
@@ -675,9 +423,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("list", help="list benchmarks and figures").set_defaults(
-        func=cmd_list
-    )
+    sub.add_parser(
+        "list", help="list benchmarks, sweep cells and zoo policies"
+    ).set_defaults(func=cmd_list)
 
     run = sub.add_parser("run", help="run one benchmark job")
     run.add_argument("benchmark", help="Twitter|Wcount|PiEst|DistGrep|Sort|Kmeans")
@@ -720,33 +468,29 @@ def build_parser() -> argparse.ArgumentParser:
                        "new data (default: follow forever)")
     trace.set_defaults(func=cmd_trace)
 
-    fig = sub.add_parser("figure", help="regenerate one paper figure")
-    fig.add_argument("id", help=", ".join(FIGURES))
-    fig.add_argument("--scale", choices=("small", "medium", "paper"),
-                     default="small")
-    fig.add_argument("--seed", type=int, default=7)
-    fig.set_defaults(func=cmd_figure)
-
     sweep = sub.add_parser(
         "sweep",
         help="run a cached, parallel multi-seed experiment sweep",
         description="Expand a (figure x scale x seed x param) grid, run "
         "the cells across worker processes with content-addressed result "
-        "caching, and write the cross-seed aggregation as JSON.",
+        "caching, print every metric's cross-seed statistics and write the "
+        "aggregation as JSON.",
     )
     sweep.add_argument(
         "figures", nargs="+",
         help=f"experiment cells ({', '.join(cell_names())})",
     )
     sweep.add_argument("--scales", "--scale", nargs="+", default=["small"],
-                       help="scales to sweep (tiny|small|medium|paper)")
+                       help=f"scales to sweep ({'|'.join(SCALES)})")
     sweep.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3, 4])
     sweep.add_argument("--jobs", type=int, default=1,
                        help="worker processes (1 = inline)")
     sweep.add_argument("--param", action="append", default=[],
                        metavar="KEY=V1[,V2...]",
                        help="extra cell parameter axis (repeatable); "
-                       "values are parsed as JSON where possible")
+                       "values are parsed as JSON where possible, and a "
+                       "JSON list (KEY='[\"a,b\", \"c\"]') lists values "
+                       "that hold commas")
     sweep.add_argument("--cache-dir", default=".repro-sweep-cache",
                        help="result cache location ('none' disables storage)")
     sweep.add_argument("--blame", action="store_true",
@@ -763,36 +507,6 @@ def build_parser() -> argparse.ArgumentParser:
                        "report (byte-identical across runs of the same "
                        "spec, whatever --jobs and the cache hits)")
     sweep.set_defaults(func=cmd_sweep)
-
-    chaos = sub.add_parser(
-        "chaos",
-        help="run an experiment under injected faults; write a resilience report",
-        description="Run the fig08-under-faults cell: the paper benchmarks "
-        "on each deployment, fault-free and under a seeded Poisson fault "
-        "schedule, reporting availability, recovery times and goodput vs "
-        "the fault-free baseline.",
-    )
-    chaos.add_argument("--figure", default="fig08",
-                       help="experiment to run under faults (only fig08)")
-    chaos.add_argument("--scale", choices=("tiny", "small", "medium", "paper"),
-                       default="tiny")
-    chaos.add_argument("--seed", type=int, default=1)
-    chaos.add_argument("--faults", default="poisson:node=0.01",
-                       metavar="SPEC",
-                       help="'none' or 'poisson:<kind>=<rate>,...' with kinds "
-                       "node|rack|disk|nic|cpu|straggler|partition")
-    chaos.add_argument("--mttr", type=float, default=45.0,
-                       help="mean time-to-repair in seconds")
-    chaos.add_argument("--severity", type=float, default=0.5,
-                       help="capacity fraction removed by degradation faults")
-    chaos.add_argument("--deployments", nargs="+",
-                       choices=("native", "virtual", "hybrid"),
-                       default=["native", "virtual", "hybrid"])
-    chaos.add_argument("--waves", type=int, default=2,
-                       help="rounds of the benchmark suite per run")
-    chaos.add_argument("--out", default="chaos_report.json",
-                       help="resilience report path (JSON)")
-    chaos.set_defaults(func=cmd_chaos)
 
     bench = sub.add_parser(
         "bench",
@@ -841,8 +555,7 @@ def build_parser() -> argparse.ArgumentParser:
         "virtual-time horizon or Ctrl-C.  Stream the frames with "
         "'repro serve' or 'repro trace --follow'.",
     )
-    live.add_argument("--scale", choices=("tiny", "small", "medium", "paper"),
-                      default="tiny")
+    live.add_argument("--scale", choices=tuple(SCALES), default="tiny")
     live.add_argument("--seed", type=int, default=7)
     live.add_argument("--horizon", type=float, default=1800.0,
                       help="virtual seconds to run")
@@ -899,16 +612,15 @@ def build_parser() -> argparse.ArgumentParser:
         "deltas explaining each policy's win or loss.  Writes the "
         "canonical repro.zoo/1 report.",
     )
-    zoo.add_argument("--scale", choices=("tiny", "small", "medium", "paper"),
-                     default="tiny")
+    zoo.add_argument("--scale", choices=tuple(SCALES), default="tiny")
     zoo.add_argument("--seeds", type=int, nargs="+", default=[1, 2])
     zoo.add_argument("--policies", nargs="+", default=None,
                      metavar="SPEC",
                      help="policy specs to race (default: every registered "
                      "policy); kwargs via name:k=v,... e.g. delay:skip_budget=8")
     zoo.add_argument("--workloads", nargs="+", default=None,
-                     choices=("mixed", "shuffle"),
-                     help="workload cells (default: all)")
+                     help="workload cells (default: all; repro list "
+                     "names them)")
     zoo.add_argument("--out", default="zoo_report.json",
                      help="study report path ('' disables)")
     zoo.set_defaults(func=cmd_zoo)

@@ -109,7 +109,6 @@ class InteractiveService:
         self.sla_ms = sla_ms
         self.epoch_s = epoch_s
         self.latency_trace = Trace(f"{name}:latency_ms")
-        self.clients_trace = Trace(f"{name}:clients")
         self.current_latency_ms = profile.base_latency_s * 1000.0
         self.current_clients = 0
         self._cpu_entries: List[PoolEntry] = []
@@ -181,7 +180,6 @@ class InteractiveService:
         latency_s = profile.base_latency_s + r_cpu + r_io
         self.current_latency_ms = min(latency_s * 1000.0, MAX_LATENCY_MS)
         self.latency_trace.record(self.sim.now, self.current_latency_ms)
-        self.clients_trace.record(self.sim.now, n)
         obs = self.sim.obs
         obs.metrics.gauge(f"svc.{self.name}.latency_ms").set(self.current_latency_ms)
         obs.metrics.gauge(f"svc.{self.name}.clients").set(float(n))

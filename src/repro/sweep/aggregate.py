@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import json
 import random
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 from repro.sim.trace import percentile
 
@@ -205,14 +205,12 @@ def write_canonical_json(path, report: dict) -> dict:
 # ----------------------------------------------------------------------
 # text rendering
 # ----------------------------------------------------------------------
-def format_group(group: dict, max_rows: Optional[int] = None) -> str:
+def format_group(group: dict) -> str:
     """One group's metric table (mean ± stdev, p50/p95, CI bounds)."""
     from repro.metrics.report import format_table
 
     rows = []
-    metrics = list(group["metrics"].items())
-    shown = metrics if max_rows is None else metrics[:max_rows]
-    for path, stats in shown:
+    for path, stats in group["metrics"].items():
         rows.append(
             [
                 path,
@@ -230,18 +228,15 @@ def format_group(group: dict, max_rows: Optional[int] = None) -> str:
         f"{group['figure']} @ {group['scale']}{suffix} -- seeds "
         f"{group['seeds']}, wall {group['wall_s']['mean']:.1f}s/cell"
     )
-    table = format_table(
+    return format_table(
         ["metric", "mean", "stdev", "p50", "p95", "ci95_lo", "ci95_hi"],
         rows,
         title=title,
     )
-    if max_rows is not None and len(metrics) > max_rows:
-        table += f"\n... {len(metrics) - max_rows} more metrics in the JSON report"
-    return table
 
 
-def format_report(report: dict, max_rows_per_group: Optional[int] = 40) -> str:
-    """Human-readable rendering of a full sweep report."""
+def format_report(report: dict) -> str:
+    """Human-readable rendering of a full sweep report, every metric shown."""
     totals = report["totals"]
     lines = [
         f"sweep: {totals['cells']} cells "
@@ -251,5 +246,5 @@ def format_report(report: dict, max_rows_per_group: Optional[int] = 40) -> str:
     ]
     for group in report["groups"]:
         lines.append("")
-        lines.append(format_group(group, max_rows_per_group))
+        lines.append(format_group(group))
     return "\n".join(lines)

@@ -257,6 +257,10 @@ def run_study(
     seeds = list(seeds)
     if not seeds:
         raise ValueError("need at least one seed")
+    # reject a bad name before any race runs, not when its first cell does
+    unknown = sorted(set(workloads) - set(WORKLOADS))
+    if unknown:
+        raise KeyError(f"unknown workloads {unknown}; choose from {workload_names()}")
 
     runs: List[dict] = []
     for workload in workloads:

@@ -311,5 +311,8 @@ def test_cli_bench_accepts_every_registered_scale():
     for scale in SCALES:
         args = parser.parse_args(["bench", "scale-smoke", "--scale", scale])
         assert args.scale == scale and args.cells == ["scale-smoke"]
+        # live and zoo take their scales from the same registry
+        for command in ("live", "zoo"):
+            assert parser.parse_args([command, "--scale", scale]).scale == scale
     # the default report is not the committed baseline
     assert parser.parse_args(["bench"]).out == "BENCH_current.json"

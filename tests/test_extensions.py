@@ -132,7 +132,7 @@ def test_cli_list(capsys):
 
     assert main(["list"]) == 0
     out = capsys.readouterr().out
-    assert "Sort" in out and "fig1a" in out
+    assert "Sort" in out and "fig01" in out
 
 
 def test_cli_run(capsys):
@@ -141,12 +141,6 @@ def test_cli_run(capsys):
     assert main(["run", "Wcount", "--pms", "4", "--input-gb", "0.5"]) == 0
     out = capsys.readouterr().out
     assert "JCT" in out and "energy" in out
-
-
-def test_cli_figure_unknown(capsys):
-    from repro.cli import main
-
-    assert main(["figure", "fig999"]) == 2
 
 
 def test_cli_profile(capsys):

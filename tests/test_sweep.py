@@ -478,3 +478,47 @@ def test_canonical_report_strips_execution_accidents(tmp_path):
     json.dump(fresh, out_b.open("w"), indent=2, sort_keys=True)
     out_b.open("a").write("\n")
     assert out_a.read_bytes() == out_b.read_bytes()
+
+
+# ----------------------------------------------------------------------
+# the command line: `repro sweep` is the one shell entry for a cell
+# ----------------------------------------------------------------------
+def _sweep_cli(tmp_path, *argv):
+    from repro.cli import main
+
+    out = tmp_path / "report.json"
+    rc = main(["sweep", *argv, "--scale", "tiny", "--seeds", "1",
+               "--cache-dir", "none", "--out", str(out)])
+    return rc, (json.loads(out.read_text()) if rc == 0 else None)
+
+
+def test_cli_sweep_prints_every_metric(tmp_path, capsys):
+    rc, report = _sweep_cli(tmp_path, "fig09")
+    assert rc == 0
+    metrics = report["groups"][0]["metrics"]
+    assert len(metrics) == 63
+    printed = {line.split()[0] for line in capsys.readouterr().out.splitlines()
+               if line.strip()}
+    assert set(metrics) <= printed, sorted(set(metrics) - printed)
+
+
+def test_cli_sweep_json_list_param_keeps_commas(tmp_path):
+    # a comma-split body would make "nic=0.01" a fault spec of its own
+    mix = "poisson:node=0.005,nic=0.01"
+    rc, report = _sweep_cli(tmp_path, "chaos", "--param", f'faults=["{mix}"]',
+                            "--param", "deployments=native")
+    assert rc == 0
+    (cell,) = report["cells"]
+    assert cell["params"]["faults"] == mix
+    kinds = {f["kind"] for f in cell["result"]["native"]["schedule"]["faults"]}
+    assert "nic_degrade" in kinds, kinds
+
+
+def test_cli_sweep_unknown_cell(tmp_path, capsys):
+    rc, _ = _sweep_cli(tmp_path, "fig999")
+    assert rc == 2
+    assert "unknown sweep figure 'fig999'" in capsys.readouterr().err
+    # a usage error exits 2 too; 1 means a cell raised
+    rc, _ = _sweep_cli(tmp_path, "fig10", "--param", "parts")
+    assert rc == 2
+    assert "bad --param 'parts'" in capsys.readouterr().err

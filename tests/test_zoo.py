@@ -221,9 +221,15 @@ def test_every_policy_is_deterministic(study, policy):
     )
 
 
-def test_unknown_workload_and_policy_rejected():
+def test_unknown_workload_and_policy_rejected(monkeypatch):
     with pytest.raises(KeyError):
         run_cell("tiny", 1, "fifo", "nonesuch")
+    # a study rejects an unknown workload before it races a known one
+    monkeypatch.setattr("repro.zoo.study.run_cell",
+                        lambda *args: pytest.fail("raced a cell"))
+    with pytest.raises(KeyError):
+        run_study(scale="tiny", seeds=(1,), workloads=("mixed", "nonesuch"))
+    monkeypatch.undo()
     with pytest.raises(KeyError):
         run_study(scale="tiny", seeds=(1,), policies=("nonesuch",))
     with pytest.raises(ValueError):
