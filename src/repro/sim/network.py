@@ -14,18 +14,21 @@ which is what makes the paper's Same-Host configuration beat Cross-Host
 
 Hot-path complexity
 -------------------
-Flow membership lives in per-link indexes (each host's ``up``/``down``
-flow sets plus per-host loopback in/out sets), so ``start_flow``,
+Flow membership lives in per-link indexes (a flow map per busy uplink,
+downlink and loopback in/out channel, keyed by host), so ``start_flow``,
 ``cancel_flow``, flow completion and ``flows_from``/``flows_to`` are
-O(1) or O(result).  Every change -- a flow start, cancel or completion,
-a NIC scale, a partition or its heal, a group move -- marks the links
-it touches, and the rebalance re-runs progressive filling only over the
-*connected components* of unblocked flows reachable from them; flows
-elsewhere keep their rates, since max-min allocations of disjoint
-components are independent.  The walk hands the fill the links it
-reached, each with its own flow set, ordered by the start order of each
-link's first unblocked flow (``Flow.seq``) -- the order a fill over the
-component's flows in start order would meet them -- so a rebalance
+O(1) or O(result).  A link has a map only while it carries live flows:
+the first flow to start on it creates the map and the last to finish or
+be cancelled deletes it, so an idle fabric holds no per-link state
+beyond each host's capacities.  Every change -- a flow start, cancel or
+completion, a NIC scale, a partition or its heal, a group move -- marks
+the links it touches, and the rebalance re-runs progressive filling
+only over the *connected components* of unblocked flows reachable from
+them; flows elsewhere keep their rates, since max-min allocations of
+disjoint components are independent.  The walk hands the fill the links
+it reached, each with its own flow map, ordered by the start order of
+each link's first unblocked flow (``Flow.seq``) -- the order a fill over
+the component's flows in start order would meet them -- so a rebalance
 costs the walk, a sort of the reached links and the fill, and never
 reads the flow table.  The fill (:func:`maxmin_fill`) maintains per-link
 unfixed-flow counters instead of rescanning every link's flows each
@@ -91,17 +94,10 @@ class Flow:
 
 
 class _HostLinks:
-    __slots__ = (
-        "up",
-        "down",
-        "loopback",
-        "group",
-        "nic_scale",
-        "up_flows",
-        "down_flows",
-        "loop_out",
-        "loop_in",
-    )
+    """A host's link capacities and co-location group; the flows on its
+    links live in the fabric's per-link maps."""
+
+    __slots__ = ("up", "down", "loopback", "group", "nic_scale")
 
     def __init__(self, up: float, down: float, loopback: float, group: str) -> None:
         self.up = up
@@ -111,13 +107,6 @@ class _HostLinks:
         #: transient capacity multiplier in (0, 1] -- a degraded NIC
         #: (fault injection) rate-caps every flow crossing this host
         self.nic_scale = 1.0
-        # per-link flow membership (insertion-ordered sets); cross-host
-        # flows index under up_flows/down_flows, loopback flows under
-        # loop_out (by src) and loop_in (by dst)
-        self.up_flows: Dict[Flow, None] = {}
-        self.down_flows: Dict[Flow, None] = {}
-        self.loop_out: Dict[Flow, None] = {}
-        self.loop_in: Dict[Flow, None] = {}
 
 
 def maxmin_fill(component: List[tuple], links: Dict[str, _HostLinks]) -> None:
@@ -204,6 +193,15 @@ class NetworkFabric:
         # iteration in start order (the order the old list gave)
         self._flows: Dict[Flow, None] = {}
         self._loop_flows: Dict[Flow, None] = {}
+        #: per-link flow maps, host -> its link's live flows in start
+        #: order: cross-host flows under their source's uplink and their
+        #: destination's downlink, loopback flows under their source
+        #: (out) and destination (in).  A host has an entry only while
+        #: that link carries flows; an idle link reads as empty.
+        self._up_flows: Dict[str, Dict[Flow, None]] = {}
+        self._down_flows: Dict[str, Dict[Flow, None]] = {}
+        self._loop_out: Dict[str, Dict[Flow, None]] = {}
+        self._loop_in: Dict[str, Dict[Flow, None]] = {}
         #: start counter of cross-host flows (``Flow.seq``)
         self._flow_seq = 0
         self._last_update = sim.now
@@ -286,13 +284,12 @@ class NetworkFabric:
             raise KeyError(f"unknown host {host!r}")
         if self._batch_depth == 0:
             self._advance()
-        links = self._links[host]
-        links.group = group
+        self._links[host].group = group
         self._mark_hosts((host,))
         dirty = self._dirty
-        for flow in links.up_flows:
+        for flow in self._up_flows.get(host, ()):
             dirty.add((flow.dst, "down"))
-        for flow in links.down_flows:
+        for flow in self._down_flows.get(host, ()):
             dirty.add((flow.src, "up"))
         if self._batch_depth == 0:
             self._rebalance()
@@ -380,10 +377,7 @@ class NetworkFabric:
         even when the fetcher shares its physical machine.  Cross-host
         flows first (start order), then loopback flows.  O(result).
         """
-        links = self._links.get(host)
-        if links is None:
-            return []
-        return list(links.up_flows) + list(links.loop_out)
+        return list(self._up_flows.get(host, ())) + list(self._loop_out.get(host, ()))
 
     def flows_to(self, host: str) -> List[Flow]:
         """Live flows whose destination endpoint is ``host``.
@@ -391,10 +385,7 @@ class NetworkFabric:
         Mirror of :meth:`flows_from`: cross-host flows entering the
         host's downlink plus loopback flows terminating on it.
         """
-        links = self._links.get(host)
-        if links is None:
-            return []
-        return list(links.down_flows) + list(links.loop_in)
+        return list(self._down_flows.get(host, ())) + list(self._loop_in.get(host, ()))
 
     def start_flow(
         self,
@@ -424,17 +415,35 @@ class NetworkFabric:
             if self._batch_depth == 0:
                 self._rebalance()
             return flow
+        # a link's first live flow makes its map (_detach drops it with
+        # the last)
         if self.colocated(src, dst):
             flow.is_loopback = True
             self._loop_flows[flow] = None
-            self._links[src].loop_out[flow] = None
-            self._links[dst].loop_in[flow] = None
+            out_flows = self._loop_out.get(src)
+            if out_flows is None:
+                self._loop_out[src] = {flow: None}
+            else:
+                out_flows[flow] = None
+            in_flows = self._loop_in.get(dst)
+            if in_flows is None:
+                self._loop_in[dst] = {flow: None}
+            else:
+                in_flows[flow] = None
             self._dirty.add((src, "loop"))
         else:
             flow.seq = self._flow_seq = self._flow_seq + 1
             self._flows[flow] = None
-            self._links[src].up_flows[flow] = None
-            self._links[dst].down_flows[flow] = None
+            up_flows = self._up_flows.get(src)
+            if up_flows is None:
+                self._up_flows[src] = {flow: None}
+            else:
+                up_flows[flow] = None
+            down_flows = self._down_flows.get(dst)
+            if down_flows is None:
+                self._down_flows[dst] = {flow: None}
+            else:
+                down_flows[flow] = None
             self._dirty.add((src, "up"))
             self._dirty.add((dst, "down"))
         if obs.tracer.enabled:
@@ -479,20 +488,35 @@ class NetworkFabric:
         """Unlink a flow from the global and per-link indexes, O(1).
 
         Marks the flow's links dirty so the next rebalance re-fills the
-        component that just lost a member.  Called once per flow, when it
-        finishes or is cancelled (a flow is in the indexes until done).
+        component that just lost a member, and drops each link's map
+        with its last flow.  Called once per flow, when it finishes or is
+        cancelled (a flow is in the indexes until done).
         """
+        src = flow.src
+        dst = flow.dst
         if flow.is_loopback:
             del self._loop_flows[flow]
-            del self._links[flow.src].loop_out[flow]
-            del self._links[flow.dst].loop_in[flow]
-            self._dirty.add((flow.src, "loop"))
+            out_flows = self._loop_out[src]
+            del out_flows[flow]
+            if not out_flows:
+                del self._loop_out[src]
+            in_flows = self._loop_in[dst]
+            del in_flows[flow]
+            if not in_flows:
+                del self._loop_in[dst]
+            self._dirty.add((src, "loop"))
         else:
             del self._flows[flow]
-            del self._links[flow.src].up_flows[flow]
-            del self._links[flow.dst].down_flows[flow]
-            self._dirty.add((flow.src, "up"))
-            self._dirty.add((flow.dst, "down"))
+            up_flows = self._up_flows[src]
+            del up_flows[flow]
+            if not up_flows:
+                del self._up_flows[src]
+            down_flows = self._down_flows[dst]
+            del down_flows[flow]
+            if not down_flows:
+                del self._down_flows[dst]
+            self._dirty.add((src, "up"))
+            self._dirty.add((dst, "down"))
 
     def _mark_hosts(self, hosts: Iterable[str]) -> None:
         """Mark the uplink and downlink of every host dirty."""
@@ -573,9 +597,10 @@ class NetworkFabric:
 
         Walks the per-link membership indexes: a flow joins the
         component when either of its links is reachable, and brings its
-        other link with it.  A flow the active partition blocks connects
-        nothing, and every blocked flow on a reached link is pinned at
-        rate 0.  Each reached link that carries unblocked flows gives one
+        other link with it; an idle link has no map and reaches nothing.
+        A flow the active partition blocks connects nothing, and every
+        blocked flow on a reached link is pinned at rate 0.  Each reached
+        link that carries unblocked flows gives one
         :func:`maxmin_fill` record ``(seq, direction, host, flows)``:
         ``flows`` is the link's own flow dict (under a partition, the list
         of its unblocked flows) and ``seq`` its first flow's.  Sorted,
@@ -585,7 +610,8 @@ class NetworkFabric:
         (docs/networking.md).  Loopback seeds are handled separately (the
         loopback channel shares with nothing).
         """
-        links = self._links
+        up_flows = self._up_flows
+        down_flows = self._down_flows
         partitioned = self._partition is not None
         up_stack = [h for (h, d) in seeds if d == "up"]
         down_stack = [h for (h, d) in seeds if d == "down"]
@@ -595,7 +621,9 @@ class NetworkFabric:
         while up_stack or down_stack:
             if up_stack:
                 host = up_stack.pop()
-                flows = links[host].up_flows
+                flows = up_flows.get(host)
+                if flows is None:
+                    continue
                 if partitioned:
                     flows = self._unblocked(flows)
                 for flow in flows:
@@ -607,7 +635,9 @@ class NetworkFabric:
                     component.append((next(iter(flows)).seq, 0, host, flows))
             else:
                 host = down_stack.pop()
-                flows = links[host].down_flows
+                flows = down_flows.get(host)
+                if flows is None:
+                    continue
                 if partitioned:
                     flows = self._unblocked(flows)
                 for flow in flows:
@@ -667,10 +697,9 @@ class NetworkFabric:
             for host, direction in dirty:
                 if direction != "loop":
                     continue
-                loop_out = self._links[host].loop_out
-                n = len(loop_out)
-                if n:
-                    share = self._links[host].loopback / n
+                loop_out = self._loop_out.get(host)
+                if loop_out is not None:
+                    share = self._links[host].loopback / len(loop_out)
                     for flow in loop_out:
                         flow.rate = share
         self._reschedule_completion()

@@ -2,7 +2,8 @@
 
 A :class:`SweepSpec` names which experiment cells to run and at which
 scales, seeds and extra parameters; :meth:`SweepSpec.cells` expands it
-into concrete :class:`CellSpec` objects in a deterministic order.  A
+into concrete :class:`CellSpec` objects in a deterministic order, after
+checking every parameter name against each figure's ``run``.  A
 cell's :meth:`~CellSpec.config` is its *normalized* configuration --
 plain JSON types, sorted parameter keys -- which the cache layer hashes
 into the cell's content address.
@@ -10,6 +11,7 @@ into the cell's content address.
 
 from __future__ import annotations
 
+import inspect
 import itertools
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Sequence, Tuple
@@ -32,6 +34,32 @@ def _normalize_value(value):
         f"sweep parameter values must be JSON scalars or lists, got "
         f"{type(value).__name__}"
     )
+
+
+#: the cell arguments every figure takes positionally, one sweep axis each
+_AXES = ("scale", "seed")
+
+
+def _check_params(figure: str, names) -> None:
+    """Raise ``ValueError`` naming the first of ``names`` that ``figure``'s
+    ``run`` does not take as a keyword parameter.
+
+    ``scale`` and ``seed`` are the sweep's axes: the runner passes them
+    positionally, so neither is a parameter of any figure.
+    """
+    takes = set(inspect.signature(cell_registry.load(figure)).parameters)
+    takes.difference_update(_AXES)
+    for name in names:
+        if name in _AXES:
+            raise ValueError(
+                f"{name!r} is a sweep axis, not a parameter of {figure}; "
+                f"sweep it with {name}s"
+            )
+        if name not in takes:
+            raise ValueError(
+                f"{figure} takes no parameter {name!r}; "
+                f"its parameters are {sorted(takes)}"
+            )
 
 
 @dataclass(frozen=True)
@@ -102,6 +130,8 @@ class SweepSpec:
                 raise ValueError(f"parameter {key!r} sweeps over no values")
             normalized[key] = [_normalize_value(v) for v in values]
         self.params = normalized
+        for figure in self.figures:
+            _check_params(figure, self.params)
 
     def cells(self) -> List[CellSpec]:
         """Expand the grid, deterministically ordered.

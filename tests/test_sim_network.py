@@ -1,7 +1,10 @@
 """Tests for the network fabric."""
 
+import random
+
 import pytest
 
+from repro.sim.engine import Simulator
 from repro.sim.network import NetworkFabric
 from tests.maxmin_oracle import fill_flow_list, maxmin_flow_rates
 
@@ -360,3 +363,119 @@ def test_flow_finishing_within_one_ulp_of_the_clock_completes(sim):
     fabric.start_flow("a", "a", 1.6e-9, on_complete=lambda: done.append(sim.now))
     sim.run(max_events=1_000)
     assert done == [8275.847]
+
+
+# ----------------------------------------------------------------------
+# the per-link maps: an entry per busy link, none for an idle one
+# ----------------------------------------------------------------------
+def _assert_link_maps(fabric, live, loopback):
+    """Each of the four per-link maps holds exactly its link's live
+    flows, in start order, and only links that carry one have a key.
+    ``live`` lists the live flows in start order and ``loopback`` says
+    which of them the test's own group book routes over a loopback."""
+    want = {"up": {}, "down": {}, "out": {}, "in": {}}
+    for flow in live:
+        assert flow.is_loopback == loopback[flow]
+        src_map, dst_map = ("out", "in") if loopback[flow] else ("up", "down")
+        want[src_map].setdefault(flow.src, []).append(flow)
+        want[dst_map].setdefault(flow.dst, []).append(flow)
+    maps = {
+        "up": fabric._up_flows,
+        "down": fabric._down_flows,
+        "out": fabric._loop_out,
+        "in": fabric._loop_in,
+    }
+    for name, by_host in maps.items():
+        assert all(by_host.values()), f"{name}: an emptied map was kept"
+        assert {h: list(flows) for h, flows in by_host.items()} == want[name], name
+    for host in fabric._links:
+        outgoing = want["up"].get(host, []) + want["out"].get(host, [])
+        incoming = want["down"].get(host, []) + want["in"].get(host, [])
+        assert (fabric.flows_from(host), fabric.flows_to(host)) == (outgoing, incoming)
+
+
+def test_link_maps_hold_only_live_flows():
+    """Seeded random sequences on six hosts in two co-location groups:
+    cross-host, loopback and zero-byte starts, cancels, runs to the next
+    completion, NIC scale changes, a partition and its heal, group moves
+    and batched bursts.  After every step (and every operation inside a
+    burst) the per-link maps index exactly the live flows, and an idle
+    link has no map; once ``sim.run()`` drains, all four maps are empty."""
+    for seed in range(40):
+        rng = random.Random(seed)
+        sim = Simulator(seed=seed)
+        fabric = NetworkFabric(sim)
+        hosts = [f"h{i}" for i in range(6)]
+        group = {host: ("g0", "g1")[i % 2] for i, host in enumerate(hosts)}
+        for host in hosts:
+            fabric.register_host(
+                host, up_mbps=rng.choice([50.0, 100.0]),
+                down_mbps=rng.choice([50.0, 100.0]), group=group[host],
+            )
+        started, ended, loopback = [], set(), {}
+
+        def start():
+            src, dst = rng.choice(hosts), rng.choice(hosts)
+            mb = 0.0 if rng.random() < 0.05 else rng.uniform(5.0, 400.0)
+            box = []
+            flow = fabric.start_flow(
+                src, dst, mb, on_complete=lambda: ended.add(box[0])
+            )
+            box.append(flow)
+            if mb > 0.0:  # a zero-byte flow is done at once, never indexed
+                started.append(flow)
+                loopback[flow] = group[src] == group[dst]
+
+        def live():
+            return [f for f in started if f not in ended]
+
+        def cancel():
+            flows = live()
+            if flows:
+                flow = rng.choice(flows)
+                fabric.cancel_flow(flow)
+                ended.add(flow)
+
+        def next_completion():
+            count = len(ended)
+            while len(ended) == count and sim.step():
+                pass
+
+        def check():
+            _assert_link_maps(fabric, live(), loopback)
+
+        for _ in range(60):
+            op = rng.random()
+            if op < 0.35:
+                start()
+            elif op < 0.45:
+                cancel()
+            elif op < 0.6:
+                next_completion()
+            elif op < 0.68:
+                fabric.set_nic_scale(rng.choice(hosts), rng.choice([0.25, 0.5, 1.0]))
+            elif op < 0.8:
+                host = rng.choice(hosts)
+                group[host] = rng.choice(["g0", "g1", host])
+                fabric.set_group(host, group[host])
+            elif op < 0.9:
+                fabric.begin_batch()
+                for _ in range(rng.randint(1, 5)):
+                    if rng.random() < 0.6:
+                        start()
+                    else:
+                        cancel()
+                    check()
+                fabric.end_batch()
+            elif fabric.partitioned:
+                fabric.heal_partition()
+            else:
+                cut = rng.sample(hosts, rng.randint(1, 5))
+                fabric.partition(cut, [h for h in hosts if h not in cut])
+            check()
+        fabric.heal_partition()
+        sim.run()
+        assert live() == []
+        check()
+        assert (fabric._up_flows, fabric._down_flows, fabric._loop_out,
+                fabric._loop_in) == ({}, {}, {}, {})

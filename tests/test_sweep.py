@@ -522,3 +522,29 @@ def test_cli_sweep_unknown_cell(tmp_path, capsys):
     rc, _ = _sweep_cli(tmp_path, "fig10", "--param", "parts")
     assert rc == 2
     assert "bad --param 'parts'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, name, figure",
+    [
+        (("fig10", "--param", "bogus=1"), "bogus", "fig10"),
+        # the axes are set by --scale(s) and --seeds, never as a parameter
+        (("fig10", "--param", "seed=3"), "seed", "fig10"),
+        # fabric takes `waves`, fig10 does not: every figure is checked
+        (("fig10", "fabric", "--param", "waves=2"), "waves", "fig10"),
+    ],
+    ids=["unknown", "axis", "another-figures-param"],
+)
+def test_cli_sweep_rejects_an_unknown_param_before_any_cell_runs(
+    tmp_path, capsys, monkeypatch, argv, name, figure
+):
+    import repro.sweep.runner as runner
+
+    def execute_cell(config):
+        raise AssertionError(f"a cell ran: {config}")
+
+    monkeypatch.setattr(runner, "execute_cell", execute_cell)
+    rc, _ = _sweep_cli(tmp_path, *argv)
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"'{name}'" in err and figure in err, err
